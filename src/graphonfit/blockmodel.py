@@ -452,7 +452,7 @@ def _maximize_profile(
     seed: int,
     extra_inits: list | None = None,
 ):
-    """Multi-restart local search; returns (z0, total, swaps, ties)."""
+    """Multi-restart local search; returns (z0, total, swaps, ties, searches run)."""
     n = w.shape[0]
     _check_constraints(n, k, h_min, h_max)
     if restarts < 1:
@@ -474,7 +474,7 @@ def _maximize_profile(
     best_canon = None
     best_swaps = 0
     ties = False
-    for z0 in inits[: max(restarts, len(inits))]:
+    for z0 in inits:
         state = _ProfileState(w, z0, k)
         swaps = _local_search(state, h_min, h_max, rng)
         state.verify()
@@ -488,7 +488,7 @@ def _maximize_profile(
                 if tuple(canon) < tuple(best_canon):
                     best_z, best_canon, best_swaps = state.z, canon, swaps
                     best_total = max(best_total, state.total)
-    return best_canon, best_total, best_swaps, ties
+    return best_canon, best_total, best_swaps, ties, len(inits)
 
 
 def _canonical_labels(z0: np.ndarray) -> np.ndarray:
@@ -668,8 +668,8 @@ def mple_search(
     """Multi-restart local maximization of the profile log-likelihood."""
     h_max = a.n if h_max is None else h_max
     w = a.a.astype(np.float64)
-    z0, total, swaps, ties = _maximize_profile(w, k, h_min, h_max, restarts, seed)
-    return _finish_fit(a, z0, k, total, restarts, swaps, ties, seed)
+    z0, total, swaps, ties, searches = _maximize_profile(w, k, h_min, h_max, restarts, seed)
+    return _finish_fit(a, z0, k, total, searches, swaps, ties, seed)
 
 
 def mple_exhaustive(
@@ -723,10 +723,9 @@ def oracle_mple(
         z0, _, count, ties = _exhaustive_profile(p.p, k, h_min, h_max)
         restarts_used = count
     else:
-        z0, _, _, ties = _maximize_profile(
+        z0, _, _, ties, restarts_used = _maximize_profile(
             p.p, k, h_min, h_max, restarts, seed, extra_inits=extra_inits
         )
-        restarts_used = restarts
     assignment = CommunityAssignment(z=z0 + 1, k=k)
     return OracleFit(
         assignment=assignment,

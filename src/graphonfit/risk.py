@@ -144,44 +144,69 @@ CSV_COLUMNS = (
 # ---------------------------------------------------------------------------
 
 
-def _permutation_mse_terms(truth_grid: np.ndarray, grid: int):
-    """Prefix sums letting each block-permutation MSE be evaluated in O(k^2)."""
-    s1 = np.zeros((grid + 1, grid + 1))
-    s1[1:, 1:] = truth_grid.cumsum(axis=0).cumsum(axis=1)
-    s2 = np.zeros((grid + 1, grid + 1))
-    s2[1:, 1:] = (truth_grid**2).cumsum(axis=0).cumsum(axis=1)
-    return s1, s2
+# Prefix cells per scored stack, (k+1)^2 per order: each array stays near 256 KiB.
+_BATCH_CELLS = 1 << 15
 
 
-def _cell_sums(prefix: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Rectangle sums of a 2-d prefix table over the k x k cut cells."""
-    p = prefix[np.ix_(cuts, cuts)]
-    return p[1:, 1:] - p[:-1, 1:] - p[1:, :-1] + p[:-1, :-1]
-
-
-def _mse_for_order(
-    order: np.ndarray,
-    est: StepGraphon,
-    s1: np.ndarray,
-    s2_total: float,
-    grid: int,
-) -> float:
-    """MSE when the estimate's blocks are laid out in the given order."""
-    h = np.asarray(est.partition.h, dtype=np.int64)[order]
-    v = est.values[np.ix_(order, order)]
-    n = h.sum()
-    edges = np.concatenate([[0.0], np.cumsum(h) / n])
-    g = midpoint_grid(grid)
+def _mse_for_orders(
+    orders: np.ndarray, est: StepGraphon, s1: np.ndarray, s2_total: float, grid: int
+) -> np.ndarray:
+    """MSE of each row of a (B, k) stack of block orders, in O(k^2) per order
+    from s1, the zero-padded 2-d prefix sum of the truth grid.  Cell sums keep
+    the association ((a - b) - c) + d and each order's products are summed along
+    a contiguous last axis, so a value has the same bits alone or in any stack.
+    """
+    b, k = orders.shape
+    h = np.asarray(est.partition.h, dtype=np.int64)
+    right = np.cumsum(h[orders], axis=1) / h.sum()
+    cuts = np.zeros((b, k + 1), dtype=np.intp)
     # side='right' sends a midpoint sitting exactly on a block edge to the
     # lower block, matching the step-graphon quantile convention.
-    cuts = np.searchsorted(g, edges[:-1], side="right")
-    cuts = np.concatenate([cuts, [grid]])
-    cell1 = _cell_sums(s1, cuts)
-    counts = np.diff(cuts)
-    cell_n = np.outer(counts, counts).astype(float)
-    sq = s2_total - 2.0 * (v * cell1).sum() + (v * v * cell_n).sum()
+    cuts[:, 1:] = np.searchsorted(midpoint_grid(grid), right, side="right")
+    p = np.take(s1, (cuts * (grid + 1))[:, :, None] + cuts[:, None, :])
+    cell1 = p[:, 1:, 1:] - p[:, :-1, 1:]
+    cell1 -= p[:, 1:, :-1]
+    cell1 += p[:, :-1, :-1]
+    counts = np.diff(cuts, axis=1).astype(float)
+    v = np.take(est.values, (orders * k)[:, :, None] + orders[:, None, :])
+    cell1 *= v
+    v *= v
+    v *= counts[:, :, None] * counts[:, None, :]
+    sq = s2_total - 2.0 * cell1.reshape(b, -1).sum(axis=1) + v.reshape(b, -1).sum(axis=1)
+    mse = sq / (grid * grid)
     # prefix-sum cancellation can leave a tiny negative residue at exact fits
-    return max(0.0, float(sq / (grid * grid)))
+    return np.where(mse > 0.0, mse, 0.0)
+
+
+def _swap_descent(order: np.ndarray, score, window_cap: int) -> float:
+    """First-improvement descent: scan pairs a < b row-major, take the first swap
+    lowering the MSE by more than 1e-15, rescan until a scan takes none.  Each
+    window of upcoming swaps is scored against one order, so the swap taken is
+    the one a pair-at-a-time scan takes.  A window doubles (up to window_cap)
+    after holding no such swap and halves after one is taken.
+    """
+    pa, pb = np.triu_indices(order.size, k=1)
+    cur = float(score(order[None])[0])
+    improved = True
+    while improved:
+        improved = False
+        i, width = 0, 1
+        while i < pa.size:
+            a, b = pa[i : i + width], pb[i : i + width]
+            rows = np.arange(a.size)
+            cands = np.repeat(order[None], a.size, axis=0)
+            cands[rows, a], cands[rows, b] = order[b], order[a]
+            vals = score(cands)
+            hits = np.flatnonzero(vals < cur - 1e-15)
+            if hits.size:
+                j = hits[0]
+                order, cur, improved = cands[j], float(vals[j]), True
+                i += j + 1
+                width = max(1, width // 2)
+            else:
+                i += a.size
+                width = min(2 * width, window_cap)
+    return cur
 
 
 def graphon_mse(
@@ -196,51 +221,42 @@ def graphon_mse(
     the estimate's block intervals, so the value upper-bounds the idealized
     infimum.  'identity' skips alignment; 'degree_sort' orders blocks by
     their size-weighted marginal mean; 'block_permutation_search' minimizes
-    over block orders (exhaustively for k <= 8, greedy swap descent beyond).
+    over block orders: all k! in chunks for k <= 8, else first-improvement
+    swap descent (_swap_descent) from the identity and degree-sorted orders.
+    All paths score orders with one kernel, in stacks of at most _BATCH_CELLS
+    cells; that chunk size bounds the memory the search adds.
     """
     if grid < 64:
         raise DomainError("grid must be >= 64")
     step = est.step if isinstance(est, GraphonEstimate) else est
     k = step.partition.k
     tg = truth.grid_values(grid)
-    s1, s2 = _permutation_mse_terms(tg, grid)
-    s2_total = float(s2[-1, -1])
+    s1 = np.zeros((grid + 1, grid + 1))
+    s1[1:, 1:] = tg.cumsum(axis=0).cumsum(axis=1)
+    s2_total = float((tg**2).cumsum(axis=0).cumsum(axis=1)[-1, -1])
+
+    def score(orders: np.ndarray) -> np.ndarray:
+        return _mse_for_orders(orders, step, s1, s2_total, grid)
 
     if alignment == "identity":
-        return _mse_for_order(np.arange(k), step, s1, s2_total, grid)
+        return float(score(np.arange(k)[None])[0])
 
     h = np.asarray(step.partition.h, dtype=float)
     marginal = step.values @ (h / h.sum())
     degree_order = np.argsort(marginal, kind="stable")
     if alignment == "degree_sort":
-        return _mse_for_order(degree_order, step, s1, s2_total, grid)
+        return float(score(degree_order[None])[0])
     if alignment != "block_permutation_search":
         raise DomainError(f"unknown alignment {alignment!r}")
 
+    batch = max(1, _BATCH_CELLS // (k + 1) ** 2)
     if k <= 8:
+        perms = itertools.permutations(range(k))
         best = math.inf
-        for perm in itertools.permutations(range(k)):
-            best = min(best, _mse_for_order(np.array(perm), step, s1, s2_total, grid))
+        while chunk := list(itertools.islice(perms, batch)):
+            best = min(best, float(score(np.array(chunk)).min()))
         return best
-    # Greedy pairwise-swap descent from identity and degree-sorted starts.
-    best = math.inf
-    for start in (np.arange(k), degree_order):
-        order = start.copy()
-        cur = _mse_for_order(order, step, s1, s2_total, grid)
-        improved = True
-        while improved:
-            improved = False
-            for a in range(k - 1):
-                for b in range(a + 1, k):
-                    order[a], order[b] = order[b], order[a]
-                    cand = _mse_for_order(order, step, s1, s2_total, grid)
-                    if cand < cur - 1e-15:
-                        cur = cand
-                        improved = True
-                    else:
-                        order[a], order[b] = order[b], order[a]
-        best = min(best, cur)
-    return best
+    return min(_swap_descent(start, score, batch) for start in (np.arange(k), degree_order))
 
 
 # ---------------------------------------------------------------------------

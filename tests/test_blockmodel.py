@@ -378,6 +378,16 @@ class TestOracle:
         assert fit.divergence == pytest.approx(0.0, abs=1e-12)
         assert fit.ties
 
+    def test_restarts_used_counts_extra_inits(self):
+        # the degree-sorted start always runs, so one extra init makes two
+        # local searches even with restarts=1
+        labels = np.array([1, 1, 1, 2, 2, 2])
+        pm = np.where(labels[:, None] == labels[None, :], 0.6, 0.2)
+        p = self.make_probabilities(pm.astype(float))
+        fit = oracle_mple(p, 2, restarts=1, seed=0, extra_inits=[labels - 1])
+        assert fit.restarts_used == 2
+        assert oracle_mple(p, 2, restarts=3, seed=0).restarts_used == 3
+
     def test_local_matches_exhaustive(self):
         rng = np.random.default_rng(18)
         hits = 0

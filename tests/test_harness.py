@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -145,6 +146,16 @@ class TestRunSweep:
         assert bad, "expected at least one failure row at this density"
         assert all(math.isnan(r.fitted_risk) for r in bad)
         assert res.summary["6"]["failures"] == len(bad)
+
+    def test_process_pool_matches_serial(self):
+        cfg = small_config(replicates=3)
+        serial, pooled = run_sweep(cfg, jobs=1), run_sweep(cfg, jobs=2)
+
+        def without_runtime(rows):
+            return [dataclasses.replace(r, runtime_ms=0.0) for r in rows]
+
+        assert without_runtime(pooled.rows) == without_runtime(serial.rows)
+        assert pooled.summary == serial.summary
 
     def test_run_replicate_matches_sweep_row(self):
         cfg = small_config(replicates=1)

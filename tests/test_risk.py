@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -161,6 +162,64 @@ def brute_force_mse(truth, step, order, grid):
     return float((diff * diff).mean())
 
 
+# Frozen copy of the one-order-at-a-time alignment search that the batched
+# kernel replaced; graphon_mse must reproduce it bit for bit.
+def scalar_order_mse(order, est, s1, s2_total, grid):
+    h = np.asarray(est.partition.h, dtype=np.int64)[order]
+    v = est.values[np.ix_(order, order)]
+    n = h.sum()
+    edges = np.concatenate([[0.0], np.cumsum(h) / n])
+    cuts = np.searchsorted(midpoint_grid(grid), edges[:-1], side="right")
+    cuts = np.concatenate([cuts, [grid]])
+    p = s1[np.ix_(cuts, cuts)]
+    cell1 = p[1:, 1:] - p[:-1, 1:] - p[1:, :-1] + p[:-1, :-1]
+    counts = np.diff(cuts)
+    cell_n = np.outer(counts, counts).astype(float)
+    sq = s2_total - 2.0 * (v * cell1).sum() + (v * v * cell_n).sum()
+    return max(0.0, float(sq / (grid * grid)))
+
+
+def scalar_graphon_mse(truth, step, grid, alignment):
+    k = step.partition.k
+    tg = truth.grid_values(grid)
+    s1 = np.zeros((grid + 1, grid + 1))
+    s1[1:, 1:] = tg.cumsum(axis=0).cumsum(axis=1)
+    s2_total = float((tg**2).cumsum(axis=0).cumsum(axis=1)[-1, -1])
+
+    def mse(order):
+        return scalar_order_mse(order, step, s1, s2_total, grid)
+
+    if alignment == "identity":
+        return mse(np.arange(k))
+    h = np.asarray(step.partition.h, dtype=float)
+    degree_order = np.argsort(step.values @ (h / h.sum()), kind="stable")
+    if alignment == "degree_sort":
+        return mse(degree_order)
+    if k <= 8:
+        best = math.inf
+        for perm in itertools.permutations(range(k)):
+            best = min(best, mse(np.array(perm)))
+        return best
+    best = math.inf
+    for start in (np.arange(k), degree_order):
+        order = start.copy()
+        cur = mse(order)
+        improved = True
+        while improved:
+            improved = False
+            for a in range(k - 1):
+                for b in range(a + 1, k):
+                    order[a], order[b] = order[b], order[a]
+                    cand = mse(order)
+                    if cand < cur - 1e-15:
+                        cur = cand
+                        improved = True
+                    else:
+                        order[a], order[b] = order[b], order[a]
+        best = min(best, cur)
+    return best
+
+
 class TestGraphonMSE:
     def test_self_zero(self):
         step = StepGraphon(Partition((3, 5)), np.array([[1.2, 0.4], [0.4, 0.9]]))
@@ -248,6 +307,64 @@ class TestGraphonMSE:
         )
         boundary = 4.0 / n  # latent/interval mismatch near the block edge
         assert mse <= floor + boundary
+
+
+ALIGNMENTS = ("identity", "degree_sort", "block_permutation_search")
+
+
+def random_step(k, seed, tied=False, jitter=0.0):
+    """Symmetric k-block step graphon with uneven widths 2..9."""
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(s) for s in rng.integers(2, 10, size=k))
+    if tied:
+        v = rng.choice([0.25, 0.75, 1.25], size=(k, k))
+        v += jitter * rng.uniform(-1, 1, size=(k, k))
+    else:
+        v = rng.uniform(0, 2, size=(k, k))
+    return StepGraphon(Partition(sizes), np.triu(v) + np.triu(v, 1).T)
+
+
+class TestGraphonMSEMatchesScalarSearch:
+    @pytest.mark.parametrize(
+        "k, grid, truth_name",
+        [(2, 64, "cosine"), (3, 256, "bilinear"), (4, 64, "product"),
+         (5, 256, "step"), (6, 64, "cosine"), (7, 64, "bilinear"),
+         (8, 256, "cosine"),  # exhaustive branch
+         (9, 64, "cosine"), (10, 256, "bilinear"), (11, 64, "product"),
+         (12, 256, "cosine"), (40, 64, "cosine")],  # greedy branch
+    )
+    def test_random_steps(self, k, grid, truth_name):
+        step = random_step(k, seed=100 + k)
+        truth = graphon_by_name(truth_name)
+        for al in ALIGNMENTS:
+            assert graphon_mse(truth, step, grid=grid, alignment=al) == \
+                scalar_graphon_mse(truth, step, grid, al)
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-12])
+    @pytest.mark.parametrize("k, grid", [(6, 256), (10, 64), (11, 256), (12, 64)])
+    def test_tied_values(self, k, grid, jitter):
+        # The truth is the estimate with its blocks shuffled and every height
+        # drawn from three values, exactly or up to a 1e-12 jitter, so many
+        # orders score alike or within about 1e-14 of each other and the
+        # 1e-15 rule decides which swap the descent takes: a threshold of 0,
+        # 1e-13 or 1e-9 changes the result of at least one greedy case here.
+        step = random_step(k, seed=200 + k, tied=True, jitter=jitter)
+        perm = np.random.default_rng(k).permutation(k)
+        truth = StepGraphon(
+            Partition(tuple(step.partition.h[i] for i in perm)),
+            step.values[np.ix_(perm, perm)],
+        ).as_graphon()
+        for al in ALIGNMENTS:
+            assert graphon_mse(truth, step, grid=grid, alignment=al) == \
+                scalar_graphon_mse(truth, step, grid, al)
+
+    def test_exhaustive_k8_timing_gate(self):
+        # Scoring all 8! orders one at a time took about 3 s at grid 256.
+        step = random_step(8, seed=108)
+        truth = graphon_by_name("cosine")
+        t0 = time.perf_counter()
+        graphon_mse(truth, step, grid=256, alignment="block_permutation_search")
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestKLTaylor:
