@@ -13,8 +13,11 @@ sum_{i<j} D(p_ij || pbar) only by a z-independent constant, so a single search
 engine handles both the data fit and the oracle fit.
 
 The local search uses single-node relabels plus pairwise label swaps
-(Kernighan-Lin style), multi-restart, with exact incremental updates of the
-block edge sums verified against a from-scratch recomputation.
+(Kernighan-Lin style), multi-restart.  One batched kernel scores a window of
+relabels, or of swaps in closed form (no trial and rollback), from cached
+block sums; each sweep takes the first improving move in scan order.  0/1
+weights read their terms from an x*log(x) table.  The incremental state is
+verified against a from-scratch recomputation after every restart.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
     InternalError,
     SaturatedBlockError,
 )
-from .graphons import Partition
+from .graphons import Partition, balanced_partition
 from .sampling import AdjacencyMatrix, EdgeProbabilityMatrix, edge_density, make_rng
 
 __all__ = [
@@ -55,6 +58,8 @@ __all__ = [
 
 _SEARCH_STREAM = 3
 _TIE_TOL = 1e-10
+# Cells per batched stack, here and in risk.graphon_mse: each array stays near 256 KiB.
+_BATCH_CELLS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +97,7 @@ class CommunityAssignment:
 
     def canonical_form(self) -> "CommunityAssignment":
         """Relabel groups in order of first occurrence (1, 2, ...)."""
-        mapping = {}
-        out = np.empty(self.n, dtype=np.int64)
-        for i, label in enumerate(self.z):
-            out[i] = mapping.setdefault(int(label), len(mapping) + 1)
-        return CommunityAssignment(z=out, k=self.k)
+        return CommunityAssignment(z=_canonical_labels(self.z) + 1, k=self.k)
 
     def induced_partition(self) -> Partition:
         return Partition(tuple(int(s) for s in self.group_sizes()))
@@ -192,13 +193,22 @@ def block_stats(a: AdjacencyMatrix, z: CommunityAssignment) -> BlockStats:
     return BlockStats(pair_counts=pc, edge_sums=sums, averages=avg, saturated=sat)
 
 
+def _kl_terms(p, q) -> np.ndarray:
+    """Elementwise Bernoulli D(p || q), 0 log 0 := 0, in the two-term form: a
+    sum of four x*log(y) terms cancels most of its digits when p is near q."""
+    p = np.asarray(p, dtype=np.float64)
+    r1 = np.divide(p, q, out=np.ones_like(p), where=p > 0.0)
+    r0 = np.divide(1.0 - p, 1.0 - q, out=np.ones_like(p), where=p < 1.0)
+    return xlogy(p, r1) + xlogy(1.0 - p, r0)
+
+
 def bernoulli_kl(p: float, q: float) -> float:
     """KL divergence of Bernoulli(p) from Bernoulli(q), natural log."""
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p={p} outside [0,1]")
     if not (0.0 < q < 1.0):
         raise SaturatedBlockError(f"divergence from Bernoulli(q={q}) is infinite")
-    return float(xlogy(p, p / q) + xlogy(1.0 - p, (1.0 - p) / (1.0 - q)))
+    return float(_kl_terms(p, q))
 
 
 def profile_log_likelihood(a: AdjacencyMatrix, z: CommunityAssignment) -> float:
@@ -245,85 +255,111 @@ class _ProfileState:
 
     Works for any symmetric nonnegative weight matrix with zero diagonal:
     binary adjacency gives the profile log-likelihood, true probabilities give
-    the (negated, shifted) oracle divergence objective.
+    the (negated, shifted) oracle divergence objective.  For integer weights
+    an x*log(x) table xlx gives the same terms by lookup.
     """
 
-    def __init__(self, w: np.ndarray, z0: np.ndarray, k: int):
+    def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray | None = None):
         self.w = w
         self.n = w.shape[0]
         self.k = k
+        self.xlx = xlx
         self.z = z0.copy()
         self.h = np.bincount(z0, minlength=k).astype(np.int64)
         self.e = _block_weight_sums(w, z0, k)
-        self._rebuild_terms()
-
-    def _rebuild_terms(self) -> None:
-        pc = _pair_counts(self.h)
-        self.t = _terms(self.e, pc)
+        self.t = self._terms(self.e, _pair_counts(self.h))
         self.total = _total_from_terms(self.t)
 
-    def neighbor_weights(self, i: int) -> np.ndarray:
-        """Weight of node i into each current group."""
-        return np.bincount(self.z, weights=self.w[i], minlength=self.k)
+    def _terms(self, s: np.ndarray, pc: np.ndarray) -> np.ndarray:
+        if self.xlx is None:
+            return _terms(s, pc)
+        # Integer s and pc: the same values as _terms, clip included.
+        pci = pc.astype(np.intp)
+        si = np.minimum(s.astype(np.intp), pci)
+        np.maximum(si, 0, out=si)
+        return self.xlx.take(si) + self.xlx.take(pci - si) - self.xlx.take(pci)
 
-    def relabel_delta(self, i: int, b: int, cnt: np.ndarray) -> float:
-        """Objective change from moving node i into group b (not applied)."""
-        a = self.z[i]
-        h = self.h
-        ea = self.e[a] - cnt
-        ea[a] = self.e[a, a] - cnt[a]
-        ea[b] = self.e[a, b] + cnt[a] - cnt[b]
-        eb = self.e[b] + cnt
-        eb[b] = self.e[b, b] + cnt[b]
-        eb[a] = ea[b]
+    def _neighbor_weights(self, nodes: np.ndarray) -> np.ndarray:
+        """Weight of each node into each current group, shape (len(nodes), k)."""
+        rows = (np.arange(nodes.size)[:, None] * self.k + self.z).ravel()
+        flat = np.bincount(rows, self.w[nodes].ravel(), nodes.size * self.k)
+        return flat.reshape(nodes.size, self.k)
 
-        hn = h.astype(np.float64)
-        ha, hb = h[a] - 1.0, h[b] + 1.0
-        pca = ha * hn
-        pca[a] = ha * (ha - 1.0) / 2.0
-        pca[b] = ha * hb
-        pcb = hb * hn
-        pcb[b] = hb * (hb - 1.0) / 2.0
-        pcb[a] = ha * hb
+    def relabel_deltas(self, nodes: np.ndarray) -> tuple:
+        """Objective changes for moving each node into every group at once.
 
-        ta = _terms(ea, pca)
-        tb = _terms(eb, pcb)
-        new = ta.sum() + tb.sum() - ta[b]
-        old = self.t[a].sum() + self.t[b].sum() - self.t[a, b]
-        return float(new - old)
-
-    def relabel_deltas_all(self, i: int) -> tuple:
-        """Objective changes for moving node i into every group at once.
-
-        Returns (cnt, deltas) where deltas[b] is the change for target b; the
-        entry for the current group is 0 and must be masked by the caller.
-        The (a,b) cross term appears identically in both affected rows, so it
-        cancels from the delta and only row sums remain.
+        Returns (cnt, deltas): deltas[r, b] is the change for moving nodes[r]
+        into group b, 0 for its own group (the caller masks it).  The (a,b)
+        cross term appears identically in both affected rows, so only row
+        sums remain.  A row's value does not depend on the rest of the batch.
         """
-        a = self.z[i]
-        cnt = self.neighbor_weights(i)
+        k = self.k
+        r = np.arange(nodes.size)
+        a = self.z[nodes]
+        cnt = self._neighbor_weights(nodes)
         h = self.h.astype(np.float64)
         e, t = self.e, self.t
-
-        ea0 = e[a] - cnt
-        ea0[a] = e[a, a] - cnt[a]
-        ha = h[a] - 1.0
-        pca0 = ha * h
-        pca0[a] = ha * (ha - 1.0) / 2.0
-        ta0 = _terms(ea0, pca0)
-
-        eb = e + cnt[None, :]
-        eb[:, a] -= cnt
+        # Rows 0..k-1 of each stack: group b after node i joins it; row k:
+        # group a after i leaves.
+        s = np.empty((nodes.size, k + 1, k))
+        pc = np.empty((nodes.size, k + 1, k))
+        np.add(e, cnt[:, None, :], out=s[:, :k])
+        s[r, :k, a] -= cnt
         hb = h + 1.0
-        pcb = hb[:, None] * h[None, :]
-        np.fill_diagonal(pcb, hb * h / 2.0)
-        pcb[:, a] = hb * ha
-        tb_sum = _terms(eb, pcb).sum(axis=1)
+        pc[:, :k] = hb[:, None] * h
+        pc[:, np.arange(k), np.arange(k)] = hb * h / 2.0
+        ha = h[a] - 1.0
+        pc[r, :k, a] = hb * ha[:, None]
+        np.subtract(e[a], cnt, out=s[:, k])
+        s[r, k, a] = e[a, a] - cnt[r, a]
+        np.multiply(ha[:, None], h, out=pc[:, k])
+        pc[r, k, a] = ha * (ha - 1.0) / 2.0
 
+        terms = self._terms(s, pc)
+        sums = terms.sum(axis=2)
         row_sums = t.sum(axis=1)
-        deltas = (ta0.sum() - ta0) + tb_sum - row_sums[a] - row_sums + t[a]
-        deltas[a] = 0.0
+        deltas = (
+            (sums[:, k, None] - terms[:, k]) + sums[:, :k]
+            - row_sums[a][:, None] - row_sums + t[a]
+        )
+        deltas[r, a] = 0.0
         return cnt, deltas
+
+    def swap_deltas(self, ii: np.ndarray, jj: np.ndarray) -> tuple:
+        """Objective changes for exchanging the labels of each pair (ii[p], jj[p]).
+
+        Needs a = z[i] != b = z[j].  Returns (d, deltas): after the swap, row a
+        of e is e[a] + d[p], row b is e[b] - d[p] and cell (a,b) is
+        e[a,b] - d[p,a] + d[p,b]; pair counts do not change.
+        """
+        r = np.arange(ii.size)
+        a, b = self.z[ii], self.z[jj]
+        ci, cj = np.split(self._neighbor_weights(np.concatenate([ii, jj])), 2)
+        wij = self.w[ii, jj]
+        cj[r, a] -= wij
+        ci[r, b] -= wij
+        d = cj - ci
+        e, t = self.e, self.t
+        cell = e[a, b] - d[r, a] + d[r, b]
+        ea = e[a] + d
+        ea[r, b] = cell
+        eb = e[b] - d
+        eb[r, a] = cell
+        pc = _pair_counts(self.h)
+        ta = self._terms(ea, pc[a])
+        tb = self._terms(eb, pc[b])
+        row_sums = t.sum(axis=1)
+        new = ta.sum(axis=1) + tb.sum(axis=1) - ta[r, b]
+        return d, new - (row_sums[a] + row_sums[b] - t[a, b])
+
+    def _refresh_rows(self, a: int, b: int) -> None:
+        g = np.array([a, b])
+        h = self.h.astype(np.float64)
+        pc = h[g, None] * h
+        pc[[0, 1], g] = h[g] * (h[g] - 1.0) / 2.0
+        rows = self._terms(self.e[g], pc)
+        self.t[g, :] = rows
+        self.t[:, g] = rows.T
 
     def apply_relabel(self, i: int, b: int, cnt: np.ndarray, delta: float) -> None:
         a = self.z[i]
@@ -339,104 +375,116 @@ class _ProfileState:
         self.h[a] -= 1
         self.h[b] += 1
         self.z[i] = b
-        for g in (a, b):
-            hg = float(self.h[g])
-            pcg = hg * self.h.astype(np.float64)
-            pcg[g] = hg * (hg - 1.0) / 2.0
-            row = _terms(e[g], pcg)
-            self.t[g, :] = row
-            self.t[:, g] = row
+        self._refresh_rows(a, b)
+        self.total += delta
+
+    def apply_swap(self, i: int, j: int, d: np.ndarray, delta: float) -> None:
+        """Exchange the labels of i and j, with d and delta from swap_deltas."""
+        a, b = self.z[i], self.z[j]
+        e = self.e
+        ra = e[a] + d
+        rb = e[b] - d
+        ra[b] = rb[a] = e[a, b] - d[a] + d[b]
+        e[a, :] = e[:, a] = ra
+        e[b, :] = e[:, b] = rb
+        self.z[i], self.z[j] = b, a
+        self._refresh_rows(a, b)
         self.total += delta
 
     def verify(self, rel_tol: float = 1e-8) -> None:
-        fresh = _ProfileState(self.w, self.z, self.k)
+        fresh = _ProfileState(self.w, self.z, self.k, self.xlx)
         scale = max(1.0, abs(fresh.total))
         if abs(fresh.total - self.total) > rel_tol * scale:
             raise InternalError(
                 f"incremental objective {self.total!r} drifted from "
                 f"recomputed {fresh.total!r}"
             )
+        if not np.array_equal(fresh.h, self.h):
+            raise InternalError("incremental group sizes drifted from recomputation")
         if not np.allclose(fresh.e, self.e, rtol=0, atol=1e-6):
             raise InternalError("incremental block sums drifted from recomputation")
+        if not np.allclose(fresh.t, self.t, rtol=1e-10, atol=1e-8):
+            raise InternalError("incremental block terms drifted from recomputation")
 
 
-def _balanced_sizes(n: int, k: int) -> np.ndarray:
-    sizes = np.full(k, n // k, dtype=np.int64)
-    sizes[: n % k] += 1
-    return sizes
-
-
-def _contiguous_labels(order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _contiguous_labels(order: np.ndarray, sizes) -> np.ndarray:
     z0 = np.empty(order.size, dtype=np.int64)
-    start = 0
-    for g, s in enumerate(sizes):
-        z0[order[start : start + s]] = g
-        start += s
+    z0[order] = np.repeat(np.arange(len(sizes)), sizes)
     return z0
 
 
+def _first_improvement(count: int, cap: int, take_first) -> bool:
+    """Scan moves 0..count-1 in order, taking every one that improves.
+
+    take_first(lo, hi) scores moves lo..hi-1 against the current state, applies
+    the first improving one and returns its index, or returns -1.  Resuming
+    right after it takes exactly the moves of a one-at-a-time scan.  The window
+    doubles (up to cap) after a window with no taker and halves after a taker.
+    """
+    lo, width, taken = 0, 1, False
+    while lo < count:
+        hi = min(lo + width, count)
+        hit = take_first(lo, hi)
+        if hit < 0:
+            lo, width = hi, min(2 * width, cap)
+        else:
+            lo, width, taken = hit + 1, max(1, width // 2), True
+    return taken
+
+
 def _local_search(
-    state: _ProfileState,
-    h_min: int,
-    h_max: int,
-    rng: np.random.Generator,
-    max_sweeps: int = 200,
-    tol: float = 1e-10,
+    state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generator,
+    max_sweeps: int = 200, tol: float = 1e-10,
 ) -> int:
     """Greedy ascent with relabel and swap moves; returns accepted swap count."""
     n, k = state.n, state.k
+    cap = max(1, _BATCH_CELLS // max(k * k, 2 * n))
     swaps = 0
 
-    def relabel_sweep() -> bool:
-        any_accepted = False
-        for i in range(n):
-            a = state.z[i]
-            if state.h[a] - 1 < h_min:
-                continue
-            cnt, deltas = state.relabel_deltas_all(i)
-            deltas[a] = -np.inf
-            deltas[state.h + 1 > h_max] = -np.inf
-            b = int(np.argmax(deltas))
-            if deltas[b] > tol:
-                state.apply_relabel(i, b, cnt, float(deltas[b]))
-                any_accepted = True
-        return any_accepted
+    def take_relabel(lo: int, hi: int) -> int:
+        r = np.arange(hi - lo)
+        a = state.z[lo:hi]
+        cnt, deltas = state.relabel_deltas(np.arange(lo, hi))
+        deltas[r, a] = -np.inf
+        deltas[:, state.h + 1 > h_max] = -np.inf
+        deltas[state.h[a] - 1 < h_min] = -np.inf
+        best = deltas.argmax(axis=1)
+        gain = deltas[r, best]
+        hits = np.flatnonzero(gain > tol)
+        if hits.size == 0:
+            return -1
+        t = hits[0]
+        state.apply_relabel(lo + t, int(best[t]), cnt[t], float(gain[t]))
+        return lo + t
 
     def swap_sweep() -> bool:
-        nonlocal swaps
-        any_accepted = False
         if n <= 80:
-            iu, ju = np.triu_indices(n, k=1)
-            pairs = np.column_stack([iu, ju])
+            pairs = np.column_stack(np.triu_indices(n, k=1))
         else:
             pairs = rng.integers(0, n, size=(4 * n, 2))
-        for i, j in pairs:
-            i, j = int(i), int(j)
-            a, b = state.z[i], state.z[j]
-            if a == b:
-                continue
-            # Trial-apply the first half of the swap, then either keep the
-            # pair or roll back; both paths preserve exact block sums.
-            cnt_i = state.neighbor_weights(i)
-            d1 = state.relabel_delta(i, b, cnt_i)
-            state.apply_relabel(i, b, cnt_i, d1)
-            cnt_j = state.neighbor_weights(j)
-            d2 = state.relabel_delta(j, a, cnt_j)
-            if d1 + d2 > tol:
-                state.apply_relabel(j, a, cnt_j, d2)
-                swaps += 1
-                any_accepted = True
-            else:
-                cnt_i = state.neighbor_weights(i)
-                d_back = state.relabel_delta(i, a, cnt_i)
-                state.apply_relabel(i, a, cnt_i, d_back)
-        return any_accepted
+
+        def take_swap(lo: int, hi: int) -> int:
+            nonlocal swaps
+            ii, jj = pairs[lo:hi, 0], pairs[lo:hi, 1]
+            live = np.flatnonzero(state.z[ii] != state.z[jj])
+            if live.size == 0:
+                return -1
+            d, deltas = state.swap_deltas(ii[live], jj[live])
+            hits = np.flatnonzero(deltas > tol)
+            if hits.size == 0:
+                return -1
+            t = hits[0]
+            state.apply_swap(int(ii[live[t]]), int(jj[live[t]]), d[t], float(deltas[t]))
+            swaps += 1
+            return lo + live[t]
+
+        return _first_improvement(len(pairs), cap, take_swap)
 
     # Relabel moves are cheap, so iterate them to a fixed point; swap sweeps
     # are the escape hatch for size-constrained configurations and only run
     # once relabeling is stuck.
     for _ in range(max_sweeps):
-        if relabel_sweep():
+        if _first_improvement(n, cap, take_relabel):
             continue
         if not swap_sweep():
             break
@@ -451,6 +499,7 @@ def _maximize_profile(
     restarts: int,
     seed: int,
     extra_inits: list | None = None,
+    xlx: np.ndarray | None = None,
 ):
     """Multi-restart local search; returns (z0, total, swaps, ties, searches run)."""
     n = w.shape[0]
@@ -458,7 +507,7 @@ def _maximize_profile(
     if restarts < 1:
         raise ConfigError(f"restarts={restarts} must be >= 1")
     rng = make_rng(seed, _SEARCH_STREAM)
-    sizes = _balanced_sizes(n, k)
+    sizes = balanced_partition(n, k).h
     degrees = w.sum(axis=1)
 
     inits = []
@@ -475,7 +524,7 @@ def _maximize_profile(
     best_swaps = 0
     ties = False
     for z0 in inits:
-        state = _ProfileState(w, z0, k)
+        state = _ProfileState(w, z0, k, xlx)
         swaps = _local_search(state, h_min, h_max, rng)
         state.verify()
         canon = _canonical_labels(state.z)
@@ -668,7 +717,11 @@ def mple_search(
     """Multi-restart local maximization of the profile log-likelihood."""
     h_max = a.n if h_max is None else h_max
     w = a.a.astype(np.float64)
-    z0, total, swaps, ties, searches = _maximize_profile(w, k, h_min, h_max, restarts, seed)
+    # 0/1 weights: integer block sums; every pair count is below (h_max + 1)^2.
+    m = np.arange((min(h_max, a.n) + 1) ** 2, dtype=np.float64)
+    z0, total, swaps, ties, searches = _maximize_profile(
+        w, k, h_min, h_max, restarts, seed, xlx=xlogy(m, m)
+    )
     return _finish_fit(a, z0, k, total, searches, swaps, ties, seed)
 
 
@@ -695,12 +748,7 @@ def oracle_divergence(p: EdgeProbabilityMatrix, z: CommunityAssignment) -> float
     pbar = oracle_block_means(p, z)
     theta = pbar[z.z[:, None] - 1, z.z[None, :] - 1]
     iu = np.triu_indices(p.n, k=1)
-    pe, qe = p.p[iu], theta[iu]
-    d = (
-        xlogy(pe, pe) + xlogy(1.0 - pe, 1.0 - pe)
-        - xlogy(pe, qe) - xlogy(1.0 - pe, 1.0 - qe)
-    )
-    return float(d.sum())
+    return float(_kl_terms(p.p[iu], theta[iu]).sum())
 
 
 def oracle_mple(

@@ -21,6 +21,7 @@ __all__ = [
     "Graphon",
     "Partition",
     "StepGraphon",
+    "balanced_partition",
     "partition_cdf",
     "partition_quantile",
     "block_average_graphon",
@@ -114,6 +115,11 @@ class Partition:
         if np.any((ranks < 1) | (ranks > self.n)):
             raise DomainError("ranks must lie in 1..n")
         return np.searchsorted(self.cum_counts(), ranks, side="left") + 1
+
+
+def balanced_partition(n: int, k: int) -> Partition:
+    """k groups with sizes as equal as possible (larger groups first)."""
+    return Partition(tuple(n // k + (1 if a < n % k else 0) for a in range(k)))
 
 
 def partition_cdf(p: Partition, u: float) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .blockmodel import CommunityAssignment, mple_search, oracle_mple
 from .errors import ConfigError, GraphonFitError
-from .graphons import Partition, graphon_by_name
+from .graphons import Partition, balanced_partition, graphon_by_name
 from .risk import (
     CSV_COLUMNS,
     RiskReport,
@@ -51,12 +51,6 @@ _SUMMARY_METRICS = (
     "mse_aligned",
     "saturated_fraction",
 )
-
-
-def balanced_partition(n: int, k: int) -> Partition:
-    """k groups with sizes as equal as possible (larger groups first)."""
-    sizes = [n // k + (1 if a < n % k else 0) for a in range(k)]
-    return Partition(tuple(sizes))
 
 
 def oracle_rank_assignment(xi: LatentSample, p: Partition) -> CommunityAssignment:

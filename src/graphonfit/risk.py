@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .blockmodel import (
+    _BATCH_CELLS,
     CommunityAssignment,
     FitResult,
+    _kl_terms,
     bernoulli_kl,
     oracle_divergence,
 )
@@ -79,12 +80,7 @@ def normalized_kl_risk(p: EdgeProbabilityMatrix, fit: FitResult) -> float:
     if not mask.any():
         raise ModelError("all blocks saturated; normalized risk undefined")
     pe = p.p[iu][mask]
-    qe = theta[iu][mask]
-    num = (
-        xlogy(pe, pe) + xlogy(1.0 - pe, 1.0 - pe)
-        - xlogy(pe, qe) - xlogy(1.0 - pe, 1.0 - qe)
-    ).sum()
-    return float(num / pe.sum())
+    return float(_kl_terms(pe, theta[iu][mask]).sum() / pe.sum())
 
 
 def oracle_risk(p: EdgeProbabilityMatrix, z: CommunityAssignment) -> float:
@@ -142,10 +138,6 @@ CSV_COLUMNS = (
 # ---------------------------------------------------------------------------
 # Aligned mean-squared error
 # ---------------------------------------------------------------------------
-
-
-# Prefix cells per scored stack, (k+1)^2 per order: each array stays near 256 KiB.
-_BATCH_CELLS = 1 << 15
 
 
 def _mse_for_orders(
@@ -311,5 +303,28 @@ def kl_quadratic_bound(f: float, g: float, rho: float):
     if not (0.0 < rho * f < 1.0 and 0.0 < rho * g < 1.0):
         raise DomainError("rho*f and rho*g must lie in (0,1)")
     lhs = (f - g) ** 2
-    rhs = 2.0 * f / rho * bernoulli_kl(rho * f, rho * g)
+    # From the gap, not from rho*f and rho*g: those round to one float when
+    # f and g are an ulp apart, and the divergence would read 0 < lhs.
+    rhs = 2.0 * f / rho * _kl_from_gap(rho * g, rho * (f - g))
     return lhs, rhs, lhs <= rhs * (1 + 1e-12)
+
+
+def _log1pmx(x: float) -> float:
+    """log(1 + x) - x, x > -1, without the cancellation of the plain form."""
+    if abs(x) >= 0.25:
+        return math.log1p(x) - x
+    # sum_{j>=2} (-1)^(j+1) x^j / j: each term is under a quarter of the one
+    # before, so 30 terms reach 0.25^28 < 1e-16 of the first.
+    total, power = 0.0, -x * x
+    for j in range(2, 32):
+        total += power / j
+        power *= -x
+    return total
+
+
+def _kl_from_gap(q: float, d: float) -> float:
+    """D(q+d || q) for q and q+d in (0,1), accurate to relative rounding even
+    when |d| is far below q.  The linear parts of p log(p/q) and
+    (1-p) log((1-p)/(1-q)) sum to d^2 / (q(1-q)); the rest is log1p(x) - x."""
+    p = q + d
+    return d * d / (q * (1.0 - q)) + p * _log1pmx(d / q) + (1.0 - p) * _log1pmx(-d / (1.0 - q))

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from graphonfit import (
     AdjacencyMatrix,
@@ -12,20 +14,32 @@ from graphonfit import (
     ConfigError,
     DomainError,
     EdgeProbabilityMatrix,
+    InternalError,
     SaturatedBlockError,
     bernoulli_kl,
     block_stats,
     blockmodel_log_likelihood,
     count_admissible_assignments,
+    edge_probabilities,
+    graphon_by_name,
     mple_exhaustive,
     mple_search,
     oracle_block_means,
     oracle_mple,
     per_edge_log_likelihood,
     profile_log_likelihood,
+    sample_adjacency,
+    sample_latents,
 )
-from graphonfit.blockmodel import _ProfileState, _enumerate_canonical, oracle_divergence
-from graphonfit.graphons import partition_quantile
+from graphonfit.blockmodel import (
+    _ProfileState,
+    _contiguous_labels,
+    _enumerate_canonical,
+    _local_search,
+    _terms,
+    oracle_divergence,
+)
+from graphonfit.graphons import balanced_partition, partition_quantile
 
 
 def adjacency_from_edges(n, edges):
@@ -186,6 +200,135 @@ class TestProfileLikelihood:
         assert total == pytest.approx(-profile_log_likelihood(a, z), abs=1e-10)
 
 
+class _ScalarProfileState(_ProfileState):
+    """Frozen one-move-at-a-time search state: the reference for the batched one.
+
+    Scores one relabel with row-level arithmetic, all relabels of one node at
+    once, and a swap by trial-applying half of it and rolling back.
+    """
+
+    def neighbor_weights(self, i):
+        return np.bincount(self.z, weights=self.w[i], minlength=self.k)
+
+    def relabel_delta(self, i, b, cnt):
+        a = self.z[i]
+        h = self.h
+        ea = self.e[a] - cnt
+        ea[a] = self.e[a, a] - cnt[a]
+        ea[b] = self.e[a, b] + cnt[a] - cnt[b]
+        eb = self.e[b] + cnt
+        eb[b] = self.e[b, b] + cnt[b]
+        eb[a] = ea[b]
+        hn = h.astype(np.float64)
+        ha, hb = h[a] - 1.0, h[b] + 1.0
+        pca = ha * hn
+        pca[a] = ha * (ha - 1.0) / 2.0
+        pca[b] = ha * hb
+        pcb = hb * hn
+        pcb[b] = hb * (hb - 1.0) / 2.0
+        pcb[a] = ha * hb
+        ta = _terms(ea, pca)
+        tb = _terms(eb, pcb)
+        new = ta.sum() + tb.sum() - ta[b]
+        old = self.t[a].sum() + self.t[b].sum() - self.t[a, b]
+        return float(new - old)
+
+    def relabel_deltas_all(self, i):
+        a = self.z[i]
+        cnt = self.neighbor_weights(i)
+        h = self.h.astype(np.float64)
+        e, t = self.e, self.t
+        ea0 = e[a] - cnt
+        ea0[a] = e[a, a] - cnt[a]
+        ha = h[a] - 1.0
+        pca0 = ha * h
+        pca0[a] = ha * (ha - 1.0) / 2.0
+        ta0 = _terms(ea0, pca0)
+        eb = e + cnt[None, :]
+        eb[:, a] -= cnt
+        hb = h + 1.0
+        pcb = hb[:, None] * h[None, :]
+        np.fill_diagonal(pcb, hb * h / 2.0)
+        pcb[:, a] = hb * ha
+        tb_sum = _terms(eb, pcb).sum(axis=1)
+        row_sums = t.sum(axis=1)
+        deltas = (ta0.sum() - ta0) + tb_sum - row_sums[a] - row_sums + t[a]
+        deltas[a] = 0.0
+        return cnt, deltas
+
+
+def _scalar_local_search(state, h_min, h_max, rng, max_sweeps=200, tol=1e-10):
+    n = state.n
+    swaps = 0
+
+    def relabel_sweep():
+        any_accepted = False
+        for i in range(n):
+            a = state.z[i]
+            if state.h[a] - 1 < h_min:
+                continue
+            cnt, deltas = state.relabel_deltas_all(i)
+            deltas[a] = -np.inf
+            deltas[state.h + 1 > h_max] = -np.inf
+            b = int(np.argmax(deltas))
+            if deltas[b] > tol:
+                state.apply_relabel(i, b, cnt, float(deltas[b]))
+                any_accepted = True
+        return any_accepted
+
+    def swap_sweep():
+        nonlocal swaps
+        any_accepted = False
+        if n <= 80:
+            iu, ju = np.triu_indices(n, k=1)
+            pairs = np.column_stack([iu, ju])
+        else:
+            pairs = rng.integers(0, n, size=(4 * n, 2))
+        for i, j in pairs:
+            i, j = int(i), int(j)
+            a, b = state.z[i], state.z[j]
+            if a == b:
+                continue
+            cnt_i = state.neighbor_weights(i)
+            d1 = state.relabel_delta(i, b, cnt_i)
+            state.apply_relabel(i, b, cnt_i, d1)
+            cnt_j = state.neighbor_weights(j)
+            d2 = state.relabel_delta(j, a, cnt_j)
+            if d1 + d2 > tol:
+                state.apply_relabel(j, a, cnt_j, d2)
+                swaps += 1
+                any_accepted = True
+            else:
+                cnt_i = state.neighbor_weights(i)
+                d_back = state.relabel_delta(i, a, cnt_i)
+                state.apply_relabel(i, a, cnt_i, d_back)
+        return any_accepted
+
+    for _ in range(max_sweeps):
+        if relabel_sweep():
+            continue
+        if not swap_sweep():
+            break
+    return swaps
+
+
+def _search_instance(n, k, binary, seed):
+    """Weights from a noisy planted partition, and a balanced random start."""
+    rng = np.random.default_rng(seed)
+    xs = rng.random(n)
+    p = 0.15 + 0.6 * np.exp(-8.0 * np.subtract.outer(xs, xs) ** 2)
+    p += 0.1 * rng.random((n, n))
+    w = np.triu(rng.random((n, n)) < p if binary else p, 1).astype(np.float64)
+    w = w + w.T
+    z0 = _contiguous_labels(rng.permutation(n), np.asarray(balanced_partition(n, k).h))
+    return w, z0
+
+
+def _xlx_for(n):
+    m = np.arange((n + 1) ** 2, dtype=np.float64)
+    return xlogy(m, m)
+
+
 class TestIncrementalEngine:
     def test_random_moves_stay_exact(self):
         rng = np.random.default_rng(11)
@@ -197,36 +340,108 @@ class TestIncrementalEngine:
             if binary:
                 w = (w > 0.5).astype(float)
             z0 = np.repeat(np.arange(k), [6, 5, 5])
-            state = _ProfileState(w, z0, k)
+            state = _ProfileState(w, z0, k, _xlx_for(n) if binary else None)
+            swapped = 0
             for _ in range(60):
                 i = int(rng.integers(0, n))
                 b = int(rng.integers(0, k))
-                if b == state.z[i] or state.h[state.z[i]] <= 1:
+                if b == state.z[i] or state.h[state.z[i]] <= 2:
                     continue
-                cnt = state.neighbor_weights(i)
-                d = state.relabel_delta(i, b, cnt)
-                state.apply_relabel(i, b, cnt, d)
+                cnt, deltas = state.relabel_deltas(np.array([i]))
+                state.apply_relabel(i, b, cnt[0], float(deltas[0, b]))
+                j = int(rng.integers(0, n))
+                if state.z[i] != state.z[j]:
+                    d, sd = state.swap_deltas(np.array([i]), np.array([j]))
+                    state.apply_swap(i, j, d[0], float(sd[0]))
+                    swapped += 1
+            assert swapped > 20
             state.verify()
             fresh = _ProfileState(w, state.z, k)
             assert np.allclose(state.e, fresh.e, atol=1e-9)
+            assert np.allclose(state.t, fresh.t, atol=1e-9)
             assert state.total == pytest.approx(fresh.total, abs=1e-8)
 
-    def test_vectorized_deltas_match_scalar(self):
+    def test_batched_deltas_match_recomputation(self):
         rng = np.random.default_rng(12)
-        n, k = 14, 4
-        w = rng.random((n, n))
-        w = np.triu(w, 1)
-        w = w + w.T
-        z0 = np.repeat(np.arange(k), [4, 4, 3, 3])
-        state = _ProfileState(w, z0, k)
-        for i in range(n):
-            cnt, deltas = state.relabel_deltas_all(i)
-            for b in range(k):
-                if b == state.z[i]:
-                    continue
-                assert deltas[b] == pytest.approx(
-                    state.relabel_delta(i, b, cnt), abs=1e-9
-                )
+        for binary in (True, False):
+            n, k = 14, 4
+            w = rng.random((n, n))
+            w = np.triu(w, 1)
+            w = w + w.T
+            if binary:
+                w = (w > 0.5).astype(float)
+            z0 = np.repeat(np.arange(k), [4, 4, 3, 3])
+            state = _ProfileState(w, z0, k, _xlx_for(n) if binary else None)
+            _, deltas = state.relabel_deltas(np.arange(n))
+            for i in range(n):
+                for b in range(k):
+                    if b == state.z[i]:
+                        continue
+                    z = state.z.copy()
+                    z[i] = b
+                    moved = _ProfileState(w, z, k).total - state.total
+                    assert deltas[i, b] == pytest.approx(moved, abs=1e-9)
+            iu, ju = np.triu_indices(n, k=1)
+            live = state.z[iu] != state.z[ju]
+            ii, jj = iu[live], ju[live]
+            _, sd = state.swap_deltas(ii, jj)
+            for p in range(ii.size):
+                z = state.z.copy()
+                z[ii[p]], z[jj[p]] = z[jj[p]], z[ii[p]]
+                swapped = _ProfileState(w, z, k).total - state.total
+                assert sd[p] == pytest.approx(swapped, abs=1e-9)
+
+    def test_table_terms_equal_xlogy_terms(self):
+        rng = np.random.default_rng(20)
+        state = _ProfileState(np.zeros((30, 30)), np.repeat(np.arange(3), 10), 3, _xlx_for(30))
+        pc = rng.integers(0, 31**2, size=2000).astype(np.float64)
+        s = np.floor(pc * rng.uniform(-0.1, 1.1, size=pc.size))  # clipped at both ends
+        assert np.array_equal(state._terms(s, pc), _terms(s, pc))
+
+    def test_batched_relabel_deltas_equal_one_node_deltas(self):
+        # bitwise, so argmax ties resolve as they do one node at a time
+        for binary in (True, False):
+            w, z0 = _search_instance(60, 7, binary, seed=21)
+            ref = _ScalarProfileState(w, z0, 7)
+            state = _ProfileState(w, z0, 7, _xlx_for(60) if binary else None)
+            cnt, deltas = state.relabel_deltas(np.arange(60))
+            for i in range(60):
+                c1, d1 = ref.relabel_deltas_all(i)
+                assert np.array_equal(cnt[i], c1)
+                assert np.array_equal(deltas[i], d1)
+
+    def test_verify_checks_every_cache(self):
+        w, z0 = _search_instance(20, 3, True, seed=22)
+        for cache, cell in (("t", (0, 1)), ("h", 0), ("e", (0, 1))):
+            state = _ProfileState(w, z0, 3)
+            state.verify()
+            getattr(state, cache)[cell] += 1
+            with pytest.raises(InternalError, match="drifted"):
+                state.verify()
+
+    # (n, k, h_min, h_max): n <= 80 scans all pairs, n > 80 draws 4n pairs
+    # per swap sweep; h_min == h_max leaves swaps as the only moves.
+    CASES = [
+        (12, 2, 6, 6), (12, 3, 2, 12), (40, 4, 10, 10), (40, 8, 2, 40),
+        (80, 2, 2, 80), (80, 10, 7, 9), (81, 40, 2, 3), (81, 9, 9, 9),
+        (150, 12, 12, 13), (150, 40, 2, 8),
+    ]
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_search_equals_scalar_reference(self, binary):
+        swaps_seen = 0
+        for t, (n, k, h_min, h_max) in enumerate(self.CASES):
+            w, z0 = _search_instance(n, k, binary, seed=100 + t)
+            ref = _ScalarProfileState(w, z0, k)
+            ref_swaps = _scalar_local_search(ref, h_min, h_max, np.random.default_rng(t))
+            state = _ProfileState(w, z0, k, _xlx_for(n) if binary else None)
+            swaps = _local_search(state, h_min, h_max, np.random.default_rng(t))
+            state.verify()
+            assert np.array_equal(state.z, ref.z), (n, k, h_min, h_max)
+            assert swaps == ref_swaps
+            assert state.total == pytest.approx(ref.total, rel=1e-9)
+            swaps_seen += swaps
+        assert swaps_seen > 0
 
 
 class TestMpleSearch:
@@ -287,6 +502,18 @@ class TestMpleSearch:
         assert obj["k"] == 2
         assert len(obj["assignment"]) == 4
         assert "saturated" in obj and "rho_hat" in obj
+
+
+    def test_small_k_timing_gate(self):
+        # The small-k benchmark cell (n=64 <= 80, so swap sweeps scan all
+        # pairs). Scoring moves one at a time with trial-and-rollback swaps
+        # took about 1.9 s.
+        xi = sample_latents(64, seed=1)
+        p = edge_probabilities(graphon_by_name("cosine"), xi, 0.3)
+        a = sample_adjacency(p, seed=1)
+        t0 = time.perf_counter()
+        mple_search(a, 8, restarts=3, seed=1)
+        assert time.perf_counter() - t0 < 0.6
 
 
 class TestExhaustive:
