@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     InternalError,
     SaturatedBlockError,
+    parse_json_object,
 )
 from .graphons import Partition, balanced_partition
 from .sampling import AdjacencyMatrix, EdgeProbabilityMatrix, edge_density, make_rng
@@ -642,9 +643,18 @@ def _exhaustive_profile(w: np.ndarray, k: int, h_min: int, h_max: int):
 # ---------------------------------------------------------------------------
 
 
+# FitResult fields that to_json writes as they are and from_json reads back,
+# with the JSON types from_json accepts.
+_FIT_JSON_SCALARS = dict(
+    profile_loglik=(int, float), rho_hat=(int, float), restarts_used=int,
+    swap_count=int, ties=bool, seed=int, h_min=int, h_max=int,
+)
+
+
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted assignment with block statistics and search metadata."""
+    """Fitted assignment with block statistics, search metadata and the group
+    size bounds [h_min, h_max] the search ran under."""
 
     assignment: CommunityAssignment
     stats: BlockStats
@@ -654,6 +664,8 @@ class FitResult:
     swap_count: int
     ties: bool
     seed: int = 0
+    h_min: int = 2
+    h_max: int | None = None
 
     def to_json(self) -> str:
         return json.dumps(
@@ -662,14 +674,36 @@ class FitResult:
                 "k": self.assignment.k,
                 "block_averages": self.stats.averages.tolist(),
                 "saturated": self.stats.saturated.tolist(),
-                "profile_loglik": self.profile_loglik,
-                "rho_hat": self.rho_hat,
-                "restarts_used": self.restarts_used,
-                "swap_count": self.swap_count,
-                "ties": self.ties,
-                "seed": self.seed,
+                **{key: getattr(self, key) for key in _FIT_JSON_SCALARS},
             }
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "FitResult":
+        """Rebuild a fit from its to_json form alone: pair counts follow from
+        the group sizes and edge sums are rint(averages * pair counts)."""
+        obj = parse_json_object(text, "fit")
+        if "h_min" not in obj or "h_max" not in obj:
+            raise ConfigError("fit has no h_min/h_max, so it predates them; re-run fit")
+        for key, kind in dict(assignment=list, k=int, **_FIT_JSON_SCALARS).items():
+            v = obj.get(key)
+            if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+                raise ConfigError(f"fit key {key!r} is missing or ill-typed")
+        k = obj["k"]
+        try:
+            z = np.asarray(obj["assignment"])
+            averages = np.asarray(obj.get("block_averages"), dtype=np.float64)
+            well_formed = z.dtype.kind == "i" and averages.shape == (k, k)
+        except (TypeError, ValueError):  # ragged or non-numeric lists
+            well_formed = False
+        if not well_formed:
+            raise ConfigError(f"fit needs integer labels and {k}x{k} block averages")
+        assignment = CommunityAssignment(z=z, k=k)
+        pc = _pair_counts(assignment.group_sizes())
+        sums = np.rint(averages * pc)
+        stats = BlockStats(pair_counts=pc, edge_sums=sums, averages=sums / pc,
+                           saturated=(sums == 0.0) | (sums == pc))
+        return cls(assignment, stats, **{key: obj[key] for key in _FIT_JSON_SCALARS})
 
 
 @dataclass(frozen=True)
@@ -684,7 +718,7 @@ class OracleFit:
 
 def _finish_fit(
     a: AdjacencyMatrix, z0: np.ndarray, k: int, total: float,
-    restarts: int, swaps: int, ties: bool, seed: int,
+    restarts: int, swaps: int, ties: bool, seed: int, h_min: int, h_max: int,
 ) -> FitResult:
     assignment = CommunityAssignment(z=z0 + 1, k=k)
     stats = block_stats(a, assignment)
@@ -703,6 +737,8 @@ def _finish_fit(
         swap_count=swaps,
         ties=ties,
         seed=int(seed),
+        h_min=h_min,
+        h_max=h_max,
     )
 
 
@@ -722,7 +758,7 @@ def mple_search(
     z0, total, swaps, ties, searches = _maximize_profile(
         w, k, h_min, h_max, restarts, seed, xlx=xlogy(m, m)
     )
-    return _finish_fit(a, z0, k, total, searches, swaps, ties, seed)
+    return _finish_fit(a, z0, k, total, searches, swaps, ties, seed, h_min, h_max)
 
 
 def mple_exhaustive(
@@ -732,7 +768,7 @@ def mple_exhaustive(
     h_max = a.n if h_max is None else h_max
     w = a.a.astype(np.float64)
     z0, total, count, ties = _exhaustive_profile(w, k, h_min, h_max)
-    return _finish_fit(a, z0, k, total, restarts=count, swaps=0, ties=ties, seed=0)
+    return _finish_fit(a, z0, k, total, count, 0, ties, 0, h_min, h_max)
 
 
 def oracle_block_means(p: EdgeProbabilityMatrix, z: CommunityAssignment) -> np.ndarray:

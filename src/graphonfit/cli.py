@@ -29,22 +29,11 @@ from .errors import (
     GraphonFitError,
     InternalError,
     ModelError,
+    parse_json_object,
 )
-from .graphons import Partition, StepGraphon, graphon_by_name
-from .harness import (
-    ExperimentConfig,
-    balanced_partition,
-    oracle_rank_assignment,
-    run_sweep,
-)
-from .risk import (
-    RiskReport,
-    build_estimator,
-    graphon_mse,
-    kl_taylor_check,
-    normalized_kl_risk,
-    oracle_risk,
-)
+from .graphons import graphon_by_name, random_partition
+from .harness import ExperimentConfig, run_sweep, score_replicate
+from .risk import build_estimator, kl_taylor_check
 from .sampling import (
     AdjacencyMatrix,
     LatentSample,
@@ -84,16 +73,15 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _load_adjacency(path: str) -> AdjacencyMatrix:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as e:
-        raise ConfigError(f"cannot read edge list {path}: {e}") from None
-    return AdjacencyMatrix.from_edge_list(text)
+        raise ConfigError(f"cannot read {path}: {e}") from None
 
 
 def cmd_fit(args) -> int:
-    a = _load_adjacency(args.edges)
+    a = AdjacencyMatrix.from_edge_list(_read(args.edges))
     if args.exhaustive:
         fit = mple_exhaustive(a, args.k, h_min=args.h_min, h_max=args.h_max)
     else:
@@ -109,89 +97,39 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _fit_from_json(obj: dict, a: AdjacencyMatrix) -> FitResult:
-    """Rebuild a FitResult from its JSON form plus the adjacency it fit."""
-    assignment = CommunityAssignment(z=np.asarray(obj["assignment"]), k=int(obj["k"]))
-    stats = block_stats(a, assignment)
-    return FitResult(
-        assignment=assignment,
-        stats=stats,
-        profile_loglik=profile_log_likelihood(a, assignment),
-        rho_hat=edge_density(a),
-        restarts_used=int(obj.get("restarts_used", 0)),
-        swap_count=int(obj.get("swap_count", 0)),
-        ties=bool(obj.get("ties", False)),
-        seed=int(obj.get("seed", 0)),
-    )
-
-
-def _load_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path} is not valid JSON: {e}") from None
-
-
 def cmd_estimate(args) -> int:
-    obj = _load_json(args.fit)
-    rho_hat = float(obj["rho_hat"])
-    if rho_hat <= 0.0:
-        raise ModelError("estimator undefined for an empty graph (rho_hat = 0)")
-    z = np.asarray(obj["assignment"], dtype=np.int64)
-    k = int(obj["k"])
-    sizes = np.bincount(z, minlength=k + 1)[1:]
-    step = StepGraphon(
-        Partition(tuple(int(s) for s in sizes)),
-        np.asarray(obj["block_averages"], dtype=float) / rho_hat,
-    )
-    out = json.loads(step.to_json())
-    out["rho_hat"] = rho_hat
+    est = build_estimator(FitResult.from_json(_read(args.fit)))
+    out = json.loads(est.step.to_json())
+    out["rho_hat"] = est.rho_hat
     _write(args.out, json.dumps(out, sort_keys=True) + "\n")
-    print(f"wrote {args.out}: k={k} rho_hat={rho_hat:.6g}")
+    print(f"wrote {args.out}: k={est.step.partition.k} rho_hat={est.rho_hat:.6g}")
     return EXIT_OK
 
 
 def cmd_risk(args) -> int:
-    sidecar = _load_json(args.sidecar)
+    sidecar = parse_json_object(_read(args.sidecar), args.sidecar, ("graphon", "rho", "seed"))
     if "xi" not in sidecar:
         raise ConfigError(
             "sidecar has no latent positions; re-run sample with --emit-latents"
         )
+    a = AdjacencyMatrix.from_edge_list(_read(args.edges))
+    fit = FitResult.from_json(_read(args.fit))
+    if not np.array_equal(block_stats(a, fit.assignment).edge_sums, fit.stats.edge_sums):
+        raise ConfigError(f"{args.fit} is not a fit of {args.edges}: block edge sums differ")
     truth = graphon_by_name(sidecar["graphon"])
     xi = LatentSample(xi=np.asarray(sidecar["xi"], dtype=float), seed=int(sidecar["seed"]))
     p = edge_probabilities(truth, xi, float(sidecar["rho"]))
-    a = _load_adjacency(args.edges)
-    fit = _fit_from_json(_load_json(args.fit), a)
-    est = build_estimator(fit)
-    fitted = normalized_kl_risk(p, fit)
-    rank_z = oracle_rank_assignment(xi, balanced_partition(a.n, fit.assignment.k))
-    oracle = min(oracle_risk(p, rank_z), oracle_risk(p, fit.assignment))
-    report = RiskReport(
-        n=a.n,
-        k=fit.assignment.k,
-        rho_n=float(sidecar["rho"]),
-        seed=int(sidecar["seed"]),
-        fitted_risk=fitted,
-        oracle_risk=oracle,
-        excess_risk=fitted - oracle,
-        mse_identity=graphon_mse(truth, est, grid=args.grid, alignment="identity"),
-        mse_aligned=graphon_mse(truth, est, grid=args.grid, alignment=args.alignment),
-        saturated_fraction=fit.stats.saturated_pair_fraction(),
-        loglik=fit.profile_loglik,
-        runtime_ms=0.0,
-    )
+    report = score_replicate(truth, xi, p, fit, args.grid, args.alignment)
     _write(args.out, report.to_json() + "\n")
     print(
-        f"fitted_risk={fitted:.6g} oracle_risk={oracle:.6g} "
-        f"excess_risk={fitted - oracle:.6g}"
+        f"fitted_risk={report.fitted_risk:.6g} oracle_risk={report.oracle_risk:.6g} "
+        f"excess_risk={report.excess_risk:.6g}"
     )
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+    cfg = ExperimentConfig.from_json(_read(args.config))
     result = run_sweep(cfg, jobs=args.jobs)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,23 +163,18 @@ def _check_kl_taylor(corrupt: bool) -> bool:
 def _check_partition_containment(seed: int) -> bool:
     rng = np.random.default_rng(seed)
     for n in (10, 24, 40):
+        i = np.arange(1, n + 1)
         for _ in range(25):
             k = int(rng.integers(1, n // 2 + 1))
-            sizes = _random_sizes(n, k, rng)
-            cum = np.concatenate([[0], np.cumsum(sizes)])
-            for i in range(1, n + 1):
-                a = int(np.searchsorted(np.cumsum(sizes), i, side="left")) + 1
-                # H(a-1) < i/(n+1) <= H(a), cross-multiplied to stay exact.
-                if not (cum[a - 1] * (n + 1) < i * n <= cum[a] * (n + 1)):
-                    return False
+            part = random_partition(n, k, rng)
+            a = part.quantile_of_ranks(i)
+            if np.any((a < 1) | (a > k)):
+                return False
+            cum = np.concatenate([[0], part.cum_counts()])
+            # H(a-1) < i/(n+1) <= H(a), cross-multiplied to stay exact.
+            if not np.all((cum[a - 1] * (n + 1) < i * n) & (i * n <= cum[a] * (n + 1))):
+                return False
     return True
-
-
-def _random_sizes(n: int, k: int, rng) -> np.ndarray:
-    sizes = np.full(k, 2, dtype=np.int64)
-    for _ in range(n - 2 * k):
-        sizes[int(rng.integers(0, k))] += 1
-    return sizes
 
 
 def _check_rho_hat_moment(seed: int) -> bool:
@@ -265,8 +198,7 @@ def _check_likelihood_identity(seed: int) -> bool:
         upper = rng.random((n, n)) < 0.4
         a = np.triu(upper, k=1)
         adj = AdjacencyMatrix(a=(a | a.T).astype(np.uint8))
-        sizes = _random_sizes(n, k, rng)
-        labels = np.repeat(np.arange(1, k + 1), sizes)
+        labels = np.repeat(np.arange(1, k + 1), random_partition(n, k, rng).h)
         z = CommunityAssignment(z=rng.permutation(labels), k=k)
         if abs(profile_log_likelihood(adj, z) - per_edge_log_likelihood(adj, z)) > 1e-10:
             return False

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the JSON reader that
+turns malformed input into a ConfigError."""
+
+import json
 
 
 class GraphonFitError(Exception):
@@ -27,3 +30,18 @@ class BudgetError(GraphonFitError):
 
 class InternalError(GraphonFitError):
     """An internal consistency invariant failed; indicates a bug."""
+
+
+def parse_json_object(text: str, what: str, required=()) -> dict:
+    """The JSON object in text, which must hold every key in required; what
+    names the input in error messages."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{what} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"{what} is missing keys {missing}")
+    return obj

@@ -22,6 +22,7 @@ __all__ = [
     "Partition",
     "StepGraphon",
     "balanced_partition",
+    "random_partition",
     "partition_cdf",
     "partition_quantile",
     "block_average_graphon",
@@ -120,6 +121,14 @@ class Partition:
 def balanced_partition(n: int, k: int) -> Partition:
     """k groups with sizes as equal as possible (larger groups first)."""
     return Partition(tuple(n // k + (1 if a < n % k else 0) for a in range(k)))
+
+
+def random_partition(n: int, k: int, rng: np.random.Generator) -> Partition:
+    """k groups of 2, then each of the other n - 2k nodes to a uniform group."""
+    sizes = np.full(k, 2, dtype=np.int64)
+    for _ in range(n - 2 * k):
+        sizes[int(rng.integers(0, k))] += 1
+    return Partition(sizes)
 
 
 def partition_cdf(p: Partition, u: float) -> float:

@@ -14,12 +14,12 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .blockmodel import CommunityAssignment, mple_search, oracle_mple
-from .errors import ConfigError, GraphonFitError
+from .errors import ConfigError, GraphonFitError, parse_json_object
 from .graphons import Partition, balanced_partition, graphon_by_name
 from .risk import (
     CSV_COLUMNS,
@@ -36,6 +36,7 @@ __all__ = [
     "ExperimentConfig",
     "SweepResult",
     "run_sweep",
+    "score_replicate",
     "slope_estimate",
     "oracle_rank_assignment",
     "balanced_partition",
@@ -125,12 +126,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from None
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
+        obj = parse_json_object(text, "config")
         known = set(cls.__dataclass_fields__)
         extra = set(obj) - known
         if extra:
@@ -156,6 +152,37 @@ def _nan_report(n, k, rho, seed, status) -> RiskReport:
     )
 
 
+def score_replicate(truth, xi, p, fit, grid, alignment) -> RiskReport:
+    """Risk report of fit (a FitResult) to a network drawn from graphon truth
+    at latents xi (a LatentSample) with edge probabilities p, and MSEs on a
+    grid x grid lattice.  The oracle search reuses the fit's seed and size
+    bounds, so the CLI's risk and a sweep row agree for the same fit."""
+    n, k = p.n, fit.assignment.k
+    est = build_estimator(fit)
+    fitted = normalized_kl_risk(p, fit)
+
+    # Best oracle assignment found among: the latent-rank assignment, a
+    # short divergence search seeded from it, and the fitted assignment.
+    rank_z = oracle_rank_assignment(xi, balanced_partition(n, k))
+    ofit = oracle_mple(p, k, h_min=fit.h_min, h_max=fit.h_max, restarts=1,
+                       seed=fit.seed, extra_inits=[rank_z.z - 1])
+    oracle = min(
+        oracle_risk(p, rank_z),
+        oracle_risk(p, ofit.assignment),
+        oracle_risk(p, fit.assignment),
+    )
+
+    mse_id = graphon_mse(truth, est, grid=grid, alignment="identity")
+    mse_al = graphon_mse(truth, est, grid=grid, alignment=alignment)
+    return RiskReport(
+        n=n, k=k, rho_n=p.rho_n, seed=xi.seed,
+        fitted_risk=fitted, oracle_risk=oracle, excess_risk=fitted - oracle,
+        mse_identity=mse_id, mse_aligned=mse_al,
+        saturated_fraction=fit.stats.saturated_pair_fraction(),
+        loglik=fit.profile_loglik, runtime_ms=0.0, status="ok",
+    )
+
+
 def run_replicate(cfg: ExperimentConfig, n: int, rep: int) -> RiskReport:
     """Sample, fit, and score one replicate; failures become status rows."""
     k, rho, h_max = cfg.instantiate(n)
@@ -168,30 +195,8 @@ def run_replicate(cfg: ExperimentConfig, n: int, rep: int) -> RiskReport:
         a = sample_adjacency(p, seed)
         fit = mple_search(a, k, h_min=cfg.h_min, h_max=h_max,
                           restarts=cfg.restarts, seed=seed)
-        est = build_estimator(fit)
-        fitted = normalized_kl_risk(p, fit)
-
-        # Best oracle assignment found among: the latent-rank assignment, a
-        # short divergence search seeded from it, and the fitted assignment.
-        rank_z = oracle_rank_assignment(xi, balanced_partition(n, k))
-        ofit = oracle_mple(p, k, h_min=cfg.h_min, h_max=h_max, restarts=1,
-                           seed=seed, extra_inits=[rank_z.z - 1])
-        oracle = min(
-            oracle_risk(p, rank_z),
-            oracle_risk(p, ofit.assignment),
-            oracle_risk(p, fit.assignment),
-        )
-
-        mse_id = graphon_mse(truth, est, grid=cfg.grid, alignment="identity")
-        mse_al = graphon_mse(truth, est, grid=cfg.grid, alignment=cfg.alignment)
-        runtime = (time.perf_counter() - t0) * 1000.0
-        return RiskReport(
-            n=n, k=k, rho_n=rho, seed=seed,
-            fitted_risk=fitted, oracle_risk=oracle, excess_risk=fitted - oracle,
-            mse_identity=mse_id, mse_aligned=mse_al,
-            saturated_fraction=fit.stats.saturated_pair_fraction(),
-            loglik=fit.profile_loglik, runtime_ms=runtime, status="ok",
-        )
+        report = score_replicate(truth, xi, p, fit, cfg.grid, cfg.alignment)
+        return replace(report, runtime_ms=(time.perf_counter() - t0) * 1000.0)
     except GraphonFitError as e:
         return _nan_report(n, k, rho, seed, status=type(e).__name__)
 

@@ -19,6 +19,7 @@ from .blockmodel import (
     _BATCH_CELLS,
     CommunityAssignment,
     FitResult,
+    _first_improvement,
     _kl_terms,
     bernoulli_kl,
     oracle_divergence,
@@ -170,37 +171,6 @@ def _mse_for_orders(
     return np.where(mse > 0.0, mse, 0.0)
 
 
-def _swap_descent(order: np.ndarray, score, window_cap: int) -> float:
-    """First-improvement descent: scan pairs a < b row-major, take the first swap
-    lowering the MSE by more than 1e-15, rescan until a scan takes none.  Each
-    window of upcoming swaps is scored against one order, so the swap taken is
-    the one a pair-at-a-time scan takes.  A window doubles (up to window_cap)
-    after holding no such swap and halves after one is taken.
-    """
-    pa, pb = np.triu_indices(order.size, k=1)
-    cur = float(score(order[None])[0])
-    improved = True
-    while improved:
-        improved = False
-        i, width = 0, 1
-        while i < pa.size:
-            a, b = pa[i : i + width], pb[i : i + width]
-            rows = np.arange(a.size)
-            cands = np.repeat(order[None], a.size, axis=0)
-            cands[rows, a], cands[rows, b] = order[b], order[a]
-            vals = score(cands)
-            hits = np.flatnonzero(vals < cur - 1e-15)
-            if hits.size:
-                j = hits[0]
-                order, cur, improved = cands[j], float(vals[j]), True
-                i += j + 1
-                width = max(1, width // 2)
-            else:
-                i += a.size
-                width = min(2 * width, window_cap)
-    return cur
-
-
 def graphon_mse(
     truth: Graphon,
     est: GraphonEstimate | StepGraphon,
@@ -213,8 +183,10 @@ def graphon_mse(
     the estimate's block intervals, so the value upper-bounds the idealized
     infimum.  'identity' skips alignment; 'degree_sort' orders blocks by
     their size-weighted marginal mean; 'block_permutation_search' minimizes
-    over block orders: all k! in chunks for k <= 8, else first-improvement
-    swap descent (_swap_descent) from the identity and degree-sorted orders.
+    over block orders: all k! in chunks for k <= 8, else swap descent from
+    the identity and degree-sorted orders.  A descent scans the pairs a < b
+    row-major with blockmodel._first_improvement, takes the first swap that
+    lowers the MSE by more than 1e-15, and rescans until a scan takes none.
     All paths score orders with one kernel, in stacks of at most _BATCH_CELLS
     cells; that chunk size bounds the memory the search adds.
     """
@@ -248,7 +220,30 @@ def graphon_mse(
         while chunk := list(itertools.islice(perms, batch)):
             best = min(best, float(score(np.array(chunk)).min()))
         return best
-    return min(_swap_descent(start, score, batch) for start in (np.arange(k), degree_order))
+    pa, pb = np.triu_indices(k, k=1)
+
+    def descend(order: np.ndarray) -> float:
+        cur = float(score(order[None])[0])
+
+        def take_first(lo: int, hi: int) -> int:
+            nonlocal order, cur
+            a, b = pa[lo:hi], pb[lo:hi]
+            rows = np.arange(a.size)
+            cands = np.repeat(order[None], a.size, axis=0)
+            cands[rows, a], cands[rows, b] = order[b], order[a]
+            vals = score(cands)
+            hits = np.flatnonzero(vals < cur - 1e-15)
+            if hits.size == 0:
+                return -1
+            j = hits[0]
+            order, cur = cands[j], float(vals[j])
+            return lo + j
+
+        while _first_improvement(pa.size, batch, take_first):
+            pass
+        return cur
+
+    return min(descend(start) for start in (np.arange(k), degree_order))
 
 
 # ---------------------------------------------------------------------------

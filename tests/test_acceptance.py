@@ -15,7 +15,6 @@ from graphonfit import (
     AdjacencyMatrix,
     CommunityAssignment,
     EdgeProbabilityMatrix,
-    Partition,
     bernoulli_kl,
     block_average_graphon,
     edge_density,
@@ -34,6 +33,7 @@ from graphonfit import (
     stepfunction_error,
     stepfunction_error_bound,
 )
+from graphonfit.graphons import random_partition
 from graphonfit.harness import (
     ExperimentConfig,
     balanced_partition,
@@ -48,13 +48,6 @@ def _report(num: int, name: str, ok: bool, detail: str, elapsed: float) -> None:
     print(f"[{tag}] criterion {num} ({name}): {detail} [{elapsed:.1f}s]")
 
 
-def _random_partition_sizes(n: int, k: int, rng) -> tuple:
-    sizes = np.full(k, 2, dtype=np.int64)
-    for _ in range(n - 2 * k):
-        sizes[int(rng.integers(0, k))] += 1
-    return tuple(int(s) for s in sizes)
-
-
 def test_criterion_1_likelihood_identity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -64,7 +57,7 @@ def test_criterion_1_likelihood_identity():
         k = int(rng.integers(1, min(4, n // 2) + 1))
         u = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), k=1)
         a = AdjacencyMatrix(a=(u | u.T).astype(np.uint8))
-        labels = np.repeat(np.arange(1, k + 1), _random_partition_sizes(n, k, rng))
+        labels = np.repeat(np.arange(1, k + 1), random_partition(n, k, rng).h)
         z = CommunityAssignment(z=rng.permutation(labels), k=k)
         worst = max(
             worst,
@@ -188,7 +181,7 @@ def test_criterion_5_stepfunction_envelope():
         for _ in range(50):
             n = int(rng.integers(8, 201))
             k = int(rng.integers(1, min(8, n // 2) + 1))
-            part = Partition(_random_partition_sizes(n, k, rng))
+            part = random_partition(n, k, rng)
             fbar = block_average_graphon(f, part)
             err = stepfunction_error(f, fbar, grid=256, norm="sup")
             bound = stepfunction_error_bound(f, part)
@@ -212,7 +205,7 @@ def test_criterion_6_partition_containment():
     for n in range(2, 51):
         for _ in range(100):
             k = int(rng.integers(1, n // 2 + 1))
-            part = Partition(_random_partition_sizes(n, k, rng))
+            part = random_partition(n, k, rng)
             labels = part.quantile_of_ranks(np.arange(1, n + 1))
             cum = np.concatenate([[0], np.cumsum(part.h)])
             for i in range(1, n + 1):

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -14,6 +15,7 @@ from graphonfit import (
     ConfigError,
     DomainError,
     EdgeProbabilityMatrix,
+    FitResult,
     InternalError,
     SaturatedBlockError,
     bernoulli_kl,
@@ -496,12 +498,33 @@ class TestMpleSearch:
 
     def test_json(self):
         fit = mple_search(PLANTED4, 2, restarts=2, seed=0)
-        import json
-
         obj = json.loads(fit.to_json())
         assert obj["k"] == 2
         assert len(obj["assignment"]) == 4
         assert "saturated" in obj and "rho_hat" in obj
+
+    def test_json_roundtrip(self):
+        xi = sample_latents(40, seed=3)
+        a = sample_adjacency(edge_probabilities(graphon_by_name("cosine"), xi, 0.3), seed=3)
+        fit = mple_search(a, 4, h_max=15, restarts=2, seed=9)
+        assert (fit.h_min, fit.h_max) == (2, 15)
+        back = FitResult.from_json(fit.to_json())
+        assert np.array_equal(back.assignment.z, fit.assignment.z)
+        for name in ("pair_counts", "edge_sums", "averages", "saturated"):
+            assert np.array_equal(getattr(back.stats, name), getattr(fit.stats, name))
+        scalars = ("profile_loglik", "rho_hat", "restarts_used", "swap_count", "ties",
+                   "seed", "h_min", "h_max")
+        assert all(getattr(back, s) == getattr(fit, s) for s in scalars)
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "7"), ("ties", 1), ("k", True), ("assignment", [1.0, 1.0, 2.0, 2.0]),
+        ("block_averages", [[0.5]]),
+    ])
+    def test_json_ill_typed(self, key, value):
+        obj = json.loads(mple_search(PLANTED4, 2, restarts=1).to_json())
+        obj[key] = value
+        with pytest.raises(ConfigError):
+            FitResult.from_json(json.dumps(obj))
 
 
     def test_small_k_timing_gate(self):

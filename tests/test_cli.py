@@ -1,11 +1,12 @@
+import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
 
-from graphonfit import AdjacencyMatrix
+from graphonfit import AdjacencyMatrix, Partition
 from graphonfit.cli import main
+from graphonfit.harness import ExperimentConfig, run_replicate
 
 
 def run(argv):
@@ -114,6 +115,68 @@ class TestFitEstimateRisk:
                     "--out", tmp_path / "f.json"]) == 2
 
 
+def _risk_argv(d, edges="net.txt"):
+    return ["risk", "--edges", d / edges, "--sidecar", d / "net.txt.json",
+            "--fit", d / "fit.json", "--grid", 64, "--out", d / "r.json"]
+
+
+class TestMalformedInput:
+    # (keys dropped from files before the run, command line)
+    CASES = {
+        "estimate-fit-no-rho_hat": (
+            [("fit.json", "rho_hat")],
+            lambda d: ["estimate", "--fit", d / "fit.json", "--out", d / "e.json"],
+        ),
+        "risk-fit-no-assignment": ([("fit.json", "assignment")], _risk_argv),
+        "risk-fit-predates-bounds": ([("fit.json", "h_min"), ("fit.json", "h_max")], _risk_argv),
+        "risk-sidecar-no-graphon": ([("net.txt.json", "graphon")], _risk_argv),
+        "risk-fit-of-other-network": ([], lambda d: _risk_argv(d, edges="other.txt")),
+        "sweep-absent-config": (
+            [], lambda d: ["sweep", "--config", d / "absent.json", "--out-dir", d / "o"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2(self, tmp_path, case, capsys):
+        run(sample_args(tmp_path / "net.txt", n=30, seed=5))
+        run(sample_args(tmp_path / "other.txt", n=30, seed=6))
+        run(["fit", "--edges", tmp_path / "net.txt", "--k", 3, "--out", tmp_path / "fit.json"])
+        drops, argv = self.CASES[case]
+        for name, key in drops:
+            obj = json.loads((tmp_path / name).read_text())
+            del obj[key]
+            (tmp_path / name).write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(argv(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if case == "risk-fit-predates-bounds":
+            assert "re-run fit" in err
+
+
+class TestRiskMatchesSweep:
+    def test_equals_run_replicate_row(self, tmp_path):
+        cfg = ExperimentConfig(graphon_name="cosine", n_list=(100,), k_rule="10",
+                               rho_rule="0.3", replicates=2, restarts=3, seed=1, grid=64)
+        k, _, h_max = cfg.instantiate(100)
+        for rep in range(cfg.replicates):
+            row = run_replicate(cfg, 100, rep)
+            net, fit, out = (tmp_path / f"{name}{rep}" for name in ("net", "fit", "risk"))
+            assert run(["sample", "--graphon", cfg.graphon_name, "--n", 100,
+                        "--rho", repr(row.rho_n), "--seed", row.seed, "--out", net,
+                        "--emit-latents"]) == 0
+            assert run(["fit", "--edges", net, "--k", k, "--h-min", cfg.h_min,
+                        "--h-max", h_max, "--restarts", cfg.restarts,
+                        "--seed", row.seed, "--out", fit]) == 0
+            assert run(["risk", "--edges", net, "--sidecar", f"{net}.json", "--fit", fit,
+                        "--grid", cfg.grid, "--alignment", cfg.alignment,
+                        "--out", out]) == 0
+            report = json.loads(out.read_text())
+            expected = dataclasses.asdict(row)
+            del report["runtime_ms"], expected["runtime_ms"]
+            assert report == expected
+
+
 class TestSweep:
     def test_smoke(self, tmp_path, capsys):
         cfg = {
@@ -155,3 +218,12 @@ class TestSelftest:
     def test_injected_fault_exits_4(self, capsys):
         assert run(["selftest", "--corrupt-kl"]) == 4
         assert "bernoulli-kl-taylor-grid" in capsys.readouterr().err
+
+    def test_quantile_fault_exits_4(self, monkeypatch, capsys):
+        # side="right" sends a rank on a group's upper edge to the next group
+        def right_sided(self, ranks):
+            return np.searchsorted(self.cum_counts(), ranks, side="right") + 1
+
+        monkeypatch.setattr(Partition, "quantile_of_ranks", right_sided)
+        assert run(["selftest"]) == 4
+        assert "partition-lattice-containment" in capsys.readouterr().err

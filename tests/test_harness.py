@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -5,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import graphonfit.harness as harness
 from graphonfit import (
     CommunityAssignment,
     ConfigError,
@@ -163,6 +165,23 @@ class TestRunSweep:
         srow = run_sweep(cfg).rows[0]
         assert row.seed == srow.seed
         assert row.loglik == srow.loglik
+
+    def test_scoring_layers_called_by_harness_name(self, monkeypatch):
+        # Rebinding these names in graphonfit.harness must reach the calls a
+        # replicate makes, so that a tracer can time each layer from outside.
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("oracle_mple", "oracle_risk", "graphon_mse"):
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        assert run_replicate(small_config(), 50, 0).status == "ok"
+        assert calls == {"oracle_mple": 1, "oracle_risk": 3, "graphon_mse": 2}
 
 
 class TestSlopeEstimate:

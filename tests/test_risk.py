@@ -33,7 +33,7 @@ from graphonfit import (
     sample_adjacency,
     sample_latents,
 )
-from graphonfit.graphons import midpoint_grid
+from graphonfit.graphons import midpoint_grid, random_partition
 
 
 def fit_at(a, z):
@@ -449,12 +449,10 @@ class TestLatticeContainment:
         for n in (10, 20, 35):
             for _ in range(30):
                 k = int(rng.integers(1, n // 2 + 1))
-                sizes = np.full(k, 2, dtype=int)
-                for _ in range(n - 2 * k):
-                    sizes[int(rng.integers(0, k))] += 1
-                cum = np.concatenate([[0], np.cumsum(sizes)])
-                for i in range(1, n + 1):
-                    a = int(np.searchsorted(np.cumsum(sizes), i, side="left")) + 1
+                part = random_partition(n, k, rng)
+                labels = part.quantile_of_ranks(np.arange(1, n + 1))
+                cum = np.concatenate([[0], part.cum_counts()])
+                for i, a in enumerate(labels, start=1):
                     assert cum[a - 1] * (n + 1) < i * n <= cum[a] * (n + 1)
 
 
