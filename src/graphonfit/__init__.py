@@ -29,6 +29,7 @@ from .graphons import (
     Graphon,
     Partition,
     StepGraphon,
+    balanced_partition,
     block_average_graphon,
     graphon_by_name,
     graphon_catalog,
@@ -41,7 +42,6 @@ from .graphons import (
 from .harness import (
     ExperimentConfig,
     SweepResult,
-    balanced_partition,
     oracle_rank_assignment,
     run_sweep,
     slope_estimate,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -174,6 +174,13 @@ class BlockStats:
     def k(self) -> int:
         return self.pair_counts.shape[0]
 
+    @classmethod
+    def from_sums(cls, edge_sums: np.ndarray, pair_counts: np.ndarray) -> "BlockStats":
+        """Stats of blocks with these edge sums and pair counts; a block is
+        saturated when its sum is 0 or its pair count."""
+        saturated = (edge_sums == 0.0) | (edge_sums == pair_counts)
+        return cls(pair_counts, edge_sums, edge_sums / pair_counts, saturated)
+
     def saturated_pair_fraction(self) -> float:
         """Fraction of node pairs (not blocks) sitting in saturated blocks."""
         iu = np.triu_indices(self.k)
@@ -188,10 +195,7 @@ def block_stats(a: AdjacencyMatrix, z: CommunityAssignment) -> BlockStats:
     h = z.group_sizes()
     pc = _pair_counts(h)
     sums = _block_weight_sums(a.a.astype(np.float64), z0, z.k)
-    sums = np.rint(sums)  # exact integers for binary adjacency
-    avg = sums / pc
-    sat = (sums == 0.0) | (sums == pc)
-    return BlockStats(pair_counts=pc, edge_sums=sums, averages=avg, saturated=sat)
+    return BlockStats.from_sums(np.rint(sums), pc)  # exact integers for binary adjacency
 
 
 def _kl_terms(p, q) -> np.ndarray:
@@ -520,7 +524,6 @@ def _maximize_profile(
         inits.append(_contiguous_labels(rng.permutation(n), sizes))
 
     best_total = -np.inf
-    best_z = None
     best_canon = None
     best_swaps = 0
     ties = False
@@ -530,13 +533,13 @@ def _maximize_profile(
         state.verify()
         canon = _canonical_labels(state.z)
         if state.total > best_total + _TIE_TOL:
-            best_total, best_z, best_canon, best_swaps = state.total, state.z, canon, swaps
+            best_total, best_canon, best_swaps = state.total, canon, swaps
             ties = False
         elif state.total > best_total - _TIE_TOL:
             if not np.array_equal(canon, best_canon):
                 ties = True
                 if tuple(canon) < tuple(best_canon):
-                    best_z, best_canon, best_swaps = state.z, canon, swaps
+                    best_canon, best_swaps = canon, swaps
                     best_total = max(best_total, state.total)
     return best_canon, best_total, best_swaps, ties, len(inits)
 
@@ -644,11 +647,12 @@ def _exhaustive_profile(w: np.ndarray, k: int, h_min: int, h_max: int):
 
 
 # FitResult fields that to_json writes as they are and from_json reads back,
-# with the JSON types from_json accepts.
+# with their JSON types (see errors.parse_json_object).
 _FIT_JSON_SCALARS = dict(
-    profile_loglik=(int, float), rho_hat=(int, float), restarts_used=int,
+    profile_loglik=float, rho_hat=float, restarts_used=int,
     swap_count=int, ties=bool, seed=int, h_min=int, h_max=int,
 )
+_FIT_JSON_SCHEMA = dict(assignment=[int], k=int, block_averages=[[float]], **_FIT_JSON_SCALARS)
 
 
 @dataclass(frozen=True)
@@ -682,27 +686,15 @@ class FitResult:
     def from_json(cls, text: str) -> "FitResult":
         """Rebuild a fit from its to_json form alone: pair counts follow from
         the group sizes and edge sums are rint(averages * pair counts)."""
-        obj = parse_json_object(text, "fit")
-        if "h_min" not in obj or "h_max" not in obj:
-            raise ConfigError("fit has no h_min/h_max, so it predates them; re-run fit")
-        for key, kind in dict(assignment=list, k=int, **_FIT_JSON_SCALARS).items():
-            v = obj.get(key)
-            if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
-                raise ConfigError(f"fit key {key!r} is missing or ill-typed")
-        k = obj["k"]
-        try:
-            z = np.asarray(obj["assignment"])
-            averages = np.asarray(obj.get("block_averages"), dtype=np.float64)
-            well_formed = z.dtype.kind == "i" and averages.shape == (k, k)
-        except (TypeError, ValueError):  # ragged or non-numeric lists
-            well_formed = False
-        if not well_formed:
+        obj = parse_json_object(text, "fit", _FIT_JSON_SCHEMA, hints=dict.fromkeys(
+            ("h_min", "h_max"), "it predates stored size bounds, so re-run fit"))
+        k, z, averages = obj["k"], np.asarray(obj["assignment"]), obj["block_averages"]
+        # dtype kind "i" rules out an empty list and labels past int64
+        if z.dtype.kind != "i" or len(averages) != k or any(len(r) != k for r in averages):
             raise ConfigError(f"fit needs integer labels and {k}x{k} block averages")
         assignment = CommunityAssignment(z=z, k=k)
         pc = _pair_counts(assignment.group_sizes())
-        sums = np.rint(averages * pc)
-        stats = BlockStats(pair_counts=pc, edge_sums=sums, averages=sums / pc,
-                           saturated=(sums == 0.0) | (sums == pc))
+        stats = BlockStats.from_sums(np.rint(np.asarray(averages, dtype=np.float64) * pc), pc)
         return cls(assignment, stats, **{key: obj[key] for key in _FIT_JSON_SCALARS})
 
 
@@ -794,7 +786,6 @@ def oracle_mple(
     h_max: int | None = None,
     restarts: int = 5,
     seed: int = 0,
-    exhaustive: bool = False,
     extra_inits: list | None = None,
 ) -> OracleFit:
     """Assignment minimizing the divergence of p from its block averages.
@@ -803,13 +794,9 @@ def oracle_mple(
     weights; the two objectives differ by a z-independent constant.
     """
     h_max = p.n if h_max is None else h_max
-    if exhaustive:
-        z0, _, count, ties = _exhaustive_profile(p.p, k, h_min, h_max)
-        restarts_used = count
-    else:
-        z0, _, _, ties, restarts_used = _maximize_profile(
-            p.p, k, h_min, h_max, restarts, seed, extra_inits=extra_inits
-        )
+    z0, _, _, ties, restarts_used = _maximize_profile(
+        p.p, k, h_min, h_max, restarts, seed, extra_inits=extra_inits
+    )
     assignment = CommunityAssignment(z=z0 + 1, k=k)
     return OracleFit(
         assignment=assignment,

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, parse_json_object
 
 __all__ = [
     "Graphon",
@@ -193,7 +193,7 @@ class StepGraphon:
 
     @classmethod
     def from_json(cls, text: str) -> "StepGraphon":
-        obj = json.loads(text)
+        obj = parse_json_object(text, "step graphon", dict(h=[int], values=[[float]]))
         return cls(Partition(tuple(obj["h"])), np.asarray(obj["values"], dtype=float))
 
 

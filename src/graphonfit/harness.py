@@ -14,11 +14,11 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .blockmodel import CommunityAssignment, mple_search, oracle_mple
+from .blockmodel import CommunityAssignment, _check_constraints, mple_search, oracle_mple
 from .errors import ConfigError, GraphonFitError, parse_json_object
 from .graphons import Partition, balanced_partition, graphon_by_name
 from .risk import (
@@ -39,7 +39,6 @@ __all__ = [
     "score_replicate",
     "slope_estimate",
     "oracle_rank_assignment",
-    "balanced_partition",
 ]
 
 SCHEMA_VERSION = 1
@@ -60,6 +59,14 @@ def oracle_rank_assignment(xi: LatentSample, p: Partition) -> CommunityAssignmen
         raise ConfigError(f"partition covers {p.n} nodes, sample has {xi.n}")
     labels = p.quantile_of_ranks(xi.ranks())
     return CommunityAssignment(z=labels, k=p.k)
+
+
+# ExperimentConfig fields with the JSON types from_json accepts.
+_CONFIG_SCHEMA = dict(
+    graphon_name=str, n_list=[int], k_rule=str, rho_rule=str, replicates=int,
+    restarts=int, h_min=int, h_max_rule=(str, None), seed=int, grid=int,
+    alignment=str, schema_version=int,
+)
 
 
 @dataclass(frozen=True)
@@ -107,10 +114,7 @@ class ExperimentConfig:
             h_max = n
         else:
             h_max = int(math.ceil(evaluate_rule(self.h_max_rule, n, k=k) - 1e-9))
-        if k * self.h_min > n or k * h_max < n:
-            raise ConfigError(
-                f"infeasible cell at n={n}: k={k}, h_min={self.h_min}, h_max={h_max}"
-            )
+        _check_constraints(n, k, self.h_min, h_max)
         return k, rho, h_max
 
     def validate(self) -> str:
@@ -126,15 +130,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        obj = parse_json_object(text, "config")
-        known = set(cls.__dataclass_fields__)
-        extra = set(obj) - known
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        missing = {"graphon_name", "n_list", "k_rule", "rho_rule", "replicates"} - set(obj)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
-        return cls(**obj)
+        defaults = [f.name for f in fields(cls) if f.default is not MISSING]
+        return cls(**parse_json_object(text, "config", _CONFIG_SCHEMA, defaults, closed=True))
 
 
 def _replicate_seed(root_seed: int, n: int, rep: int) -> int:
@@ -143,13 +140,8 @@ def _replicate_seed(root_seed: int, n: int, rep: int) -> int:
 
 
 def _nan_report(n, k, rho, seed, status) -> RiskReport:
-    nan = math.nan
-    return RiskReport(
-        n=n, k=k, rho_n=rho, seed=seed,
-        fitted_risk=nan, oracle_risk=nan, excess_risk=nan,
-        mse_identity=nan, mse_aligned=nan, saturated_fraction=nan,
-        loglik=nan, runtime_ms=0.0, status=status,
-    )
+    given = dict(n=n, k=k, rho_n=rho, seed=seed, runtime_ms=0.0, status=status)
+    return RiskReport(**{f.name: given.get(f.name, math.nan) for f in fields(RiskReport)})
 
 
 def score_replicate(truth, xi, p, fit, grid, alignment) -> RiskReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -112,28 +112,12 @@ class RiskReport:
         return json.dumps(self.__dict__)
 
     def csv_row(self) -> str:
-        cells = []
-        for name in CSV_COLUMNS:
-            v = getattr(self, name)
-            cells.append(v if isinstance(v, str) else f"{v:.12g}")
-        return ",".join(cells)
+        """Floats to 12 significant digits; ints (the seed among them) exactly."""
+        values = (getattr(self, name) for name in CSV_COLUMNS)
+        return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in values)
 
 
-CSV_COLUMNS = (
-    "n",
-    "k",
-    "rho_n",
-    "seed",
-    "fitted_risk",
-    "oracle_risk",
-    "excess_risk",
-    "mse_identity",
-    "mse_aligned",
-    "saturated_fraction",
-    "loglik",
-    "runtime_ms",
-    "status",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(RiskReport))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import graphonfit.cli as cli
 from graphonfit import AdjacencyMatrix, Partition
 from graphonfit.cli import main
+from graphonfit.risk import kl_taylor_check
 from graphonfit.harness import ExperimentConfig, run_replicate
 
 
@@ -120,20 +122,39 @@ def _risk_argv(d, edges="net.txt"):
             "--fit", d / "fit.json", "--grid", 64, "--out", d / "r.json"]
 
 
+_DROP = object()
+
+
+def _sweep_argv(d):
+    return ["sweep", "--config", d / "cfg.json", "--out-dir", d / "o"]
+
+
 class TestMalformedInput:
-    # (keys dropped from files before the run, command line)
+    # (edits (file, key, new value or _DROP) made before the run, command line)
     CASES = {
         "estimate-fit-no-rho_hat": (
-            [("fit.json", "rho_hat")],
+            [("fit.json", "rho_hat", _DROP)],
             lambda d: ["estimate", "--fit", d / "fit.json", "--out", d / "e.json"],
         ),
-        "risk-fit-no-assignment": ([("fit.json", "assignment")], _risk_argv),
-        "risk-fit-predates-bounds": ([("fit.json", "h_min"), ("fit.json", "h_max")], _risk_argv),
-        "risk-sidecar-no-graphon": ([("net.txt.json", "graphon")], _risk_argv),
+        "risk-fit-no-assignment": ([("fit.json", "assignment", _DROP)], _risk_argv),
+        "risk-fit-predates-bounds": (
+            [("fit.json", "h_min", _DROP), ("fit.json", "h_max", _DROP)], _risk_argv,
+        ),
+        "risk-sidecar-no-graphon": ([("net.txt.json", "graphon", _DROP)], _risk_argv),
         "risk-fit-of-other-network": ([], lambda d: _risk_argv(d, edges="other.txt")),
         "sweep-absent-config": (
             [], lambda d: ["sweep", "--config", d / "absent.json", "--out-dir", d / "o"],
         ),
+        "sweep-n_list-not-a-list": ([("cfg.json", "n_list", 5)], _sweep_argv),
+        "sweep-n_list-string": ([("cfg.json", "n_list", [30, "x"])], _sweep_argv),
+        "sweep-n_list-float": ([("cfg.json", "n_list", [30.7])], _sweep_argv),
+        "sweep-replicates-string": ([("cfg.json", "replicates", "2")], _sweep_argv),
+        "sweep-restarts-float": ([("cfg.json", "restarts", 1.5)], _sweep_argv),
+        "sweep-grid-string": ([("cfg.json", "grid", "64")], _sweep_argv),
+        "sweep-h_min-1": ([("cfg.json", "h_min", 1)], _sweep_argv),
+        "risk-sidecar-seed-string": ([("net.txt.json", "seed", "one")], _risk_argv),
+        "risk-sidecar-rho-string": ([("net.txt.json", "rho", "x")], _risk_argv),
+        "risk-sidecar-xi-strings": ([("net.txt.json", "xi", ["0.5"] * 30)], _risk_argv),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -141,10 +162,17 @@ class TestMalformedInput:
         run(sample_args(tmp_path / "net.txt", n=30, seed=5))
         run(sample_args(tmp_path / "other.txt", n=30, seed=6))
         run(["fit", "--edges", tmp_path / "net.txt", "--k", 3, "--out", tmp_path / "fit.json"])
-        drops, argv = self.CASES[case]
-        for name, key in drops:
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"graphon_name": "constant", "n_list": [30], "k_rule": "2", "rho_rule": "0.3",
+             "replicates": 1, "restarts": 1, "grid": 64}
+        ))
+        edits, argv = self.CASES[case]
+        for name, key, value in edits:
             obj = json.loads((tmp_path / name).read_text())
-            del obj[key]
+            if value is _DROP:
+                del obj[key]
+            else:
+                obj[key] = value
             (tmp_path / name).write_text(json.dumps(obj))
         capsys.readouterr()
         assert run(argv(tmp_path)) == 2
@@ -215,8 +243,14 @@ class TestSelftest:
         assert "selftest passed" in out
         assert "profile-likelihood-identity: pass" in out
 
-    def test_injected_fault_exits_4(self, capsys):
-        assert run(["selftest", "--corrupt-kl"]) == 4
+    def test_injected_fault_exits_4(self, monkeypatch, capsys):
+        # a bound 1000x too tight must fail the Taylor-grid check
+        def shrunk_bound(p, delta):
+            lhs, bound, ok = kl_taylor_check(p, delta)
+            return lhs, bound * 1e-3, ok
+
+        monkeypatch.setattr(cli, "kl_taylor_check", shrunk_bound)
+        assert run(["selftest"]) == 4
         assert "bernoulli-kl-taylor-grid" in capsys.readouterr().err
 
     def test_quantile_fault_exits_4(self, monkeypatch, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphonfit import (
+    ConfigError,
     DomainError,
     Graphon,
     Partition,
@@ -239,3 +240,11 @@ class TestStepGraphon:
         back = StepGraphon.from_json(step.to_json())
         assert back.partition.h == p.h
         assert np.array_equal(back.values, step.values)
+
+    @pytest.mark.parametrize("text", [
+        '{"h": [3, 2]}', '{"h": [3, 2.5], "values": [[0.1, 0.9], [0.9, 0.4]]}',
+        '{"h": [3, 2], "values": [["0.1", 0.9], [0.9, 0.4]]}',
+    ])
+    def test_json_malformed(self, text):
+        with pytest.raises(ConfigError):
+            StepGraphon.from_json(text)

@@ -80,6 +80,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json("not json")
 
+    @pytest.mark.parametrize("key, value", [
+        ("replicates", True), ("grid", 64.0), ("rho_rule", 0.3), ("n_list", [50, None]),
+        ("h_max_rule", 5), ("seed", "7"),
+    ])
+    def test_ill_typed_value(self, key, value):
+        obj = json.loads(small_config().to_json())
+        obj[key] = value
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_json(json.dumps(obj))
+
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError, match="schema_version"):
             small_config(schema_version=99)
@@ -101,6 +111,8 @@ class TestExperimentConfig:
         cfg = small_config(k_rule="n", n_list=(50,))
         with pytest.raises(ConfigError):
             cfg.validate()
+        with pytest.raises(ConfigError, match="h_min"):
+            small_config(h_min=1).validate()
 
     def test_regime(self):
         assert small_config().regime() == "dense"
@@ -127,6 +139,13 @@ class TestRunSweep:
 
         assert strip_runtime(res.to_csv()) == strip_runtime(res2.to_csv())
         assert res.summary == res2.summary
+
+    def test_csv_seed_is_exact(self):
+        res = run_sweep(small_config())
+        header, *lines = res.to_csv().splitlines()
+        col = header.split(",").index("seed")
+        assert [int(line.split(",")[col]) for line in lines] == [r.seed for r in res.rows]
+        assert all(r.seed > 10**12 for r in res.rows)  # past what .12g prints exactly
 
     def test_summary_and_dat(self):
         res = run_sweep(small_config())
