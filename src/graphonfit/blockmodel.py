@@ -38,7 +38,7 @@ from .errors import (
     parse_json_object,
 )
 from .graphons import Partition, balanced_partition
-from .sampling import AdjacencyMatrix, EdgeProbabilityMatrix, edge_density, make_rng
+from .sampling import AdjacencyMatrix, EdgeProbabilityMatrix, _check_seed, edge_density, make_rng
 
 __all__ = [
     "CommunityAssignment",
@@ -128,6 +128,11 @@ def _check_constraints(n: int, k: int, h_min: int, h_max: int) -> None:
         raise ConfigError(
             f"no partition of n={n} into k={k} groups with sizes in [{h_min}, {h_max}]"
         )
+
+
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ConfigError(f"restarts={restarts} must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +514,7 @@ def _maximize_profile(
     """Multi-restart local search; returns (z0, total, swaps, ties, searches run)."""
     n = w.shape[0]
     _check_constraints(n, k, h_min, h_max)
-    if restarts < 1:
-        raise ConfigError(f"restarts={restarts} must be >= 1")
+    _check_restarts(restarts)
     rng = make_rng(seed, _SEARCH_STREAM)
     sizes = balanced_partition(n, k).h
     degrees = w.sum(axis=1)
@@ -692,6 +696,7 @@ class FitResult:
         # dtype kind "i" rules out an empty list and labels past int64
         if z.dtype.kind != "i" or len(averages) != k or any(len(r) != k for r in averages):
             raise ConfigError(f"fit needs integer labels and {k}x{k} block averages")
+        _check_seed(obj["seed"])
         assignment = CommunityAssignment(z=z, k=k)
         pc = _pair_counts(assignment.group_sizes())
         stats = BlockStats.from_sums(np.rint(np.asarray(averages, dtype=np.float64) * pc), pc)

@@ -37,6 +37,7 @@ from .risk import build_estimator, kl_taylor_check
 from .sampling import (
     AdjacencyMatrix,
     LatentSample,
+    _check_seed,
     edge_density,
     edge_probabilities,
     sample_adjacency,
@@ -54,6 +55,7 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_sample(args) -> int:
+    _check_seed(args.seed)
     f = graphon_by_name(args.graphon)
     xi = sample_latents(args.n, args.seed)
     p = edge_probabilities(f, xi, args.rho)
@@ -81,6 +83,7 @@ def _read(path: str) -> str:
 
 
 def cmd_fit(args) -> int:
+    _check_seed(args.seed)
     a = AdjacencyMatrix.from_edge_list(_read(args.edges))
     if args.exhaustive:
         fit = mple_exhaustive(a, args.k, h_min=args.h_min, h_max=args.h_max)
@@ -206,6 +209,7 @@ def _check_likelihood_identity(seed: int) -> bool:
 
 
 def cmd_selftest(args) -> int:
+    _check_seed(args.seed)
     checks = [
         ("bernoulli-kl-taylor-grid", _check_kl_taylor),
         ("partition-lattice-containment", lambda: _check_partition_containment(args.seed)),

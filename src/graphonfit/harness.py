@@ -18,19 +18,32 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .blockmodel import CommunityAssignment, _check_constraints, mple_search, oracle_mple
+from .blockmodel import (
+    CommunityAssignment,
+    _check_constraints,
+    _check_restarts,
+    mple_search,
+    oracle_mple,
+)
 from .errors import ConfigError, GraphonFitError, parse_json_object
 from .graphons import Partition, balanced_partition, graphon_by_name
 from .risk import (
     CSV_COLUMNS,
     RiskReport,
+    _check_mse_options,
     build_estimator,
     graphon_mse,
     normalized_kl_risk,
     oracle_risk,
 )
 from .rules import classify_rho_rule, evaluate_rule, k_from_rule, validate_k_rule
-from .sampling import LatentSample, edge_probabilities, sample_adjacency, sample_latents
+from .sampling import (
+    LatentSample,
+    _check_seed,
+    edge_probabilities,
+    sample_adjacency,
+    sample_latents,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -118,8 +131,12 @@ class ExperimentConfig:
         return k, rho, h_max
 
     def validate(self) -> str:
-        """Check every cell and the rule growth conditions; returns the regime."""
+        """Check every cell, the rule growth conditions and the options every
+        replicate uses (seed, restarts, grid, alignment); returns the regime."""
         validate_k_rule(self.k_rule)
+        _check_seed(self.seed)
+        _check_restarts(self.restarts)
+        _check_mse_options(self.grid, self.alignment)
         regime = self.regime()
         for n in self.n_list:
             self.instantiate(n)

@@ -8,7 +8,6 @@ expansion checks used by the selftest suite.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -155,6 +154,134 @@ def _mse_for_orders(
     return np.where(mse > 0.0, mse, 0.0)
 
 
+def _best_order_mse(step: StepGraphon, s1: np.ndarray, s2_total: float, grid: int) -> float:
+    """The least _mse_for_orders value over all k! block orders, from a screen
+    over a table of cell terms and an exact confirmation of its near-minima.
+
+    Table.  _mse_for_orders sums, for each cell (i, j) of an order, the terms
+    x = cell1 * v and y = v^2 * (count_i * count_j), and its squared error is
+    (s2_total - 2 sum x) + sum y.  A cell's terms depend only on its two blocks
+    and on their start widths, the summed sizes of the blocks placed before
+    them.  So they are tabulated once over pairs of (block, start) keys, with
+    every subset sum of the other blocks' sizes as a start, by the kernel's
+    own expressions: the same cuts and the association ((a - b) - c) + d.
+    Each tabulated term has the kernel's bits; only the summation order
+    differs.
+
+    Screen.  Orders are built as a prefix tree, one subtree per leading block.
+    Placing a block adds its diagonal term y - 2x and, for each block placed
+    before it, the pair's two off-diagonal terms in one table entry.
+
+    Bound.  The kernel's squared error and the screened one, q, each add the
+    same 2k^2 + 1 numbers (s2_total, every -2x and every y; doubling is exact)
+    in some tree of additions.  Each is therefore within gamma(2k^2) * B of
+    the real sum, where gamma(m) = m u / (1 - m u), u = 2^-53, and B is
+    s2_total plus the order's sum of 2|x| + y (Higham 2002, section 4.2).  Each
+    pair of blocks meets in exactly one cell of an order, so B is at most
+    s2_total plus, summed over ordered block pairs, the pair's largest 2|x| + y
+    over all its keys.  For k <= 8, e = 4 (k^2 + 1) u B then bounds |q - exact|,
+    with room for the rounding of B and of the threshold below.
+
+    Confirm.  With q* the least screened value, the order of least exact value
+    has q <= exact min + e <= exact(argmin q) + e <= q* + 2e.  So the least
+    _mse_for_orders value over the orders with q <= q* + 2e is, bit for bit,
+    the least over all k! orders; the clamp and the division by grid^2 that
+    follow the squared error are monotone.
+    """
+    k = step.partition.k
+    h = np.asarray(step.partition.h, dtype=np.int64)
+    placed = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    width = placed @ h
+    starts = [np.unique(width[placed[:, a] == 0]) for a in range(k)]
+    nkeys = [s.size for s in starts]
+    first = np.cumsum([0] + nkeys[:-1])
+    blk = np.repeat(np.arange(k), nkeys)
+    # keymap[a, mask]: the key of block a placed after the blocks in mask,
+    # for every mask without a
+    keymap = np.stack([first[a] + np.searchsorted(starts[a], width) for a in range(k)])
+    start = np.concatenate(starts)
+    mid = midpoint_grid(grid)
+    lo = np.searchsorted(mid, start / h.sum(), side="right")
+    hi = np.searchsorted(mid, (start + h[blk]) / h.sum(), side="right")
+    count = (hi - lo).astype(float)
+
+    def terms(i, j):
+        """The kernel's x and y for the cells with row key i and column key j."""
+        x = s1[hi[i], hi[j]] - s1[lo[i], hi[j]]
+        x -= s1[hi[i], lo[j]]
+        x += s1[lo[i], lo[j]]
+        y = step.values[blk[i], blk[j]]
+        x *= y
+        y *= y
+        y *= count[i] * count[j]
+        return x, y
+
+    keys = np.arange(blk.size)
+    x, y = terms(keys, keys)
+    diag = y - 2.0 * x
+    # pair[i, j]: the four off-diagonal terms of keys i and j.  Row chunks
+    # hold at most _BATCH_CELLS / k cells, so their temporaries stay small.
+    pair, largest = np.empty((keys.size, keys.size)), np.empty((keys.size, k))
+    rows = max(1, _BATCH_CELLS // (k * keys.size))
+    for r in range(0, keys.size, rows):
+        i = keys[r:r + rows, None]
+        x, y = terms(i, keys)
+        largest[r:r + rows] = np.maximum.reduceat(2.0 * np.abs(x) + y, first, axis=1)
+        x *= -2.0
+        x += y
+        xt, yt = terms(keys, i)
+        xt *= -2.0
+        xt += yt
+        x += xt
+        pair[r:r + rows] = x
+    bound = s2_total + float(np.maximum.reduceat(largest, first).sum())
+    e = 4.0 * (k * k + 1) * (np.finfo(float).eps / 2) * bound
+
+    best, kept = math.inf, []
+    for lead in range(k):
+        # per node of the current level: the placed blocks as a bit mask, the
+        # blocks not yet placed, the keys placed so far (one array per
+        # position) and the screened sum of their terms
+        mask = np.array([1 << lead])
+        free = np.delete(np.arange(k), lead)[None]
+        path = [keymap[lead, :1]]
+        q = diag[path[0]]
+        for left in range(k - 1, 0, -1):
+            # a node's children place, in turn, each of its `left` free blocks
+            node = np.repeat(np.arange(q.size), left)
+            b = free.ravel()
+            new = keymap[b, mask[node]]
+            q = q[node] + diag[new]
+            path = [col[node] for col in path]
+            for col in path:
+                q += pair[col, new]
+            path.append(new)
+            mask = mask[node] | (1 << b)
+            others = np.array([np.delete(np.arange(left), t) for t in range(left)])
+            free = free[:, others].reshape(b.size, left - 1)
+        q = s2_total + q
+        best = min(best, float(q.min()))
+        # best only falls, so this keeps a superset of the final candidates
+        keep = q <= best + 2.0 * e
+        kept.append((q[keep], blk[np.column_stack([col[keep] for col in path])]))
+    q, orders = (np.concatenate(part) for part in zip(*kept))
+    orders = orders[q <= best + 2.0 * e]
+    batch = max(1, _BATCH_CELLS // (k + 1) ** 2)
+    return min(float(_mse_for_orders(orders[i:i + batch], step, s1, s2_total, grid).min())
+               for i in range(0, len(orders), batch))
+
+
+_ALIGNMENTS = ("identity", "degree_sort", "block_permutation_search")
+
+
+def _check_mse_options(grid: int, alignment: str) -> None:
+    """graphon_mse's rules for its options; a sweep config is held to them too."""
+    if grid < 64:
+        raise DomainError("grid must be >= 64")
+    if alignment not in _ALIGNMENTS:
+        raise DomainError(f"unknown alignment {alignment!r}")
+
+
 def graphon_mse(
     truth: Graphon,
     est: GraphonEstimate | StepGraphon,
@@ -167,21 +294,21 @@ def graphon_mse(
     the estimate's block intervals, so the value upper-bounds the idealized
     infimum.  'identity' skips alignment; 'degree_sort' orders blocks by
     their size-weighted marginal mean; 'block_permutation_search' minimizes
-    over block orders: all k! in chunks for k <= 8, else swap descent from
-    the identity and degree-sorted orders.  A descent scans the pairs a < b
-    row-major with blockmodel._first_improvement, takes the first swap that
-    lowers the MSE by more than 1e-15, and rescans until a scan takes none.
-    All paths score orders with one kernel, in stacks of at most _BATCH_CELLS
-    cells; that chunk size bounds the memory the search adds.
+    over block orders: all k! for k <= 8 (see _best_order_mse), else swap
+    descent from the identity and degree-sorted orders.  A descent scans the
+    pairs a < b row-major with blockmodel._first_improvement, takes the first
+    swap that lowers the MSE by more than 1e-15, and rescans until a scan
+    takes none.  Every value returned or compared comes from one kernel,
+    _mse_for_orders, in stacks of at most _BATCH_CELLS cells.
     """
-    if grid < 64:
-        raise DomainError("grid must be >= 64")
+    _check_mse_options(grid, alignment)
     step = est.step if isinstance(est, GraphonEstimate) else est
     k = step.partition.k
     tg = truth.grid_values(grid)
     s1 = np.zeros((grid + 1, grid + 1))
     s1[1:, 1:] = tg.cumsum(axis=0).cumsum(axis=1)
     s2_total = float((tg**2).cumsum(axis=0).cumsum(axis=1)[-1, -1])
+    del tg  # the search needs only the prefix sums; free the grid before it
 
     def score(orders: np.ndarray) -> np.ndarray:
         return _mse_for_orders(orders, step, s1, s2_total, grid)
@@ -194,16 +321,10 @@ def graphon_mse(
     degree_order = np.argsort(marginal, kind="stable")
     if alignment == "degree_sort":
         return float(score(degree_order[None])[0])
-    if alignment != "block_permutation_search":
-        raise DomainError(f"unknown alignment {alignment!r}")
 
-    batch = max(1, _BATCH_CELLS // (k + 1) ** 2)
     if k <= 8:
-        perms = itertools.permutations(range(k))
-        best = math.inf
-        while chunk := list(itertools.islice(perms, batch)):
-            best = min(best, float(score(np.array(chunk)).min()))
-        return best
+        return _best_order_mse(step, s1, s2_total, grid)
+    batch = max(1, _BATCH_CELLS // (k + 1) ** 2)
     pa, pb = np.triu_indices(k, k=1)
 
     def descend(order: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ModelError
+from .errors import ConfigError, DomainError, ModelError
 from .graphons import Graphon
 
 __all__ = [
@@ -31,6 +31,12 @@ __all__ = [
 # counters even when both are derived from the same root seed.
 _LATENT_STREAM = 1
 _ADJACENCY_STREAM = 2
+
+
+def _check_seed(seed: int) -> None:
+    """A seed given by the user; make_rng's SeedSequence takes only seeds >= 0."""
+    if seed < 0:
+        raise ConfigError(f"seed={seed} must be >= 0")
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -519,7 +519,7 @@ class TestMpleSearch:
 
     @pytest.mark.parametrize("key, value", [
         ("seed", "7"), ("ties", 1), ("k", True), ("assignment", [1.0, 1.0, 2.0, 2.0]),
-        ("block_averages", [[0.5]]),
+        ("block_averages", [[0.5]]), ("seed", -1),
     ])
     def test_json_ill_typed(self, key, value):
         obj = json.loads(mple_search(PLANTED4, 2, restarts=1).to_json())

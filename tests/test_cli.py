@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,16 @@ class TestMalformedInput:
         "risk-sidecar-seed-string": ([("net.txt.json", "seed", "one")], _risk_argv),
         "risk-sidecar-rho-string": ([("net.txt.json", "rho", "x")], _risk_argv),
         "risk-sidecar-xi-strings": ([("net.txt.json", "xi", ["0.5"] * 30)], _risk_argv),
+        "sweep-grid-32": ([("cfg.json", "grid", 32)], _sweep_argv),
+        "sweep-restarts-0": ([("cfg.json", "restarts", 0)], _sweep_argv),
+        "sweep-alignment-bogus": ([("cfg.json", "alignment", "bogus")], _sweep_argv),
+        "sweep-seed-negative": ([("cfg.json", "seed", -1)], _sweep_argv),
+        "sample-seed-negative": ([], lambda d: sample_args(d / "neg.txt", seed=-1)),
+        "fit-seed-negative": (
+            [], lambda d: ["fit", "--edges", d / "net.txt", "--k", 3, "--seed", -1,
+                           "--out", d / "neg.json"],
+        ),
+        "risk-fit-seed-negative": ([("fit.json", "seed", -1)], _risk_argv),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -237,6 +251,16 @@ class TestSweep:
 
 
 class TestSelftest:
+    def test_module_entry_point(self):
+        # python -m graphonfit runs the same command line as cli.main
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "graphonfit", "selftest", "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert "usage: graphonfit selftest" in done.stdout
+
     def test_passes(self, capsys):
         assert run(["selftest", "--verbose"]) == 0
         out = capsys.readouterr().out

@@ -10,6 +10,7 @@ import graphonfit.harness as harness
 from graphonfit import (
     CommunityAssignment,
     ConfigError,
+    DomainError,
     Partition,
     sample_latents,
 )
@@ -113,6 +114,14 @@ class TestExperimentConfig:
             cfg.validate()
         with pytest.raises(ConfigError, match="h_min"):
             small_config(h_min=1).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid", 32), ("alignment", "bogus"), ("restarts", 0), ("seed", -1),
+    ])
+    def test_validate_rejects_option_every_replicate_fails(self, key, value):
+        # each value would fail every replicate, so the config fails up front
+        with pytest.raises((ConfigError, DomainError), match=key):
+            small_config(**{key: value}).validate()
 
     def test_regime(self):
         assert small_config().regime() == "dense"

@@ -33,6 +33,7 @@ from graphonfit import (
     sample_adjacency,
     sample_latents,
 )
+import graphonfit.risk as risk
 from graphonfit.graphons import midpoint_grid, random_partition
 
 
@@ -365,6 +366,67 @@ class TestGraphonMSEMatchesScalarSearch:
         t0 = time.perf_counter()
         graphon_mse(truth, step, grid=256, alignment="block_permutation_search")
         assert time.perf_counter() - t0 < 1.0
+
+
+def shuffled_truth(step, seed):
+    """The step graphon with its blocks in a random order, as a truth."""
+    perm = np.random.default_rng(seed).permutation(step.partition.k)
+    return StepGraphon(
+        Partition(tuple(step.partition.h[i] for i in perm)), step.values[np.ix_(perm, perm)]
+    ).as_graphon()
+
+
+class TestExhaustiveScreen:
+    """For k <= 8 the aligned MSE screens all k! orders from a table of cell
+    terms and rescores only the near-minimal ones with the exact kernel; each
+    result must equal the frozen one-order-at-a-time search bit for bit."""
+
+    @staticmethod
+    def assert_matches_scalar(truth, step, grid):
+        al = "block_permutation_search"
+        assert graphon_mse(truth, step, grid=grid, alignment=al) == \
+            scalar_graphon_mse(truth, step, grid, al)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8])
+    def test_random_steps(self, k):
+        self.assert_matches_scalar(graphon_by_name("product"), random_step(k, seed=300 + k), 64)
+
+    def test_block_with_no_grid_cells(self):
+        # 162 nodes on 64 midpoints: in the fitted order the width-2 block,
+        # the narrowest a partition allows, covers no midpoint, so its row
+        # and column of cells are empty.
+        h = np.array([42, 2, 44, 34, 40])
+        counts = np.diff(np.searchsorted(midpoint_grid(64), np.cumsum(h) / h.sum(), "right"))
+        assert 0 in counts
+        v = np.random.default_rng(3).uniform(0, 2, size=(5, 5))
+        step = StepGraphon(Partition(tuple(int(x) for x in h)), v + v.T)
+        self.assert_matches_scalar(graphon_by_name("cosine"), step, 64)
+
+    def test_all_heights_equal(self):
+        # every order gives the same step function, so all 8! orders tie up
+        # to rounding and all of them go through the exact kernel
+        step = StepGraphon(random_step(8, seed=9).partition, np.full((8, 8), 0.7))
+        self.assert_matches_scalar(graphon_by_name("bilinear"), step, 64)
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-12])
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_tied_values(self, k, jitter):
+        # three height values, exactly or up to 1e-12, so many orders score
+        # alike and the screen must keep every one that could be the least
+        step = random_step(k, seed=200 + k, tied=True, jitter=jitter)
+        self.assert_matches_scalar(shuffled_truth(step, k), step, 256)
+
+    def test_exact_kernel_scores_few_orders(self, monkeypatch):
+        scored = []
+
+        def counting(orders, *args):
+            scored.append(len(orders))
+            return mse_for_orders(orders, *args)
+
+        mse_for_orders = risk._mse_for_orders
+        monkeypatch.setattr(risk, "_mse_for_orders", counting)
+        graphon_mse(graphon_by_name("cosine"), random_step(8, seed=108), grid=256)
+        assert 0 < sum(scored) < 100
 
 
 class TestKLTaylor:
