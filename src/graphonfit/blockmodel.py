@@ -59,8 +59,41 @@ __all__ = [
 
 _SEARCH_STREAM = 3
 _TIE_TOL = 1e-10
-# Cells per batched stack, here and in risk.graphon_mse: each array stays near 256 KiB.
+# Cells per batched stack, here and in risk.graphon_mse.  A stack's arrays
+# then take about 256 KiB each, near glibc's mmap threshold: allocated afresh
+# per call, their pages went back to the operating system at every free and
+# were faulted in again at the next call.  So the kernels write them into a
+# _Workspace that their caller keeps across calls.
 _BATCH_CELLS = 1 << 15
+
+
+class _Workspace:
+    """Named flat work arrays for the batched kernels, each grown to the
+    largest size asked of it and never shrunk.
+
+    work(name, shape, dtype) returns the leading cells of array `name` as a
+    contiguous array of that shape, so a short stack has the layout it would
+    have alone.  Its contents are garbage until written and are overwritten
+    by the next request for the same name; no kernel returns such a view.
+    Views are kept per shape: small windows are called often enough that
+    slicing and reshaping anew costs a measurable share of them.
+    """
+
+    def __init__(self):
+        self._flat = {}
+        self._views = {}
+
+    def __call__(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        view = self._views.get((name, shape))
+        if view is None:
+            size = math.prod(shape)
+            flat = self._flat.get(name)
+            if flat is None or flat.size < size:
+                flat = self._flat[name] = np.empty(size, dtype)
+                # drop the views that would keep the smaller array alive
+                self._views = {key: v for key, v in self._views.items() if key[0] != name}
+            view = self._views[name, shape] = flat[:size].reshape(shape)
+        return view
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +190,16 @@ def _block_weight_sums(w: np.ndarray, z0: np.ndarray, k: int) -> np.ndarray:
     return m
 
 
-def _terms(s: np.ndarray, pc: np.ndarray) -> np.ndarray:
-    s = np.clip(s, 0.0, pc)
-    return xlogy(s, s) + xlogy(pc - s, pc - s) - xlogy(pc, pc)
+def _terms(s: np.ndarray, pc: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """s log s + (pc - s) log(pc - s) - pc log pc with s clipped to [0, pc].
+    out (which may be s) and tmp, arrays of s's shape, take the result and
+    the one intermediate, so that the call allocates nothing."""
+    s = np.clip(s, 0.0, pc, out=out)
+    d = np.subtract(pc, s, out=tmp)
+    t = xlogy(s, s, out=s)
+    t += xlogy(d, d, out=d)
+    t -= xlogy(pc, pc, out=d)
+    return t
 
 
 def _total_from_terms(t: np.ndarray) -> float:
@@ -267,6 +307,11 @@ class _ProfileState:
     binary adjacency gives the profile log-likelihood, true probabilities give
     the (negated, shifted) oracle divergence objective.  For integer weights
     an x*log(x) table xlx gives the same terms by lookup.
+
+    A relabel window's (B, k+1, k) stacks and (B, n) neighbour rows go into
+    the state's own _Workspace, not fresh arrays (see _BATCH_CELLS for why).
+    It grows to the largest window served, so verify()'s fresh state
+    allocates none.
     """
 
     def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray | None = None):
@@ -279,21 +324,41 @@ class _ProfileState:
         self.e = _block_weight_sums(w, z0, k)
         self.t = self._terms(self.e, _pair_counts(self.h))
         self.total = _total_from_terms(self.t)
+        self.work = _Workspace()
 
-    def _terms(self, s: np.ndarray, pc: np.ndarray) -> np.ndarray:
+    def _terms(self, s: np.ndarray, pc: np.ndarray, scratch: bool = False) -> np.ndarray:
+        """The terms of _terms.  With scratch, s and pc are the caller's to
+        overwrite: the terms go over s and the rest into the workspace."""
         if self.xlx is None:
+            if scratch:
+                return _terms(s, pc, out=s, tmp=self.work("tmp", s.shape))
             return _terms(s, pc)
         # Integer s and pc: the same values as _terms, clip included.
-        pci = pc.astype(np.intp)
-        si = np.minimum(s.astype(np.intp), pci)
+        if scratch:
+            both = self.work("indices", (2, *s.shape), np.intp)
+            pci, si = both[0], both[1]
+            pci[...] = pc  # an unsafe cast, as astype's
+            si[...] = s
+            out, tmp = s, pc
+        else:
+            pci, si, out, tmp = pc.astype(np.intp), s.astype(np.intp), None, None
+        np.minimum(si, pci, out=si)
         np.maximum(si, 0, out=si)
-        return self.xlx.take(si) + self.xlx.take(pci - si) - self.xlx.take(pci)
+        # mode="clip" writes into out directly (the default mode buffers it);
+        # every index is in range, so the values are the same.
+        xlx = self.xlx
+        t = xlx.take(si, out=out, mode="clip")
+        t += xlx.take(np.subtract(pci, si, out=si), out=tmp, mode="clip")
+        t -= xlx.take(pci, out=tmp, mode="clip")
+        return t
 
     def _neighbor_weights(self, nodes: np.ndarray) -> np.ndarray:
         """Weight of each node into each current group, shape (len(nodes), k)."""
-        rows = (np.arange(nodes.size)[:, None] * self.k + self.z).ravel()
-        flat = np.bincount(rows, self.w[nodes].ravel(), nodes.size * self.k)
-        return flat.reshape(nodes.size, self.k)
+        m = nodes.size
+        rows = self.work("rows", (m, self.n), np.intp)
+        np.add(np.arange(m)[:, None] * self.k, self.z, out=rows)
+        wn = self.w.take(nodes, axis=0, out=self.work("wrows", (m, self.n)), mode="clip")
+        return np.bincount(rows.ravel(), wn.ravel(), m * self.k).reshape(m, self.k)
 
     def relabel_deltas(self, nodes: np.ndarray) -> tuple:
         """Objective changes for moving each node into every group at once.
@@ -311,8 +376,8 @@ class _ProfileState:
         e, t = self.e, self.t
         # Rows 0..k-1 of each stack: group b after node i joins it; row k:
         # group a after i leaves.
-        s = np.empty((nodes.size, k + 1, k))
-        pc = np.empty((nodes.size, k + 1, k))
+        stacks = self.work("stacks", (2, nodes.size, k + 1, k))
+        s, pc = stacks[0], stacks[1]
         np.add(e, cnt[:, None, :], out=s[:, :k])
         s[r, :k, a] -= cnt
         hb = h + 1.0
@@ -325,7 +390,7 @@ class _ProfileState:
         np.multiply(ha[:, None], h, out=pc[:, k])
         pc[r, k, a] = ha * (ha - 1.0) / 2.0
 
-        terms = self._terms(s, pc)
+        terms = self._terms(s, pc, scratch=True)
         sums = terms.sum(axis=2)
         row_sums = t.sum(axis=1)
         deltas = (

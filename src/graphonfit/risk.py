@@ -20,6 +20,7 @@ from .blockmodel import (
     FitResult,
     _first_improvement,
     _kl_terms,
+    _Workspace,
     bernoulli_kl,
     oracle_divergence,
 )
@@ -125,12 +126,16 @@ CSV_COLUMNS = tuple(f.name for f in fields(RiskReport))
 
 
 def _mse_for_orders(
-    orders: np.ndarray, est: StepGraphon, s1: np.ndarray, s2_total: float, grid: int
+    orders: np.ndarray, est: StepGraphon, s1: np.ndarray, s2_total: float, grid: int,
+    work: _Workspace,
 ) -> np.ndarray:
     """MSE of each row of a (B, k) stack of block orders, in O(k^2) per order
     from s1, the zero-padded 2-d prefix sum of the truth grid.  Cell sums keep
     the association ((a - b) - c) + d and each order's products are summed along
     a contiguous last axis, so a value has the same bits alone or in any stack.
+
+    Its (B, k+1, k+1) and (B, k, k) arrays go into work, which the caller
+    keeps for all its stacks, not fresh arrays (see blockmodel._BATCH_CELLS).
     """
     b, k = orders.shape
     h = np.asarray(est.partition.h, dtype=np.int64)
@@ -139,22 +144,31 @@ def _mse_for_orders(
     # side='right' sends a midpoint sitting exactly on a block edge to the
     # lower block, matching the step-graphon quantile convention.
     cuts[:, 1:] = np.searchsorted(midpoint_grid(grid), right, side="right")
-    p = np.take(s1, (cuts * (grid + 1))[:, :, None] + cuts[:, None, :])
-    cell1 = p[:, 1:, 1:] - p[:, :-1, 1:]
+    index = np.add((cuts * (grid + 1))[:, :, None], cuts[:, None, :],
+                   out=work("index", (b, k + 1, k + 1), np.intp))
+    # mode="clip" writes into out directly (the default mode buffers it);
+    # every index is in range, so the values are the same.
+    p = s1.take(index, out=work("corners", (b, k + 1, k + 1)), mode="clip")
+    cell1 = np.subtract(p[:, 1:, 1:], p[:, :-1, 1:], out=work("cross", (b, k, k)))
     cell1 -= p[:, 1:, :-1]
     cell1 += p[:, :-1, :-1]
     counts = np.diff(cuts, axis=1).astype(float)
-    v = np.take(est.values, (orders * k)[:, :, None] + orders[:, None, :])
+    index = np.add((orders * k)[:, :, None], orders[:, None, :],
+                   out=work("index", (b, k, k), np.intp))
+    v = est.values.take(index, out=work("square", (b, k, k)), mode="clip")
     cell1 *= v
     v *= v
-    v *= counts[:, :, None] * counts[:, None, :]
+    # the corners are spent, so their buffer takes the count products
+    v *= np.multiply(counts[:, :, None], counts[:, None, :], out=work("corners", (b, k, k)))
     sq = s2_total - 2.0 * cell1.reshape(b, -1).sum(axis=1) + v.reshape(b, -1).sum(axis=1)
     mse = sq / (grid * grid)
     # prefix-sum cancellation can leave a tiny negative residue at exact fits
     return np.where(mse > 0.0, mse, 0.0)
 
 
-def _best_order_mse(step: StepGraphon, s1: np.ndarray, s2_total: float, grid: int) -> float:
+def _best_order_mse(
+    step: StepGraphon, s1: np.ndarray, s2_total: float, grid: int, work: _Workspace
+) -> float:
     """The least _mse_for_orders value over all k! block orders, from a screen
     over a table of cell terms and an exact confirmation of its near-minima.
 
@@ -267,7 +281,7 @@ def _best_order_mse(step: StepGraphon, s1: np.ndarray, s2_total: float, grid: in
     q, orders = (np.concatenate(part) for part in zip(*kept))
     orders = orders[q <= best + 2.0 * e]
     batch = max(1, _BATCH_CELLS // (k + 1) ** 2)
-    return min(float(_mse_for_orders(orders[i:i + batch], step, s1, s2_total, grid).min())
+    return min(float(_mse_for_orders(orders[i:i + batch], step, s1, s2_total, grid, work).min())
                for i in range(0, len(orders), batch))
 
 
@@ -299,7 +313,8 @@ def graphon_mse(
     pairs a < b row-major with blockmodel._first_improvement, takes the first
     swap that lowers the MSE by more than 1e-15, and rescans until a scan
     takes none.  Every value returned or compared comes from one kernel,
-    _mse_for_orders, in stacks of at most _BATCH_CELLS cells.
+    _mse_for_orders, in stacks of at most _BATCH_CELLS cells, all written
+    into one workspace per call.
     """
     _check_mse_options(grid, alignment)
     step = est.step if isinstance(est, GraphonEstimate) else est
@@ -307,11 +322,14 @@ def graphon_mse(
     tg = truth.grid_values(grid)
     s1 = np.zeros((grid + 1, grid + 1))
     s1[1:, 1:] = tg.cumsum(axis=0).cumsum(axis=1)
-    s2_total = float((tg**2).cumsum(axis=0).cumsum(axis=1)[-1, -1])
+    # Column sums, then their running sum: the additions, in order, of the
+    # corner of a 2-d cumulative sum, without its two grid x grid arrays.
+    s2_total = float(np.cumsum((tg**2).sum(axis=0))[-1])
     del tg  # the search needs only the prefix sums; free the grid before it
+    work = _Workspace()
 
     def score(orders: np.ndarray) -> np.ndarray:
-        return _mse_for_orders(orders, step, s1, s2_total, grid)
+        return _mse_for_orders(orders, step, s1, s2_total, grid, work)
 
     if alignment == "identity":
         return float(score(np.arange(k)[None])[0])
@@ -323,7 +341,7 @@ def graphon_mse(
         return float(score(degree_order[None])[0])
 
     if k <= 8:
-        return _best_order_mse(step, s1, s2_total, grid)
+        return _best_order_mse(step, s1, s2_total, grid, work)
     batch = max(1, _BATCH_CELLS // (k + 1) ** 2)
     pa, pb = np.triu_indices(k, k=1)
 

@@ -34,6 +34,7 @@ from graphonfit import (
     sample_latents,
 )
 from graphonfit.blockmodel import (
+    _BATCH_CELLS,
     _ProfileState,
     _contiguous_labels,
     _enumerate_canonical,
@@ -445,6 +446,51 @@ class TestIncrementalEngine:
             assert state.total == pytest.approx(ref.total, rel=1e-9)
             swaps_seen += swaps
         assert swaps_seen > 0
+
+
+class TestWindowBuffers:
+    """A relabel window's stacks go into the state's own buffers: a warm call
+    allocates none of them, and a short window after a full one reads nothing
+    the full one left there."""
+
+    N, K = 100, 40
+    WINDOW = _BATCH_CELLS // max(K * K, 2 * N)  # 20 nodes, _local_search's cap
+
+    def instance(self, binary):
+        w, z0 = _search_instance(self.N, self.K, binary, seed=23)
+        return w, z0, _ProfileState(w, z0, self.K, _xlx_for(self.N) if binary else None)
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_warm_window_allocates_no_stack_array(self, binary, warm_peak):
+        _, _, state = self.instance(binary)
+        nodes = np.arange(self.WINDOW)
+        peak = warm_peak(lambda: state.relabel_deltas(nodes))
+        # One (WINDOW, k+1, k) float array, the window's stack size (and under
+        # a (WINDOW, k+1, k+1) one), so any single stack-sized temporary fails
+        # this.  numpy's ufunc iterator buffers, about 200 KB at most, pass.
+        assert peak < self.WINDOW * (self.K + 1) * self.K * 8
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_reused_buffers_leave_no_stale_values(self, binary):
+        w, z0, state = self.instance(binary)
+        cnt, deltas = state.relabel_deltas(np.arange(self.WINDOW))
+        kept = cnt.copy(), deltas.copy()
+        short = np.array([57, 3, 91])
+        c, d = state.relabel_deltas(short)
+        ref = _ScalarProfileState(w, z0, self.K)
+        for r, i in enumerate(short):
+            c1, d1 = ref.relabel_deltas_all(i)
+            assert np.array_equal(c[r], c1)
+            assert np.array_equal(d[r], d1)
+        # what a call returns is its own, not a view of the buffers
+        assert np.array_equal(cnt, kept[0])
+        assert np.array_equal(deltas, kept[1])
+        # a swap window's neighbour rows reuse the relabel window's buffers
+        ii, jj = np.arange(6), np.arange(99, 93, -1)
+        assert np.all(z0[ii] != z0[jj])
+        alone = self.instance(binary)[2].swap_deltas(ii, jj)
+        for got, want in zip(state.swap_deltas(ii, jj), alone):
+            assert np.array_equal(got, want)
 
 
 class TestMpleSearch:

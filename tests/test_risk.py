@@ -429,6 +429,49 @@ class TestExhaustiveScreen:
         assert 0 < sum(scored) < 100
 
 
+class TestMseWorkspace:
+    """_mse_for_orders writes its stack-sized arrays into the caller's
+    workspace: a warm call allocates none of them, and a short stack scored
+    after a full one reads nothing the full one left there."""
+
+    K, GRID = 40, 64
+    CAP = risk._BATCH_CELLS // (K + 1) ** 2  # 19 orders, graphon_mse's stack cap
+
+    @pytest.fixture(scope="class")
+    def kernel_args(self):
+        step = random_step(self.K, seed=140)
+        tg = graphon_by_name("cosine").grid_values(self.GRID)
+        s1 = np.zeros((self.GRID + 1, self.GRID + 1))
+        s1[1:, 1:] = tg.cumsum(axis=0).cumsum(axis=1)
+        s2_total = float((tg**2).cumsum(axis=0).cumsum(axis=1)[-1, -1])
+        return step, s1, s2_total, self.GRID
+
+    def orders(self, count, seed):
+        rng = np.random.default_rng(seed)
+        return np.array([rng.permutation(self.K) for _ in range(count)])
+
+    def test_warm_stack_allocates_no_stack_array(self, kernel_args, warm_peak):
+        orders = self.orders(self.CAP, seed=1)
+        work = risk._Workspace()
+        peak = warm_peak(lambda: risk._mse_for_orders(orders, *kernel_args, work))
+        # One (CAP, k, k) float array, the smallest stack-sized one (and under
+        # a (CAP, k+1, k+1) one), so any single stack-sized temporary fails
+        # this.  numpy's ufunc iterator buffers, about 130 KB at most, pass.
+        assert peak < self.CAP * self.K * self.K * 8
+
+    def test_reused_workspace_leaves_no_stale_values(self, kernel_args):
+        step, s1, s2_total, grid = kernel_args
+        work = risk._Workspace()
+        full = risk._mse_for_orders(self.orders(self.CAP, seed=2), *kernel_args, work)
+        kept = full.copy()
+        short = self.orders(3, seed=3)
+        reused = risk._mse_for_orders(short, *kernel_args, work)
+        assert np.array_equal(reused, risk._mse_for_orders(short, *kernel_args, risk._Workspace()))
+        assert reused.tolist() == [scalar_order_mse(o, step, s1, s2_total, grid) for o in short]
+        # what a call returns is its own, not a view of the workspace
+        assert np.array_equal(full, kept)
+
+
 class TestKLTaylor:
     def test_zero_delta(self):
         lhs, bound, ok = kl_taylor_check(0.5, 0.0)
