@@ -13,11 +13,12 @@ sum_{i<j} D(p_ij || pbar) only by a z-independent constant, so a single search
 engine handles both the data fit and the oracle fit.
 
 The local search uses single-node relabels plus pairwise label swaps
-(Kernighan-Lin style), multi-restart.  One batched kernel scores a window of
-relabels, or of swaps in closed form (no trial and rollback), from cached
-block sums; each sweep takes the first improving move in scan order.  0/1
-weights read their terms from an x*log(x) table.  The incremental state is
-verified against a from-scratch recomputation after every restart.
+(Kernighan-Lin style), multi-restart.  Each move has one builder of the block
+rows it would change, one scorer prices a window of either move from cached
+block sums (swaps in closed form, no trial and rollback), and one writer
+applies the chosen move; each sweep takes the first improving move in scan
+order.  0/1 weights read their terms from an x*log(x) table.  The incremental
+state is verified against a from-scratch recomputation after every restart.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ __all__ = [
 
 _SEARCH_STREAM = 3
 _TIE_TOL = 1e-10
+_SEARCH_TOL = 1e-10  # least gain a search move must make
+_MAX_SWEEPS = 200  # relabel-then-swap sweeps per local search
+_VERIFY_RTOL = 1e-8  # incremental objective against a recomputation
 # Cells per batched stack, here and in risk.graphon_mse.  A stack's arrays
 # then take about 256 KiB each, near glibc's mmap threshold: allocated afresh
 # per call, their pages went back to the operating system at every free and
@@ -74,7 +78,8 @@ class _Workspace:
     work(name, shape, dtype) returns the leading cells of array `name` as a
     contiguous array of that shape, so a short stack has the layout it would
     have alone.  Its contents are garbage until written and are overwritten
-    by the next request for the same name; no kernel returns such a view.
+    by the next request for the same name, so a caller uses such a view
+    before that request and keeps none.
     Views are kept per shape: small windows are called often enough that
     slicing and reshaping anew costs a measurable share of them.
     """
@@ -308,10 +313,12 @@ class _ProfileState:
     the (negated, shifted) oracle divergence objective.  For integer weights
     an x*log(x) table xlx gives the same terms by lookup.
 
-    A relabel window's (B, k+1, k) stacks and (B, n) neighbour rows go into
-    the state's own _Workspace, not fresh arrays (see _BATCH_CELLS for why).
-    It grows to the largest window served, so verify()'s fresh state
-    allocates none.
+    A move between groups a and b changes only rows and columns a and b of
+    the block sums e, the pair counts and the terms t.  A builder per move
+    (relabel_rows, swap_rows) stacks its candidate rows, one scorer (score)
+    prices them, and one writer (write) makes the chosen candidate's rows the
+    state's, so the state holds the rows that were scored.  Stacks and
+    neighbour rows go into the state's own _Workspace (see _BATCH_CELLS).
     """
 
     def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray | None = None):
@@ -319,29 +326,23 @@ class _ProfileState:
         self.n = w.shape[0]
         self.k = k
         self.xlx = xlx
+        self.work = _Workspace()
         self.z = z0.copy()
         self.h = np.bincount(z0, minlength=k).astype(np.int64)
         self.e = _block_weight_sums(w, z0, k)
-        self.t = self._terms(self.e, _pair_counts(self.h))
+        self.t = self._terms(self.e, _pair_counts(self.h), np.empty((k, k)))
         self.total = _total_from_terms(self.t)
-        self.work = _Workspace()
 
-    def _terms(self, s: np.ndarray, pc: np.ndarray, scratch: bool = False) -> np.ndarray:
-        """The terms of _terms.  With scratch, s and pc are the caller's to
-        overwrite: the terms go over s and the rest into the workspace."""
+    def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The terms of _terms, written into out (which may be s)."""
+        tmp = self.work("tmp", s.shape)
         if self.xlx is None:
-            if scratch:
-                return _terms(s, pc, out=s, tmp=self.work("tmp", s.shape))
-            return _terms(s, pc)
+            return _terms(s, pc, out=out, tmp=tmp)
         # Integer s and pc: the same values as _terms, clip included.
-        if scratch:
-            both = self.work("indices", (2, *s.shape), np.intp)
-            pci, si = both[0], both[1]
-            pci[...] = pc  # an unsafe cast, as astype's
-            si[...] = s
-            out, tmp = s, pc
-        else:
-            pci, si, out, tmp = pc.astype(np.intp), s.astype(np.intp), None, None
+        both = self.work("indices", (2, *s.shape), np.intp)
+        pci, si = both[0], both[1]
+        pci[...] = pc  # an unsafe cast, as astype's
+        si[...] = s
         np.minimum(si, pci, out=si)
         np.maximum(si, 0, out=si)
         # mode="clip" writes into out directly (the default mode buffers it);
@@ -360,52 +361,36 @@ class _ProfileState:
         wn = self.w.take(nodes, axis=0, out=self.work("wrows", (m, self.n)), mode="clip")
         return np.bincount(rows.ravel(), wn.ravel(), m * self.k).reshape(m, self.k)
 
-    def relabel_deltas(self, nodes: np.ndarray) -> tuple:
-        """Objective changes for moving each node into every group at once.
-
-        Returns (cnt, deltas): deltas[r, b] is the change for moving nodes[r]
-        into group b, 0 for its own group (the caller masks it).  The (a,b)
-        cross term appears identically in both affected rows, so only row
-        sums remain.  A row's value does not depend on the rest of the batch.
-        """
+    def relabel_rows(self, nodes: np.ndarray, cnt: np.ndarray) -> tuple:
+        """Stack for moving each node, with neighbour weights cnt, out of its
+        group a: row 0 is group a after the node leaves and row 1 + b group b
+        after it joins (meaningless for b = a).  Row 0's cell b still counts
+        the node in a; write fixes it.  Rows do not depend on the rest of the
+        stack."""
         k = self.k
         r = np.arange(nodes.size)
         a = self.z[nodes]
-        cnt = self._neighbor_weights(nodes)
         h = self.h.astype(np.float64)
-        e, t = self.e, self.t
-        # Rows 0..k-1 of each stack: group b after node i joins it; row k:
-        # group a after i leaves.
         stacks = self.work("stacks", (2, nodes.size, k + 1, k))
         s, pc = stacks[0], stacks[1]
-        np.add(e, cnt[:, None, :], out=s[:, :k])
-        s[r, :k, a] -= cnt
-        hb = h + 1.0
-        pc[:, :k] = hb[:, None] * h
-        pc[:, np.arange(k), np.arange(k)] = hb * h / 2.0
+        np.subtract(self.e[a], cnt, out=s[:, 0])
         ha = h[a] - 1.0
-        pc[r, :k, a] = hb * ha[:, None]
-        np.subtract(e[a], cnt, out=s[:, k])
-        s[r, k, a] = e[a, a] - cnt[r, a]
-        np.multiply(ha[:, None], h, out=pc[:, k])
-        pc[r, k, a] = ha * (ha - 1.0) / 2.0
+        np.multiply(ha[:, None], h, out=pc[:, 0])
+        pc[r, 0, a] = ha * (ha - 1.0) / 2.0
+        np.add(self.e, cnt[:, None, :], out=s[:, 1:])
+        s[r, 1:, a] -= cnt
+        hb = h + 1.0
+        pc[:, 1:] = hb[:, None] * h
+        pc[:, np.arange(1, k + 1), np.arange(k)] = hb * h / 2.0
+        pc[r, 1:, a] = hb * ha[:, None]
+        return s, pc
 
-        terms = self._terms(s, pc, scratch=True)
-        sums = terms.sum(axis=2)
-        row_sums = t.sum(axis=1)
-        deltas = (
-            (sums[:, k, None] - terms[:, k]) + sums[:, :k]
-            - row_sums[a][:, None] - row_sums + t[a]
-        )
-        deltas[r, a] = 0.0
-        return cnt, deltas
-
-    def swap_deltas(self, ii: np.ndarray, jj: np.ndarray) -> tuple:
-        """Objective changes for exchanging the labels of each pair (ii[p], jj[p]).
-
-        Needs a = z[i] != b = z[j].  Returns (d, deltas): after the swap, row a
-        of e is e[a] + d[p], row b is e[b] - d[p] and cell (a,b) is
-        e[a,b] - d[p,a] + d[p,b]; pair counts do not change.
+    def swap_rows(self, ii: np.ndarray, jj: np.ndarray) -> tuple:
+        """Stack for exchanging the labels of each pair i = ii[p] (group a)
+        and j = jj[p] (group b != a): row 0 is group a's row after the swap,
+        e[a] + d, and row 1 group b's, e[b] - d, where d is the weight j
+        brings to a row minus the weight i takes from it.  Both rows hold the
+        new cross cell (a, b); pair counts do not change.
         """
         r = np.arange(ii.size)
         a, b = self.z[ii], self.z[jj]
@@ -414,62 +399,52 @@ class _ProfileState:
         cj[r, a] -= wij
         ci[r, b] -= wij
         d = cj - ci
-        e, t = self.e, self.t
-        cell = e[a, b] - d[r, a] + d[r, b]
-        ea = e[a] + d
-        ea[r, b] = cell
-        eb = e[b] - d
-        eb[r, a] = cell
-        pc = _pair_counts(self.h)
-        ta = self._terms(ea, pc[a])
-        tb = self._terms(eb, pc[b])
+        ab = np.array([a, b]).T
+        s = self.e[ab]
+        s[:, 0] += d
+        s[:, 1] -= d
+        s[r, 0, b] = s[r, 1, a] = self.e[a, b] - d[r, a] + d[r, b]
+        return s, _pair_counts(self.h)[ab]
+
+    def score(self, s: np.ndarray, pc: np.ndarray, a: np.ndarray, b=None) -> np.ndarray:
+        """Objective change of each candidate of a stack.
+
+        The change is (sum row 0 - row 0[b]) + sum row b - (old row sums of a
+        and b) + t[a, b]: the (a, b) cross term sits in both rows, so only
+        row b's copy counts.  b holds each stack's one group b (a swap); with
+        b None, candidate c joins group c (a relabel window), and row 0[b] is
+        row 0 itself, not a gather.  Returns deltas of shape (N, m - 1).
+        """
+        terms = self._terms(s, pc, self.work("terms", s.shape))
+        sums = terms.sum(axis=2)
+        t = self.t
         row_sums = t.sum(axis=1)
-        new = ta.sum(axis=1) + tb.sum(axis=1) - ta[r, b]
-        return d, new - (row_sums[a] + row_sums[b] - t[a, b])
+        if b is None:
+            at_b, sums_b, t_ab = terms[:, 0], row_sums, t[a]
+        else:
+            r = np.arange(a.size)
+            at_b, sums_b, t_ab = terms[r, 0, b, None], row_sums[b, None], t[a, b, None]
+        return (sums[:, :1] - at_b) + sums[:, 1:] - row_sums[a][:, None] - sums_b + t_ab
 
-    def _refresh_rows(self, a: int, b: int) -> None:
-        g = np.array([a, b])
-        h = self.h.astype(np.float64)
-        pc = h[g, None] * h
-        pc[[0, 1], g] = h[g] * (h[g] - 1.0) / 2.0
-        rows = self._terms(self.e[g], pc)
-        self.t[g, :] = rows
-        self.t[:, g] = rows.T
-
-    def apply_relabel(self, i: int, b: int, cnt: np.ndarray, delta: float) -> None:
-        a = self.z[i]
-        e = self.e
-        # Row+column updates hit each diagonal twice; add back one copy so the
-        # net change is E[a,a] -= cnt[a] and E[b,b] += cnt[b].
-        e[a, :] -= cnt
-        e[:, a] -= cnt
-        e[a, a] += cnt[a]
-        e[b, :] += cnt
-        e[:, b] += cnt
-        e[b, b] -= cnt[b]
-        self.h[a] -= 1
-        self.h[b] += 1
-        self.z[i] = b
-        self._refresh_rows(a, b)
+    def write(self, a: int, b: int, s: np.ndarray, pc: np.ndarray, delta: float) -> None:
+        """Make a chosen candidate's rows s[0], s[1], with pair counts pc[0],
+        pc[1], the new rows a and b (s and pc are overwritten), and add its
+        delta to the total.  The caller updates z and h."""
+        # Columns are written after rows, so row 0's cell b lands at (b, a):
+        # make it the cross cell that row b holds and score counted.
+        s[0, b], pc[0, b] = s[1, a], pc[1, a]
+        e, t = self.e, self.t
+        e[a], e[b] = s
+        e[:, a], e[:, b] = s
+        rows = self._terms(s, pc, s)
+        t[a], t[b] = rows
+        t[:, a], t[:, b] = rows
         self.total += delta
 
-    def apply_swap(self, i: int, j: int, d: np.ndarray, delta: float) -> None:
-        """Exchange the labels of i and j, with d and delta from swap_deltas."""
-        a, b = self.z[i], self.z[j]
-        e = self.e
-        ra = e[a] + d
-        rb = e[b] - d
-        ra[b] = rb[a] = e[a, b] - d[a] + d[b]
-        e[a, :] = e[:, a] = ra
-        e[b, :] = e[:, b] = rb
-        self.z[i], self.z[j] = b, a
-        self._refresh_rows(a, b)
-        self.total += delta
-
-    def verify(self, rel_tol: float = 1e-8) -> None:
+    def verify(self) -> None:
         fresh = _ProfileState(self.w, self.z, self.k, self.xlx)
         scale = max(1.0, abs(fresh.total))
-        if abs(fresh.total - self.total) > rel_tol * scale:
+        if abs(fresh.total - self.total) > _VERIFY_RTOL * scale:
             raise InternalError(
                 f"incremental objective {self.total!r} drifted from "
                 f"recomputed {fresh.total!r}"
@@ -507,30 +482,35 @@ def _first_improvement(count: int, cap: int, take_first) -> bool:
     return taken
 
 
-def _local_search(
-    state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generator,
-    max_sweeps: int = 200, tol: float = 1e-10,
-) -> int:
+def _local_search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generator) -> int:
     """Greedy ascent with relabel and swap moves; returns accepted swap count."""
     n, k = state.n, state.k
     cap = max(1, _BATCH_CELLS // max(k * k, 2 * n))
     swaps = 0
 
     def take_relabel(lo: int, hi: int) -> int:
+        nodes = np.arange(lo, hi)
         r = np.arange(hi - lo)
         a = state.z[lo:hi]
-        cnt, deltas = state.relabel_deltas(np.arange(lo, hi))
+        cnt = state._neighbor_weights(nodes)
+        s, pc = state.relabel_rows(nodes, cnt)
+        deltas = state.score(s, pc, a)
         deltas[r, a] = -np.inf
         deltas[:, state.h + 1 > h_max] = -np.inf
         deltas[state.h[a] - 1 < h_min] = -np.inf
         best = deltas.argmax(axis=1)
         gain = deltas[r, best]
-        hits = np.flatnonzero(gain > tol)
+        hits = np.flatnonzero(gain > _SEARCH_TOL)
         if hits.size == 0:
             return -1
         t = hits[0]
-        state.apply_relabel(lo + t, int(best[t]), cnt[t], float(gain[t]))
-        return lo + t
+        i, ai, b = lo + t, a[t], best[t]
+        rows = [0, 1 + b]
+        state.write(ai, b, s[t, rows], pc[t, rows], float(gain[t]))
+        state.z[i] = b
+        state.h[ai] -= 1
+        state.h[b] += 1
+        return i
 
     def swap_sweep() -> bool:
         if n <= 80:
@@ -544,12 +524,17 @@ def _local_search(
             live = np.flatnonzero(state.z[ii] != state.z[jj])
             if live.size == 0:
                 return -1
-            d, deltas = state.swap_deltas(ii[live], jj[live])
-            hits = np.flatnonzero(deltas > tol)
+            ii, jj = ii[live], jj[live]
+            s, pc = state.swap_rows(ii, jj)
+            deltas = state.score(s, pc, state.z[ii], state.z[jj])[:, 0]
+            hits = np.flatnonzero(deltas > _SEARCH_TOL)
             if hits.size == 0:
                 return -1
             t = hits[0]
-            state.apply_swap(int(ii[live[t]]), int(jj[live[t]]), d[t], float(deltas[t]))
+            i, j = ii[t], jj[t]
+            a, b = state.z[i], state.z[j]
+            state.write(a, b, s[t], pc[t], float(deltas[t]))
+            state.z[i], state.z[j] = b, a
             swaps += 1
             return lo + live[t]
 
@@ -558,7 +543,7 @@ def _local_search(
     # Relabel moves are cheap, so iterate them to a fixed point; swap sweeps
     # are the escape hatch for size-constrained configurations and only run
     # once relabeling is stuck.
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         if _first_improvement(n, cap, take_relabel):
             continue
         if not swap_sweep():

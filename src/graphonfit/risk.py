@@ -47,7 +47,6 @@ class GraphonEstimate:
 
     step: StepGraphon
     rho_hat: float
-    source_fit: FitResult
 
     def __call__(self, x, y):
         return self.step(x, y)
@@ -63,9 +62,7 @@ def build_estimator(fit: FitResult) -> GraphonEstimate:
         raise ModelError("estimator undefined for an empty graph (rho_hat = 0)")
     part = fit.assignment.induced_partition()
     values = fit.stats.averages / fit.rho_hat
-    return GraphonEstimate(
-        step=StepGraphon(part, values), rho_hat=fit.rho_hat, source_fit=fit
-    )
+    return GraphonEstimate(step=StepGraphon(part, values), rho_hat=fit.rho_hat)
 
 
 def normalized_kl_risk(p: EdgeProbabilityMatrix, fit: FitResult) -> float:

@@ -139,9 +139,6 @@ class AdjacencyMatrix:
     def edge_count(self) -> int:
         return int(self.a.sum()) // 2
 
-    def degrees(self) -> np.ndarray:
-        return self.a.sum(axis=1, dtype=np.int64)
-
     def to_edge_list(self) -> str:
         """Text form: header 'n m' then one '%d %d' line per edge, i < j, 0-based."""
         iu, ju = np.triu_indices(self.n, k=1)

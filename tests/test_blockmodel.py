@@ -208,7 +208,9 @@ class _ScalarProfileState(_ProfileState):
     """Frozen one-move-at-a-time search state: the reference for the batched one.
 
     Scores one relabel with row-level arithmetic, all relabels of one node at
-    once, and a swap by trial-applying half of it and rolling back.
+    once, and a swap by trial-applying half of it and rolling back.  It
+    applies every move with its own in-place row and column updates, so none
+    of the batched state's builders, scorer or writer runs in it.
     """
 
     def neighbor_weights(self, i):
@@ -259,6 +261,32 @@ class _ScalarProfileState(_ProfileState):
         deltas = (ta0.sum() - ta0) + tb_sum - row_sums[a] - row_sums + t[a]
         deltas[a] = 0.0
         return cnt, deltas
+
+    def _refresh_rows(self, a, b):
+        g = np.array([a, b])
+        h = self.h.astype(np.float64)
+        pc = h[g, None] * h
+        pc[[0, 1], g] = h[g] * (h[g] - 1.0) / 2.0
+        rows = _terms(self.e[g], pc)
+        self.t[g, :] = rows
+        self.t[:, g] = rows.T
+
+    def apply_relabel(self, i, b, cnt, delta):
+        a = self.z[i]
+        e = self.e
+        # Row+column updates hit each diagonal twice; add back one copy so the
+        # net change is E[a,a] -= cnt[a] and E[b,b] += cnt[b].
+        e[a, :] -= cnt
+        e[:, a] -= cnt
+        e[a, a] += cnt[a]
+        e[b, :] += cnt
+        e[:, b] += cnt
+        e[b, b] -= cnt[b]
+        self.h[a] -= 1
+        self.h[b] += 1
+        self.z[i] = b
+        self._refresh_rows(a, b)
+        self.total += delta
 
 
 def _scalar_local_search(state, h_min, h_max, rng, max_sweeps=200, tol=1e-10):
@@ -333,6 +361,51 @@ def _xlx_for(n):
     return xlogy(m, m)
 
 
+def relabel_window(state, nodes):
+    """(cnt, deltas) of a relabel window as _local_search scores it, with
+    each node's own group, which the search masks, at 0 as in the reference."""
+    cnt = state._neighbor_weights(nodes)
+    a = state.z[nodes]
+    deltas = state.score(*state.relabel_rows(nodes, cnt), a)
+    deltas[np.arange(nodes.size), a] = 0.0
+    return cnt, deltas
+
+
+def swap_window(state, ii, jj):
+    """(rows, deltas) of a swap window: the built rows and their changes."""
+    s, pc = state.swap_rows(ii, jj)
+    return s, state.score(s, pc, state.z[ii], state.z[jj])[:, 0]
+
+
+def relabel_move(state, nodes, t, b):
+    """Score a relabel window of nodes, then move nodes[t] into group b as
+    _local_search does.  Returns copies of the candidate's rows (s, pc) taken
+    before scoring, and its delta."""
+    a = state.z[nodes[t]]
+    s, pc = state.relabel_rows(nodes, state._neighbor_weights(nodes))
+    rows = [0, 1 + b]
+    scored = s[t, rows], pc[t, rows]
+    delta = float(state.score(s, pc, state.z[nodes])[t, b])
+    state.write(a, b, s[t, rows], pc[t, rows], delta)
+    state.z[nodes[t]] = b
+    state.h[a] -= 1
+    state.h[b] += 1
+    return scored, delta
+
+
+def swap_move(state, ii, jj, t):
+    """Score a swap window of pairs (ii, jj), then exchange the labels of
+    pair t as _local_search does; returns what relabel_move returns."""
+    i, j = ii[t], jj[t]
+    a, b = state.z[i], state.z[j]
+    s, pc = state.swap_rows(ii, jj)
+    scored = s[t].copy(), pc[t].copy()
+    delta = float(state.score(s, pc, state.z[ii], state.z[jj])[t, 0])
+    state.write(a, b, s[t], pc[t], delta)
+    state.z[i], state.z[j] = b, a
+    return scored, delta
+
+
 class TestIncrementalEngine:
     def test_random_moves_stay_exact(self):
         rng = np.random.default_rng(11)
@@ -351,12 +424,10 @@ class TestIncrementalEngine:
                 b = int(rng.integers(0, k))
                 if b == state.z[i] or state.h[state.z[i]] <= 2:
                     continue
-                cnt, deltas = state.relabel_deltas(np.array([i]))
-                state.apply_relabel(i, b, cnt[0], float(deltas[0, b]))
+                relabel_move(state, np.array([i]), 0, b)
                 j = int(rng.integers(0, n))
                 if state.z[i] != state.z[j]:
-                    d, sd = state.swap_deltas(np.array([i]), np.array([j]))
-                    state.apply_swap(i, j, d[0], float(sd[0]))
+                    swap_move(state, np.array([i]), np.array([j]), 0)
                     swapped += 1
             assert swapped > 20
             state.verify()
@@ -376,7 +447,7 @@ class TestIncrementalEngine:
                 w = (w > 0.5).astype(float)
             z0 = np.repeat(np.arange(k), [4, 4, 3, 3])
             state = _ProfileState(w, z0, k, _xlx_for(n) if binary else None)
-            _, deltas = state.relabel_deltas(np.arange(n))
+            _, deltas = relabel_window(state, np.arange(n))
             for i in range(n):
                 for b in range(k):
                     if b == state.z[i]:
@@ -388,19 +459,53 @@ class TestIncrementalEngine:
             iu, ju = np.triu_indices(n, k=1)
             live = state.z[iu] != state.z[ju]
             ii, jj = iu[live], ju[live]
-            _, sd = state.swap_deltas(ii, jj)
+            _, sd = swap_window(state, ii, jj)
             for p in range(ii.size):
                 z = state.z.copy()
                 z[ii[p]], z[jj[p]] = z[jj[p]], z[ii[p]]
                 swapped = _ProfileState(w, z, k).total - state.total
                 assert sd[p] == pytest.approx(swapped, abs=1e-9)
 
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_applied_state_is_scored_state(self, binary):
+        # After a window's chosen candidate is written, rows a and b of e and
+        # t are bitwise its scored rows (row a's cross cell taken from row b,
+        # as score counts it) and their terms, and total moved by its delta.
+        n, k = 40, 5
+        w, z0 = _search_instance(n, k, binary, seed=24)
+        state = _ProfileState(w, z0, k, _xlx_for(n) if binary else None)
+        rng = np.random.default_rng(25)
+        moves = {"relabel": 0, "swap": 0}
+        for _ in range(60):
+            ii, jj = rng.integers(0, n, size=(2, 8))
+            t = int(rng.integers(0, 8))
+            a, b = state.z[ii[t]], state.z[jj[t]]
+            if a == b:
+                continue
+            before = state.total
+            if rng.random() < 0.5 and state.h[a] > 2:
+                (s, pc), delta = relabel_move(state, ii, t, b)
+                moves["relabel"] += 1
+            else:
+                live = state.z[ii] != state.z[jj]
+                t = int(np.flatnonzero(live).searchsorted(t))
+                (s, pc), delta = swap_move(state, ii[live], jj[live], t)
+                moves["swap"] += 1
+            s[0, b], pc[0, b] = s[1, a], pc[1, a]
+            g = [a, b]
+            assert np.array_equal(state.e[g], s) and np.array_equal(state.e[:, g], s.T)
+            terms = _terms(s, pc)
+            assert np.array_equal(state.t[g], terms) and np.array_equal(state.t[:, g], terms.T)
+            assert state.total == before + delta
+            state.verify()
+        assert min(moves.values()) > 10
+
     def test_table_terms_equal_xlogy_terms(self):
         rng = np.random.default_rng(20)
         state = _ProfileState(np.zeros((30, 30)), np.repeat(np.arange(3), 10), 3, _xlx_for(30))
         pc = rng.integers(0, 31**2, size=2000).astype(np.float64)
         s = np.floor(pc * rng.uniform(-0.1, 1.1, size=pc.size))  # clipped at both ends
-        assert np.array_equal(state._terms(s, pc), _terms(s, pc))
+        assert np.array_equal(state._terms(s, pc, np.empty_like(s)), _terms(s, pc))
 
     def test_batched_relabel_deltas_equal_one_node_deltas(self):
         # bitwise, so argmax ties resolve as they do one node at a time
@@ -408,7 +513,7 @@ class TestIncrementalEngine:
             w, z0 = _search_instance(60, 7, binary, seed=21)
             ref = _ScalarProfileState(w, z0, 7)
             state = _ProfileState(w, z0, 7, _xlx_for(60) if binary else None)
-            cnt, deltas = state.relabel_deltas(np.arange(60))
+            cnt, deltas = relabel_window(state, np.arange(60))
             for i in range(60):
                 c1, d1 = ref.relabel_deltas_all(i)
                 assert np.array_equal(cnt[i], c1)
@@ -464,7 +569,7 @@ class TestWindowBuffers:
     def test_warm_window_allocates_no_stack_array(self, binary, warm_peak):
         _, _, state = self.instance(binary)
         nodes = np.arange(self.WINDOW)
-        peak = warm_peak(lambda: state.relabel_deltas(nodes))
+        peak = warm_peak(lambda: relabel_window(state, nodes))
         # One (WINDOW, k+1, k) float array, the window's stack size (and under
         # a (WINDOW, k+1, k+1) one), so any single stack-sized temporary fails
         # this.  numpy's ufunc iterator buffers, about 200 KB at most, pass.
@@ -473,10 +578,10 @@ class TestWindowBuffers:
     @pytest.mark.parametrize("binary", [True, False])
     def test_reused_buffers_leave_no_stale_values(self, binary):
         w, z0, state = self.instance(binary)
-        cnt, deltas = state.relabel_deltas(np.arange(self.WINDOW))
+        cnt, deltas = relabel_window(state, np.arange(self.WINDOW))
         kept = cnt.copy(), deltas.copy()
         short = np.array([57, 3, 91])
-        c, d = state.relabel_deltas(short)
+        c, d = relabel_window(state, short)
         ref = _ScalarProfileState(w, z0, self.K)
         for r, i in enumerate(short):
             c1, d1 = ref.relabel_deltas_all(i)
@@ -488,8 +593,8 @@ class TestWindowBuffers:
         # a swap window's neighbour rows reuse the relabel window's buffers
         ii, jj = np.arange(6), np.arange(99, 93, -1)
         assert np.all(z0[ii] != z0[jj])
-        alone = self.instance(binary)[2].swap_deltas(ii, jj)
-        for got, want in zip(state.swap_deltas(ii, jj), alone):
+        alone = swap_window(self.instance(binary)[2], ii, jj)
+        for got, want in zip(swap_window(state, ii, jj), alone):
             assert np.array_equal(got, want)
 
 

@@ -250,14 +250,57 @@ class TestSweep:
                     "--out-dir", tmp_path / "out"]) == 2
 
 
+GOLDEN = Path(__file__).parent / "data" / "sweep_golden"
+
+
+def _module_env(**extra):
+    """Environment for `python -m graphonfit` that finds this source tree."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
+def _without_runtime(csv_text):
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    col = rows[0].index("runtime_ms")
+    return "".join(",".join(r[:col] + r[col + 1:]) + "\n" for r in rows)
+
+
+class TestSweepGoldenOutput:
+    """`graphonfit sweep` reproduces committed results.csv (minus runtime_ms)
+    and summary.json byte for byte, so a refactor that means to keep outputs
+    is checked here rather than by hand.
+
+    Both configs run n = 48 (k = 7: all-pairs swap sweeps and the exhaustive
+    k <= 8 alignment) and n = 100 (k = 10: random-pair swap sweeps and the
+    greedy alignment), and every replicate runs the oracle search.  Their
+    tight size bounds make the searches accept swaps: together, in the fit and
+    the oracle search at both sizes.  BLAS is pinned to one thread, as in
+    bench/run.py, because real-weight block sums change bits with the thread
+    count.  A change that means to alter outputs regenerates these files with
+    the same command and says why in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize("name", ["tight", "loose"])
+    def test_outputs_equal_committed(self, tmp_path, name):
+        done = subprocess.run(
+            [sys.executable, "-m", "graphonfit", "sweep",
+             "--config", GOLDEN / name / "config.json", "--out-dir", tmp_path],
+            env=_module_env(OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        got = _without_runtime((tmp_path / "results.csv").read_text())
+        assert got == (GOLDEN / name / "results.csv").read_text()
+        summary = (tmp_path / "summary.json").read_bytes()
+        assert summary == (GOLDEN / name / "summary.json").read_bytes()
+
+
 class TestSelftest:
     def test_module_entry_point(self):
         # python -m graphonfit runs the same command line as cli.main
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-m", "graphonfit", "selftest", "--help"],
-                              env=env, capture_output=True, text=True, timeout=60)
+                              env=_module_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0
         assert "usage: graphonfit selftest" in done.stdout
 
