@@ -17,8 +17,12 @@ The local search uses single-node relabels plus pairwise label swaps
 rows it would change, one scorer prices a window of either move from cached
 block sums (swaps in closed form, no trial and rollback), and one writer
 applies the chosen move; each sweep takes the first improving move in scan
-order.  0/1 weights read their terms from an x*log(x) table.  The incremental
-state is verified against a from-scratch recomputation after every restart.
+order.  0/1 weights read their terms from an x*log(x) table.  What only a
+move changes is cached and refreshed where a move is applied: the terms' row
+sums, the pair-count pieces that depend only on the group sizes (with their
+pc*log(pc)) and the move mask, and, for 0/1 weights, each node's exact
+integer weight into each group.  The incremental state, caches included, is
+verified against a from-scratch recomputation after every restart.
 """
 
 from __future__ import annotations
@@ -195,15 +199,16 @@ def _block_weight_sums(w: np.ndarray, z0: np.ndarray, k: int) -> np.ndarray:
     return m
 
 
-def _terms(s: np.ndarray, pc: np.ndarray, out=None, tmp=None) -> np.ndarray:
+def _terms(s: np.ndarray, pc: np.ndarray, out=None, tmp=None, pcl=None) -> np.ndarray:
     """s log s + (pc - s) log(pc - s) - pc log pc with s clipped to [0, pc].
     out (which may be s) and tmp, arrays of s's shape, take the result and
-    the one intermediate, so that the call allocates nothing."""
+    the one intermediate, so that the call allocates nothing.  pcl, if
+    given, holds pc log pc."""
     s = np.clip(s, 0.0, pc, out=out)
     d = np.subtract(pc, s, out=tmp)
     t = xlogy(s, s, out=s)
     t += xlogy(d, d, out=d)
-    t -= xlogy(pc, pc, out=d)
+    t -= xlogy(pc, pc, out=d) if pcl is None else pcl
     return t
 
 
@@ -305,6 +310,13 @@ def blockmodel_log_likelihood(
 # ---------------------------------------------------------------------------
 
 
+# Row and column group-size offsets of the size pieces: the pair counts of
+# the current blocks (swap stacks), and of a relabel stack's leave rows,
+# shared join block and column-a fix (see _ProfileState._refresh_sizes).
+_PIECE_SHIFTS = np.array([[[0.0], [-1.0], [1.0], [-1.0]], [[0.0], [0.0], [0.0], [1.0]]])
+_EXCLUDED = np.array([0.0, -np.inf])  # a move mask cell, by whether it is excluded
+
+
 class _ProfileState:
     """Mutable search state maximizing the block-pair term sum over labelings.
 
@@ -317,27 +329,86 @@ class _ProfileState:
     the block sums e, the pair counts and the terms t.  A builder per move
     (relabel_rows, swap_rows) stacks its candidate rows, one scorer (score)
     prices them, and one writer (write) makes the chosen candidate's rows the
-    state's, so the state holds the rows that were scored.  Stacks and
-    neighbour rows go into the state's own _Workspace (see _BATCH_CELLS).
+    state's and applies the move, so the state holds the rows that were
+    scored.  Stacks go into a _Workspace, which a caller may share between
+    states (see _BATCH_CELLS).
+
+    What only a move changes is cached, and write refreshes it: the row
+    sums of t (every move); the size pieces, pair-count rows that depend
+    only on the group sizes h, with their pc log pc, and the move mask
+    (every relabel; a swap keeps h); and, for 0/1 weights (xlx given), each
+    node's weight into each group, nbr, by +-w[i] for every node that moves.
+    Exact integer counts keep their bits however they are summed; real
+    weights are summed afresh per window.  Each cache holds the bits a
+    window would compute from the current state, so scores do not depend
+    on what is cached.
     """
 
-    def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray | None = None):
+    def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray | None = None,
+                 work: _Workspace | None = None):
         self.w = w
         self.n = w.shape[0]
         self.k = k
         self.xlx = xlx
-        self.work = _Workspace()
+        self.work = _Workspace() if work is None else work
         self.z = z0.copy()
         self.h = np.bincount(z0, minlength=k).astype(np.int64)
+        # Bounds for the move mask; _local_search sets its own (see limit).
+        self.h_min, self.h_max = 1, self.n
+        # [pair counts, pc log pc] x [pairs, leave, join, fix], and the mask
+        self.sizes = np.empty((2, 4, k, k))
+        self.mask = np.empty((k, k))
+        self._refresh_sizes()
         self.e = _block_weight_sums(w, z0, k)
-        self.t = self._terms(self.e, _pair_counts(self.h), np.empty((k, k)))
+        self.t = self._terms(self.e, self.sizes[0, 0], np.empty((k, k)))
+        self.row_sums = self.t.sum(axis=1)
         self.total = _total_from_terms(self.t)
+        self.nbr = None
+        if xlx is not None:
+            self.nbr = np.bincount((np.arange(self.n)[:, None] * k + self.z).ravel(),
+                                   w.ravel(), self.n * k).reshape(self.n, k)
 
-    def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The terms of _terms, written into out (which may be s)."""
+    def limit(self, h_min: int, h_max: int) -> None:
+        """Mask relabels that leave a group below h_min or above h_max."""
+        self.h_min, self.h_max = h_min, h_max
+        self._refresh_sizes()
+
+    def _refresh_sizes(self) -> None:
+        """Rebuild the size pieces and the move mask from h.
+
+        With rows, cols = _PIECE_SHIFTS, piece p holds (h[x] + rows[p]) *
+        (h[y] + cols[p]) at (x, y), and f (f - 1) / 2 for the row factor f
+        on the diagonal of all but the fix: the current pair counts (swap
+        stacks); leave[a], the pair counts of group a's row after a node
+        leaves it; join[b], those of group b's row after a node joins it;
+        and fix[a, b], the cross cell (b, a) of that join row when the node
+        comes from a.  All are exact integers, so every way of computing
+        them gives the same bits.  The mask is -inf where a relabel from
+        group a to b (row a, column b) stays put or breaks the bounds, else
+        0.
+        """
+        h, k = self.h, self.k
+        rows, cols = h + _PIECE_SHIFTS
+        pc, logs = self.sizes
+        np.multiply(rows[:, :, None], cols[:, None, :], out=pc)
+        f, diagonals = rows[:3], pc.reshape(4, k * k)[:3, :: k + 1]
+        np.multiply(f, f - 1.0, out=diagonals)
+        diagonals /= 2.0
+        if self.xlx is None:
+            xlogy(pc, pc, out=logs)
+        else:
+            self.xlx.take(pc.astype(np.intp), out=logs)
+        # a bool index takes _EXCLUDED[0] or [1]
+        np.add.outer(_EXCLUDED.take(h <= self.h_min), _EXCLUDED.take(h >= self.h_max),
+                     out=self.mask)
+        self.mask.reshape(k * k)[:: k + 1] = -np.inf
+
+    def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray, pcl=None) -> np.ndarray:
+        """The terms of _terms, written into out (which may be s); pcl, if
+        given, holds pc log pc."""
         tmp = self.work("tmp", s.shape)
         if self.xlx is None:
-            return _terms(s, pc, out=out, tmp=tmp)
+            return _terms(s, pc, out=out, tmp=tmp, pcl=pcl)
         # Integer s and pc: the same values as _terms, clip included.
         both = self.work("indices", (2, *s.shape), np.intp)
         pci, si = both[0], both[1]
@@ -350,11 +421,13 @@ class _ProfileState:
         xlx = self.xlx
         t = xlx.take(si, out=out, mode="clip")
         t += xlx.take(np.subtract(pci, si, out=si), out=tmp, mode="clip")
-        t -= xlx.take(pci, out=tmp, mode="clip")
+        t -= xlx.take(pci, out=tmp, mode="clip") if pcl is None else pcl
         return t
 
     def _neighbor_weights(self, nodes: np.ndarray) -> np.ndarray:
         """Weight of each node into each current group, shape (len(nodes), k)."""
+        if self.nbr is not None:
+            return self.nbr[nodes]
         m = nodes.size
         rows = self.work("rows", (m, self.n), np.intp)
         np.add(np.arange(m)[:, None] * self.k, self.z, out=rows)
@@ -362,35 +435,32 @@ class _ProfileState:
         return np.bincount(rows.ravel(), wn.ravel(), m * self.k).reshape(m, self.k)
 
     def relabel_rows(self, nodes: np.ndarray, cnt: np.ndarray) -> tuple:
-        """Stack for moving each node, with neighbour weights cnt, out of its
-        group a: row 0 is group a after the node leaves and row 1 + b group b
-        after it joins (meaningless for b = a).  Row 0's cell b still counts
-        the node in a; write fixes it.  Rows do not depend on the rest of the
-        stack."""
+        """Stack (s, pc, pc log pc) for moving each node, with neighbour
+        weights cnt, out of its group a: row 0 is group a after the node
+        leaves and row 1 + b group b after it joins (meaningless for b = a).
+        Row 0's cell b still counts the node in a; write fixes it.  Rows do
+        not depend on the rest of the stack."""
         k = self.k
         r = np.arange(nodes.size)
         a = self.z[nodes]
-        h = self.h.astype(np.float64)
-        stacks = self.work("stacks", (2, nodes.size, k + 1, k))
-        s, pc = stacks[0], stacks[1]
+        stacks = self.work("stacks", (3, nodes.size, k + 1, k))
+        s, sized = stacks[0], stacks[1:]
         np.subtract(self.e[a], cnt, out=s[:, 0])
-        ha = h[a] - 1.0
-        np.multiply(ha[:, None], h, out=pc[:, 0])
-        pc[r, 0, a] = ha * (ha - 1.0) / 2.0
         np.add(self.e, cnt[:, None, :], out=s[:, 1:])
         s[r, 1:, a] -= cnt
-        hb = h + 1.0
-        pc[:, 1:] = hb[:, None] * h
-        pc[:, np.arange(1, k + 1), np.arange(k)] = hb * h / 2.0
-        pc[r, 1:, a] = hb * ha[:, None]
-        return s, pc
+        pieces = self.sizes
+        sized[:, :, 0] = pieces[:, 1, a]
+        sized[:, :, 1:] = pieces[:, 2, None]
+        # r and a around a slice put the node axis first
+        sized[:, r, 1:, a] = pieces[:, 3, a].swapaxes(0, 1)
+        return s, sized[0], sized[1]
 
     def swap_rows(self, ii: np.ndarray, jj: np.ndarray) -> tuple:
-        """Stack for exchanging the labels of each pair i = ii[p] (group a)
-        and j = jj[p] (group b != a): row 0 is group a's row after the swap,
-        e[a] + d, and row 1 group b's, e[b] - d, where d is the weight j
-        brings to a row minus the weight i takes from it.  Both rows hold the
-        new cross cell (a, b); pair counts do not change.
+        """Stack (s, pc, pc log pc) for exchanging the labels of each pair
+        i = ii[p] (group a) and j = jj[p] (group b != a): row 0 is group a's
+        row after the swap, e[a] + d, and row 1 group b's, e[b] - d, where d
+        is the weight j brings to a row minus the weight i takes from it.
+        Both rows hold the new cross cell (a, b); pair counts do not change.
         """
         r = np.arange(ii.size)
         a, b = self.z[ii], self.z[jj]
@@ -404,9 +474,11 @@ class _ProfileState:
         s[:, 0] += d
         s[:, 1] -= d
         s[r, 0, b] = s[r, 1, a] = self.e[a, b] - d[r, a] + d[r, b]
-        return s, _pair_counts(self.h)[ab]
+        pc, pcl = self.sizes[:, 0][:, ab]
+        return s, pc, pcl
 
-    def score(self, s: np.ndarray, pc: np.ndarray, a: np.ndarray, b=None) -> np.ndarray:
+    def score(self, s: np.ndarray, pc: np.ndarray, pcl: np.ndarray, a: np.ndarray,
+              b=None) -> np.ndarray:
         """Objective change of each candidate of a stack.
 
         The change is (sum row 0 - row 0[b]) + sum row b - (old row sums of a
@@ -415,10 +487,9 @@ class _ProfileState:
         b None, candidate c joins group c (a relabel window), and row 0[b] is
         row 0 itself, not a gather.  Returns deltas of shape (N, m - 1).
         """
-        terms = self._terms(s, pc, self.work("terms", s.shape))
+        terms = self._terms(s, pc, self.work("terms", s.shape), pcl)
         sums = terms.sum(axis=2)
-        t = self.t
-        row_sums = t.sum(axis=1)
+        t, row_sums = self.t, self.row_sums
         if b is None:
             at_b, sums_b, t_ab = terms[:, 0], row_sums, t[a]
         else:
@@ -426,10 +497,14 @@ class _ProfileState:
             at_b, sums_b, t_ab = terms[r, 0, b, None], row_sums[b, None], t[a, b, None]
         return (sums[:, :1] - at_b) + sums[:, 1:] - row_sums[a][:, None] - sums_b + t_ab
 
-    def write(self, a: int, b: int, s: np.ndarray, pc: np.ndarray, delta: float) -> None:
-        """Make a chosen candidate's rows s[0], s[1], with pair counts pc[0],
-        pc[1], the new rows a and b (s and pc are overwritten), and add its
-        delta to the total.  The caller updates z and h."""
+    def write(self, i: int, b: int, s: np.ndarray, pc: np.ndarray, delta: float,
+              j: int | None = None) -> None:
+        """Apply a chosen move: node i leaves its group a for group b and,
+        for a swap, node j leaves b for a.  The candidate's rows s[0], s[1],
+        with pair counts pc[0], pc[1], become rows a and b (s and pc are
+        overwritten), its delta is added to the total, and the caches
+        follow."""
+        a = self.z[i]
         # Columns are written after rows, so row 0's cell b lands at (b, a):
         # make it the cross cell that row b holds and score counted.
         s[0, b], pc[0, b] = s[1, a], pc[1, a]
@@ -439,22 +514,43 @@ class _ProfileState:
         rows = self._terms(s, pc, s)
         t[a], t[b] = rows
         t[:, a], t[:, b] = rows
+        self.row_sums = t.sum(axis=1)
         self.total += delta
+        self.z[i] = b
+        moved = self.w[i]  # the weight group a loses and b gains, per node
+        if j is None:
+            self.h[a] -= 1
+            self.h[b] += 1
+            self._refresh_sizes()
+        else:
+            self.z[j] = a
+            moved = moved - self.w[j]
+        if self.nbr is not None:
+            self.nbr[:, a] -= moved
+            self.nbr[:, b] += moved
 
     def verify(self) -> None:
-        fresh = _ProfileState(self.w, self.z, self.k, self.xlx)
+        fresh = _ProfileState(self.w, self.z, self.k, self.xlx, self.work)
+        fresh.limit(self.h_min, self.h_max)
         scale = max(1.0, abs(fresh.total))
         if abs(fresh.total - self.total) > _VERIFY_RTOL * scale:
             raise InternalError(
                 f"incremental objective {self.total!r} drifted from "
                 f"recomputed {fresh.total!r}"
             )
-        if not np.array_equal(fresh.h, self.h):
-            raise InternalError("incremental group sizes drifted from recomputation")
-        if not np.allclose(fresh.e, self.e, rtol=0, atol=1e-6):
-            raise InternalError("incremental block sums drifted from recomputation")
-        if not np.allclose(fresh.t, self.t, rtol=1e-10, atol=1e-8):
-            raise InternalError("incremental block terms drifted from recomputation")
+        exact = np.array_equal
+        checks = {
+            "group sizes": exact(fresh.h, self.h),
+            "block sums": np.allclose(fresh.e, self.e, rtol=0, atol=1e-6),
+            "block terms": np.allclose(fresh.t, self.t, rtol=1e-10, atol=1e-8),
+            "term row sums": exact(self.t.sum(axis=1), self.row_sums),
+            "neighbour counts": self.nbr is None or exact(fresh.nbr, self.nbr),
+            "size pieces": exact(fresh.sizes, self.sizes),
+            "move mask": exact(fresh.mask, self.mask),
+        }
+        for name, ok in checks.items():
+            if not ok:
+                raise InternalError(f"incremental {name} drifted from recomputation")
 
 
 def _contiguous_labels(order: np.ndarray, sizes) -> np.ndarray:
@@ -487,29 +583,23 @@ def _local_search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.G
     n, k = state.n, state.k
     cap = max(1, _BATCH_CELLS // max(k * k, 2 * n))
     swaps = 0
+    state.limit(h_min, h_max)
 
     def take_relabel(lo: int, hi: int) -> int:
         nodes = np.arange(lo, hi)
-        r = np.arange(hi - lo)
         a = state.z[lo:hi]
-        cnt = state._neighbor_weights(nodes)
-        s, pc = state.relabel_rows(nodes, cnt)
-        deltas = state.score(s, pc, a)
-        deltas[r, a] = -np.inf
-        deltas[:, state.h + 1 > h_max] = -np.inf
-        deltas[state.h[a] - 1 < h_min] = -np.inf
+        s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes))
+        deltas = state.score(s, pc, pcl, a)
+        deltas += state.mask[a]
         best = deltas.argmax(axis=1)
-        gain = deltas[r, best]
+        gain = deltas[np.arange(hi - lo), best]
         hits = np.flatnonzero(gain > _SEARCH_TOL)
         if hits.size == 0:
             return -1
         t = hits[0]
-        i, ai, b = lo + t, a[t], best[t]
+        i, b = lo + t, best[t]
         rows = [0, 1 + b]
-        state.write(ai, b, s[t, rows], pc[t, rows], float(gain[t]))
-        state.z[i] = b
-        state.h[ai] -= 1
-        state.h[b] += 1
+        state.write(i, b, s[t, rows], pc[t, rows], float(gain[t]))
         return i
 
     def swap_sweep() -> bool:
@@ -525,16 +615,14 @@ def _local_search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.G
             if live.size == 0:
                 return -1
             ii, jj = ii[live], jj[live]
-            s, pc = state.swap_rows(ii, jj)
-            deltas = state.score(s, pc, state.z[ii], state.z[jj])[:, 0]
+            s, pc, pcl = state.swap_rows(ii, jj)
+            deltas = state.score(s, pc, pcl, state.z[ii], state.z[jj])[:, 0]
             hits = np.flatnonzero(deltas > _SEARCH_TOL)
             if hits.size == 0:
                 return -1
             t = hits[0]
-            i, j = ii[t], jj[t]
-            a, b = state.z[i], state.z[j]
-            state.write(a, b, s[t], pc[t], float(deltas[t]))
-            state.z[i], state.z[j] = b, a
+            j = jj[t]
+            state.write(ii[t], state.z[j], s[t], pc[t], float(deltas[t]), j)
             swaps += 1
             return lo + live[t]
 
@@ -581,8 +669,9 @@ def _maximize_profile(
     best_canon = None
     best_swaps = 0
     ties = False
+    work = _Workspace()
     for z0 in inits:
-        state = _ProfileState(w, z0, k, xlx)
+        state = _ProfileState(w, z0, k, xlx, work)
         swaps = _local_search(state, h_min, h_max, rng)
         state.verify()
         canon = _canonical_labels(state.z)

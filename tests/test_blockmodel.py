@@ -33,12 +33,15 @@ from graphonfit import (
     sample_adjacency,
     sample_latents,
 )
+from graphonfit import blockmodel
 from graphonfit.blockmodel import (
     _BATCH_CELLS,
     _ProfileState,
+    _Workspace,
     _contiguous_labels,
     _enumerate_canonical,
     _exhaustive_profile,
+    _finish_fit,
     _local_search,
     _terms,
     oracle_divergence,
@@ -373,23 +376,19 @@ def relabel_window(state, nodes):
 
 def swap_window(state, ii, jj):
     """(rows, deltas) of a swap window: the built rows and their changes."""
-    s, pc = state.swap_rows(ii, jj)
-    return s, state.score(s, pc, state.z[ii], state.z[jj])[:, 0]
+    s, pc, pcl = state.swap_rows(ii, jj)
+    return s, state.score(s, pc, pcl, state.z[ii], state.z[jj])[:, 0]
 
 
 def relabel_move(state, nodes, t, b):
     """Score a relabel window of nodes, then move nodes[t] into group b as
     _local_search does.  Returns copies of the candidate's rows (s, pc) taken
     before scoring, and its delta."""
-    a = state.z[nodes[t]]
-    s, pc = state.relabel_rows(nodes, state._neighbor_weights(nodes))
+    s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes))
     rows = [0, 1 + b]
     scored = s[t, rows], pc[t, rows]
-    delta = float(state.score(s, pc, state.z[nodes])[t, b])
-    state.write(a, b, s[t, rows], pc[t, rows], delta)
-    state.z[nodes[t]] = b
-    state.h[a] -= 1
-    state.h[b] += 1
+    delta = float(state.score(s, pc, pcl, state.z[nodes])[t, b])
+    state.write(nodes[t], b, s[t, rows], pc[t, rows], delta)
     return scored, delta
 
 
@@ -397,12 +396,10 @@ def swap_move(state, ii, jj, t):
     """Score a swap window of pairs (ii, jj), then exchange the labels of
     pair t as _local_search does; returns what relabel_move returns."""
     i, j = ii[t], jj[t]
-    a, b = state.z[i], state.z[j]
-    s, pc = state.swap_rows(ii, jj)
+    s, pc, pcl = state.swap_rows(ii, jj)
     scored = s[t].copy(), pc[t].copy()
-    delta = float(state.score(s, pc, state.z[ii], state.z[jj])[t, 0])
-    state.write(a, b, s[t], pc[t], delta)
-    state.z[i], state.z[j] = b, a
+    delta = float(state.score(s, pc, pcl, state.z[ii], state.z[jj])[t, 0])
+    state.write(i, state.z[j], s[t], pc[t], delta, j)
     return scored, delta
 
 
@@ -520,13 +517,46 @@ class TestIncrementalEngine:
                 assert np.array_equal(deltas[i], d1)
 
     def test_verify_checks_every_cache(self):
+        # one cell of each cache, or the total, off by one; the neighbour
+        # counts exist for 0/1 weights (xlx given) only
         w, z0 = _search_instance(20, 3, True, seed=22)
-        for cache, cell in (("t", (0, 1)), ("h", 0), ("e", (0, 1))):
-            state = _ProfileState(w, z0, 3)
+        for cache, cell, named in (
+            ("total", None, "objective"), ("t", (0, 1), "block terms"),
+            ("h", 0, "group sizes"), ("e", (0, 1), "block sums"),
+            ("nbr", (5, 1), "neighbour counts"), ("row_sums", 2, "term row sums"),
+            ("sizes", (1, 2, 0, 1), "size pieces"), ("mask", (0, 1), "move mask"),
+        ):
+            state = _ProfileState(w, z0, 3, _xlx_for(20))
+            state.limit(2, 10)
             state.verify()
-            getattr(state, cache)[cell] += 1
-            with pytest.raises(InternalError, match="drifted"):
+            if cell is None:
+                state.total += 1.0
+            else:
+                getattr(state, cache)[cell] += 1
+            with pytest.raises(InternalError, match=f"incremental {named}.* drifted"):
                 state.verify()
+
+    def test_finish_fit_refuses_a_wrong_total(self):
+        z0 = Z4.z - 1
+        total = profile_log_likelihood(PLANTED4, Z4)
+        fit = _finish_fit(PLANTED4, z0, 2, total, 1, 0, False, 0, 2, 4)
+        assert fit.profile_loglik == total
+        with pytest.raises(InternalError, match="disagrees"):
+            _finish_fit(PLANTED4, z0, 2, total - 1e-6, 1, 0, False, 0, 2, 4)
+
+    def test_restarts_share_one_workspace(self, monkeypatch):
+        made = []
+
+        class Counted(_Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(blockmodel, "_Workspace", Counted)
+        rng = np.random.default_rng(26)
+        a, _ = random_instance(rng, n_max=20, k_max=3)
+        fit = mple_search(a, 2, restarts=4, seed=3)
+        assert fit.restarts_used == 4 and len(made) == 1
 
     # (n, k, h_min, h_max): n <= 80 scans all pairs, n > 80 draws 4n pairs
     # per swap sweep; h_min == h_max leaves swaps as the only moves.
