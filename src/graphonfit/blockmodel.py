@@ -313,7 +313,7 @@ def blockmodel_log_likelihood(
 # Row and column group-size offsets of the size pieces: the pair counts of
 # the current blocks (swap stacks), and of a relabel stack's leave rows,
 # shared join block and column-a fix (see _ProfileState._refresh_sizes).
-_PIECE_SHIFTS = np.array([[[0.0], [-1.0], [1.0], [-1.0]], [[0.0], [0.0], [0.0], [1.0]]])
+_PIECE_SHIFTS = np.array([[[0], [-1], [1], [-1]], [[0], [0], [0], [1]]])
 _EXCLUDED = np.array([0.0, -np.inf])  # a move mask cell, by whether it is excluded
 
 
@@ -358,6 +358,7 @@ class _ProfileState:
         # [pair counts, pc log pc] x [pairs, leave, join, fix], and the mask
         self.sizes = np.empty((2, 4, k, k))
         self.mask = np.empty((k, k))
+        self._within = np.arange(self.n + 2) * np.arange(-1, self.n + 1) // 2  # x (x - 1) / 2
         self._refresh_sizes()
         self.e = _block_weight_sums(w, z0, k)
         self.t = self._terms(self.e, self.sizes[0, 0], np.empty((k, k)))
@@ -373,8 +374,8 @@ class _ProfileState:
         self.h_min, self.h_max = h_min, h_max
         self._refresh_sizes()
 
-    def _refresh_sizes(self) -> None:
-        """Rebuild the size pieces and the move mask from h.
+    def _refresh_sizes(self, mask: bool = True) -> None:
+        """Rebuild the size pieces and, if mask, the move mask from h.
 
         With rows, cols = _PIECE_SHIFTS, piece p holds (h[x] + rows[p]) *
         (h[y] + cols[p]) at (x, y), and f (f - 1) / 2 for the row factor f
@@ -389,19 +390,20 @@ class _ProfileState:
         """
         h, k = self.h, self.k
         rows, cols = h + _PIECE_SHIFTS
+        counts = self.work("counts", (4, k, k), np.intp)
+        np.multiply(rows[:, :, None], cols[:, None, :], out=counts)
+        self._within.take(rows[:3], out=counts.reshape(4, k * k)[:3, :: k + 1])
         pc, logs = self.sizes
-        np.multiply(rows[:, :, None], cols[:, None, :], out=pc)
-        f, diagonals = rows[:3], pc.reshape(4, k * k)[:3, :: k + 1]
-        np.multiply(f, f - 1.0, out=diagonals)
-        diagonals /= 2.0
+        pc[...] = counts
         if self.xlx is None:
             xlogy(pc, pc, out=logs)
         else:
-            self.xlx.take(pc.astype(np.intp), out=logs)
-        # a bool index takes _EXCLUDED[0] or [1]
-        np.add.outer(_EXCLUDED.take(h <= self.h_min), _EXCLUDED.take(h >= self.h_max),
-                     out=self.mask)
-        self.mask.reshape(k * k)[:: k + 1] = -np.inf
+            self.xlx.take(counts, out=logs)
+        if mask:
+            # a bool index takes _EXCLUDED[0] or [1]
+            np.add.outer(_EXCLUDED.take(h <= self.h_min), _EXCLUDED.take(h >= self.h_max),
+                         out=self.mask)
+            self.mask.reshape(k * k)[:: k + 1] = -np.inf
 
     def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray, pcl=None) -> np.ndarray:
         """The terms of _terms, written into out (which may be s); pcl, if
@@ -519,9 +521,13 @@ class _ProfileState:
         self.z[i] = b
         moved = self.w[i]  # the weight group a loses and b gains, per node
         if j is None:
-            self.h[a] -= 1
-            self.h[b] += 1
-            self._refresh_sizes()
+            h = self.h
+            h[a] -= 1
+            h[b] += 1
+            # Row a or column b of the mask flips only as a or b reaches a
+            # bound, column a or row b only as it leaves one.
+            self._refresh_sizes(h[a] in (self.h_min, self.h_max - 1)
+                                or h[b] in (self.h_min + 1, self.h_max))
         else:
             self.z[j] = a
             moved = moved - self.w[j]
