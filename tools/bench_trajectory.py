@@ -9,9 +9,9 @@ For every workload in BENCHMARK.json it runs ``bench/run.py`` of the
 checkout at --root (default: this repository) once with ``--trace 0`` (the
 end-to-end metrics) and once with ``--trace 1`` (the per-layer metrics), one
 run at a time, and keeps each run's last output line.  The label defaults
-to the checkout's short commit hash; the file goes to --out-dir (default:
-this repository's root).  Nothing under bench/ is changed apart from the
-raw outputs bench/run.py itself writes to bench/out/.
+to the checkout's short commit hash; the file goes to this repository's
+root.  Nothing under bench/ is changed apart from the raw outputs
+bench/run.py itself writes to bench/out/.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--root", type=Path, default=ROOT)
     parser.add_argument("--label", default=None)
-    parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
@@ -79,7 +78,7 @@ def main(argv=None) -> int:
             print(f"{workload} --trace {trace} ...", file=sys.stderr, flush=True)
             workloads[workload][f"trace{trace}"] = run_workload(
                 root, workload, args.seed, args.seconds, trace)
-    out = args.out_dir / f"BENCH_{label}.json"
+    out = ROOT / f"BENCH_{label}.json"
     out.write_text(json.dumps({
         "label": label,
         "seed": args.seed,
