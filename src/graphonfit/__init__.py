@@ -47,7 +47,6 @@ from .harness import (
     slope_estimate,
 )
 from .risk import (
-    GraphonEstimate,
     RiskReport,
     build_estimator,
     graphon_mse,

@@ -921,12 +921,23 @@ def oracle_block_means(p: EdgeProbabilityMatrix, z: CommunityAssignment) -> np.n
     return sums / _pair_counts(z.group_sizes())
 
 
+def _pair_divergence(p: EdgeProbabilityMatrix, z: CommunityAssignment, theta: np.ndarray,
+                     keep: np.ndarray | None = None) -> tuple[float, float]:
+    """(sum of D(p_ij || theta[z_i, z_j]), sum of p_ij) over the pairs i < j,
+    in np.triu_indices order, whose block has keep[z_i, z_j] (all pairs if
+    keep is None); theta and keep are k x k."""
+    iu, ju = np.triu_indices(p.n, k=1)
+    zi, zj = z.z[iu] - 1, z.z[ju] - 1
+    pe, q = p.p[iu, ju], theta[zi, zj]
+    if keep is not None:
+        kept = keep[zi, zj]
+        pe, q = pe[kept], q[kept]
+    return float(_kl_terms(pe, q).sum()), float(pe.sum())
+
+
 def oracle_divergence(p: EdgeProbabilityMatrix, z: CommunityAssignment) -> float:
     """Sum over i<j of D(p_ij || pbar_{z_i z_j}), natural log."""
-    pbar = oracle_block_means(p, z)
-    theta = pbar[z.z[:, None] - 1, z.z[None, :] - 1]
-    iu = np.triu_indices(p.n, k=1)
-    return float(_kl_terms(p.p[iu], theta[iu]).sum())
+    return _pair_divergence(p, z, oracle_block_means(p, z))[0]
 
 
 def oracle_mple(

@@ -101,11 +101,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    est = build_estimator(FitResult.from_json(_read(args.fit)))
-    out = json.loads(est.step.to_json())
-    out["rho_hat"] = est.rho_hat
+    fit = FitResult.from_json(_read(args.fit))
+    est = build_estimator(fit)
+    out = json.loads(est.to_json())
+    out["rho_hat"] = fit.rho_hat
     _write(args.out, json.dumps(out, sort_keys=True) + "\n")
-    print(f"wrote {args.out}: k={est.step.partition.k} rho_hat={est.rho_hat:.6g}")
+    print(f"wrote {args.out}: k={est.partition.k} rho_hat={fit.rho_hat:.6g}")
     return EXIT_OK
 
 

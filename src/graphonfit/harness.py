@@ -31,6 +31,7 @@ from .risk import (
     CSV_COLUMNS,
     RiskReport,
     _check_mse_options,
+    _pair_total,
     build_estimator,
     graphon_mse,
     normalized_kl_risk,
@@ -177,7 +178,7 @@ def score_replicate(truth, xi, p, fit, grid, alignment) -> RiskReport:
                        seed=fit.seed, extra_inits=[rank_z.z - 1])
     oracle = min(
         oracle_risk(p, rank_z),
-        oracle_risk(p, ofit.assignment),
+        ofit.divergence / _pair_total(p),  # oracle_risk(p, ofit.assignment), bit for bit
         oracle_risk(p, fit.assignment),
     )
 
@@ -208,11 +209,6 @@ def run_replicate(cfg: ExperimentConfig, n: int, rep: int) -> RiskReport:
         return replace(report, runtime_ms=(time.perf_counter() - t0) * 1000.0)
     except GraphonFitError as e:
         return _nan_report(n, k, rho, seed, status=type(e).__name__)
-
-
-def _replicate_task(args) -> RiskReport:
-    cfg, n, rep = args
-    return run_replicate(cfg, n, rep)
 
 
 @dataclass
@@ -272,12 +268,13 @@ def _summarize(cfg: ExperimentConfig, rows: list) -> dict:
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     """Run all (n, replicate) cells; deterministic given the config seed."""
     cfg.validate()
-    tasks = [(cfg, n, rep) for n in cfg.n_list for rep in range(cfg.replicates)]
+    ns, reps = zip(*((n, rep) for n in cfg.n_list for rep in range(cfg.replicates)))
+    cfgs = (cfg,) * len(ns)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_replicate_task, tasks, chunksize=1))
+            rows = list(pool.map(run_replicate, cfgs, ns, reps, chunksize=1))
     else:
-        rows = [_replicate_task(t) for t in tasks]
+        rows = list(map(run_replicate, cfgs, ns, reps))
     return SweepResult(config=cfg, rows=rows, summary=_summarize(cfg, rows))
 
 

@@ -19,7 +19,7 @@ from .blockmodel import (
     CommunityAssignment,
     FitResult,
     _first_improvement,
-    _kl_terms,
+    _pair_divergence,
     _Workspace,
     bernoulli_kl,
     oracle_divergence,
@@ -29,7 +29,6 @@ from .graphons import Graphon, StepGraphon, midpoint_grid
 from .sampling import EdgeProbabilityMatrix
 
 __all__ = [
-    "GraphonEstimate",
     "RiskReport",
     "build_estimator",
     "normalized_kl_risk",
@@ -41,18 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GraphonEstimate:
-    """Step-graphon estimate: fitted block averages rescaled by 1/rho_hat."""
-
-    step: StepGraphon
-    rho_hat: float
-
-    def __call__(self, x, y):
-        return self.step(x, y)
-
-
-def build_estimator(fit: FitResult) -> GraphonEstimate:
+def build_estimator(fit: FitResult) -> StepGraphon:
     """Assemble the estimated graphon from a fit: heights = averages / rho_hat.
 
     Blocks are laid out on the unit interval in fitted-label order with widths
@@ -61,8 +49,7 @@ def build_estimator(fit: FitResult) -> GraphonEstimate:
     if fit.rho_hat <= 0.0:
         raise ModelError("estimator undefined for an empty graph (rho_hat = 0)")
     part = fit.assignment.induced_partition()
-    values = fit.stats.averages / fit.rho_hat
-    return GraphonEstimate(step=StepGraphon(part, values), rho_hat=fit.rho_hat)
+    return StepGraphon(part, fit.stats.averages / fit.rho_hat)
 
 
 def normalized_kl_risk(p: EdgeProbabilityMatrix, fit: FitResult) -> float:
@@ -70,21 +57,22 @@ def normalized_kl_risk(p: EdgeProbabilityMatrix, fit: FitResult) -> float:
     z = fit.assignment
     if z.n != p.n:
         raise DomainError("assignment and probability matrix disagree on n")
-    zi = z.z - 1
-    theta = fit.stats.averages[zi[:, None], zi[None, :]]
-    unsat = ~fit.stats.saturated[zi[:, None], zi[None, :]]
-    iu = np.triu_indices(p.n, k=1)
-    mask = unsat[iu]
-    if not mask.any():
+    # every group has >= 2 members, so every block holds a node pair
+    if fit.stats.saturated.all():
         raise ModelError("all blocks saturated; normalized risk undefined")
-    pe = p.p[iu][mask]
-    return float(_kl_terms(pe, theta[iu][mask]).sum() / pe.sum())
+    divergence, mass = _pair_divergence(p, z, fit.stats.averages, ~fit.stats.saturated)
+    return divergence / mass
+
+
+def _pair_total(p: EdgeProbabilityMatrix) -> float:
+    """sum of p_ij over the pairs i < j: the oracle risk's denominator."""
+    iu = np.triu_indices(p.n, k=1)
+    return float(p.p[iu].sum())
 
 
 def oracle_risk(p: EdgeProbabilityMatrix, z: CommunityAssignment) -> float:
     """Normalized divergence of p from its best block-constant fit under z."""
-    iu = np.triu_indices(p.n, k=1)
-    return oracle_divergence(p, z) / float(p.p[iu].sum())
+    return oracle_divergence(p, z) / _pair_total(p)
 
 
 @dataclass(frozen=True)
@@ -295,7 +283,7 @@ def _check_mse_options(grid: int, alignment: str) -> None:
 
 def graphon_mse(
     truth: Graphon,
-    est: GraphonEstimate | StepGraphon,
+    step: StepGraphon,
     grid: int = 256,
     alignment: str = "block_permutation_search",
 ) -> float:
@@ -314,7 +302,6 @@ def graphon_mse(
     into one workspace per call.
     """
     _check_mse_options(grid, alignment)
-    step = est.step if isinstance(est, GraphonEstimate) else est
     k = step.partition.k
     tg = truth.grid_values(grid)
     s1 = np.zeros((grid + 1, grid + 1))

@@ -159,6 +159,9 @@ class TestMalformedInput:
         "risk-sidecar-seed-string": ([("net.txt.json", "seed", "one")], _risk_argv),
         "risk-sidecar-rho-string": ([("net.txt.json", "rho", "x")], _risk_argv),
         "risk-sidecar-xi-strings": ([("net.txt.json", "xi", ["0.5"] * 30)], _risk_argv),
+        "risk-sidecar-xi-short": (
+            [("net.txt.json", "xi", [(i + 0.5) / 29 for i in range(29)])], _risk_argv,
+        ),
         "sweep-grid-32": ([("cfg.json", "grid", 32)], _sweep_argv),
         "sweep-restarts-0": ([("cfg.json", "restarts", 0)], _sweep_argv),
         "sweep-alignment-bogus": ([("cfg.json", "alignment", "bogus")], _sweep_argv),
@@ -194,6 +197,8 @@ class TestMalformedInput:
         assert err.startswith("error: ")
         if case == "risk-fit-predates-bounds":
             assert "re-run fit" in err
+        if case == "risk-sidecar-xi-short":  # normalized_kl_risk's DomainError
+            assert "disagree on n" in err
 
 
 class TestRiskMatchesSweep:

@@ -1,7 +1,9 @@
+import ast
 import collections
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,17 @@ from graphonfit.harness import (
     slope_estimate,
 )
 from graphonfit.sampling import LatentSample
+
+BENCH_SWEEP = Path(__file__).resolve().parents[1] / "bench" / "sweepbench.py"
+
+
+def bench_layer_names() -> list:
+    """The keys of the benchmark tracer's LAYER_OF, read from its source: the
+    names it rebinds in graphonfit.harness to time each layer."""
+    for node in ast.parse(BENCH_SWEEP.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYER_OF"]:
+            return list(ast.literal_eval(node.value))
+    raise AssertionError(f"no LAYER_OF assignment in {BENCH_SWEEP}")
 
 
 def small_config(**overrides):
@@ -206,10 +219,44 @@ class TestRunSweep:
 
             return wrapper
 
-        for name in ("oracle_mple", "oracle_risk", "graphon_mse"):
+        per_replicate = {
+            "sample_latents": 1, "edge_probabilities": 1, "sample_adjacency": 1,
+            "mple_search": 1, "build_estimator": 1, "normalized_kl_risk": 1,
+            "oracle_mple": 1, "oracle_risk": 2, "graphon_mse": 2,
+        }
+        names = bench_layer_names()
+        assert sorted(names) == sorted(per_replicate)
+        assert all(hasattr(harness, name) for name in names)
+        for name in names:
             monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
         assert run_replicate(small_config(), 50, 0).status == "ok"
-        assert calls == {"oracle_mple": 1, "oracle_risk": 3, "graphon_mse": 2}
+        assert calls == per_replicate
+
+    def test_oracle_search_candidate_equals_oracle_risk(self, monkeypatch):
+        # score_replicate divides the oracle search's own divergence by the
+        # pair total instead of calling oracle_risk on its assignment again;
+        # the two must agree to the last bit, and so must the row's minimum.
+        search, risk = harness.oracle_mple, harness.oracle_risk
+        searches, risks = [], []
+
+        def recording_search(p, *args, **kwargs):
+            searches.append((p, search(p, *args, **kwargs)))
+            return searches[-1][1]
+
+        def recording_risk(p, z):
+            risks.append(risk(p, z))
+            return risks[-1]
+
+        monkeypatch.setattr(harness, "oracle_mple", recording_search)
+        monkeypatch.setattr(harness, "oracle_risk", recording_risk)
+        cfg = small_config(graphon_name="cosine", n_list=(60, 80), k_rule="sqrt(n)",
+                           restarts=2)
+        rows = [run_replicate(cfg, n, rep) for n in cfg.n_list for rep in range(cfg.replicates)]
+        assert len(searches) == len(rows) == 4
+        for row, (p, ofit), others in zip(rows, searches, zip(risks[::2], risks[1::2])):
+            candidate = ofit.divergence / harness._pair_total(p)
+            assert candidate == risk(p, ofit.assignment)
+            assert row.oracle_risk == min(others[0], risk(p, ofit.assignment), others[1])
 
 
 class TestSlopeEstimate:

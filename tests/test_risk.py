@@ -34,6 +34,7 @@ from graphonfit import (
     sample_latents,
 )
 import graphonfit.risk as risk
+from graphonfit.blockmodel import _kl_terms, oracle_block_means, oracle_divergence
 from graphonfit.graphons import midpoint_grid, random_partition
 
 
@@ -61,7 +62,7 @@ class TestBuildEstimator:
         a = AdjacencyMatrix(a=(np.ones((4, 4)) - np.eye(4)).astype(np.uint8))
         z = CommunityAssignment(z=np.ones(4, dtype=int), k=1)
         est = build_estimator(fit_at(a, z))
-        assert est.step.values[0, 0] == 1.0
+        assert est.values[0, 0] == 1.0
         assert est(0.3, 0.7) == 1.0
 
     def test_planted_heights(self):
@@ -71,9 +72,9 @@ class TestBuildEstimator:
         z = CommunityAssignment(z=np.array([1, 1, 2, 2]), k=2)
         est = build_estimator(fit_at(AdjacencyMatrix(a=a), z))
         # block averages (1, 1, 0.5) over density 4/6
-        assert est.step.values[0, 0] == pytest.approx(1.5)
-        assert est.step.values[1, 1] == pytest.approx(1.5)
-        assert est.step.values[0, 1] == pytest.approx(0.75)
+        assert est.values[0, 0] == pytest.approx(1.5)
+        assert est.values[1, 1] == pytest.approx(1.5)
+        assert est.values[0, 1] == pytest.approx(0.75)
 
     def test_empty_graph_rejected(self):
         a = AdjacencyMatrix(a=np.zeros((4, 4), dtype=np.uint8))
@@ -127,6 +128,11 @@ class TestNormalizedKLRisk:
         with pytest.raises(ModelError):
             normalized_kl_risk(p, fit)
 
+    def test_n_mismatch_rejected(self):
+        fit = self.single_block_fit(6, 0.5)
+        with pytest.raises(DomainError):
+            normalized_kl_risk(probabilities(np.full((7, 7), 0.5)), fit)
+
 
 class TestOracleRisk:
     def test_block_constant_zero(self):
@@ -152,6 +158,60 @@ class TestOracleRisk:
         expect_num = sum(bernoulli_kl(v, 0.25) for v in cross.values())
         expect_den = 0.5 * 2 + sum(cross.values())
         assert oracle_risk(p, z) == pytest.approx(expect_num / expect_den, abs=1e-12)
+
+    def test_n_mismatch_rejected(self):
+        z = CommunityAssignment(z=np.array([1, 1, 2, 2, 1, 2]), k=2)
+        with pytest.raises(DomainError):
+            oracle_risk(probabilities(np.full((7, 7), 0.3)), z)
+
+
+# Frozen copies of the n x n gathers that _pair_divergence replaced; the
+# risks must reproduce them bit for bit.
+def frozen_normalized_kl_risk(p, fit):
+    zi = fit.assignment.z - 1
+    theta = fit.stats.averages[zi[:, None], zi[None, :]]
+    unsat = ~fit.stats.saturated[zi[:, None], zi[None, :]]
+    iu = np.triu_indices(p.n, k=1)
+    mask = unsat[iu]
+    pe = p.p[iu][mask]
+    return float(_kl_terms(pe, theta[iu][mask]).sum() / pe.sum())
+
+
+def frozen_oracle_divergence(p, z):
+    pbar = oracle_block_means(p, z)
+    theta = pbar[z.z[:, None] - 1, z.z[None, :] - 1]
+    iu = np.triu_indices(p.n, k=1)
+    return float(_kl_terms(p.p[iu], theta[iu]).sum())
+
+
+def frozen_oracle_risk(p, z):
+    iu = np.triu_indices(p.n, k=1)
+    return frozen_oracle_divergence(p, z) / float(p.p[iu].sum())
+
+
+class TestPairDivergenceMatchesFrozenGathers:
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 20, 29, 40])
+    def test_random_networks(self, k):
+        rng = np.random.default_rng(k)
+        saturated = 0
+        for case in range(6):
+            n = int(rng.integers(2 * k + 2, 2 * k + 60))
+            sizes = 2 + rng.multinomial(n - 2 * k, np.full(k, 1.0 / k))
+            z = CommunityAssignment(z=rng.permutation(np.repeat(np.arange(1, k + 1), sizes)), k=k)
+            f = graphon_by_name(("cosine", "product", "step")[case % 3])
+            # the sparse half leaves many blocks without an edge: saturated
+            rho = (0.02, 0.6)[case % 2] / f.upper_bound
+            p = edge_probabilities(f, sample_latents(n, 100 * k + case), rho)
+            fit = fit_at(sample_adjacency(p, 100 * k + case), z)
+            saturated += int(fit.stats.saturated.sum())
+            assert oracle_divergence(p, z) == frozen_oracle_divergence(p, z)
+            assert oracle_risk(p, z) == frozen_oracle_risk(p, z)
+            if fit.stats.saturated.all():
+                with pytest.raises(ModelError):
+                    normalized_kl_risk(p, fit)
+            else:
+                assert normalized_kl_risk(p, fit) == frozen_normalized_kl_risk(p, fit)
+        assert saturated > 0
 
 
 def brute_force_mse(truth, step, order, grid):
