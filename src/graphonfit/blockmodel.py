@@ -17,12 +17,19 @@ The local search uses single-node relabels plus pairwise label swaps
 rows it would change, one scorer prices a window of either move from cached
 block sums (swaps in closed form, no trial and rollback), and one writer
 applies the chosen move; each sweep takes the first improving move in scan
-order.  0/1 weights read their terms from an x*log(x) table.  What only a
-move changes is cached and refreshed where a move is applied: the terms' row
-sums, the pair-count pieces that depend only on the group sizes (with their
-pc*log(pc)) and the move mask, and, for 0/1 weights, each node's exact
-integer weight into each group.  The incremental state, caches included, is
-verified against a from-scratch recomputation after every restart.
+order.  Pair counts are integers for either kind of weight, so pc*log(pc)
+comes from one x*log(x) table per search, and 0/1 weights read their other
+two terms from it too.  Real weights (the oracle search) compute s*log(s)
+and (pc - s)*log(pc - s) with numpy's log, which is about four times faster
+than scipy's xlogy.  numpy's log may differ from xlogy's in the last bit,
+and by CPU, as BLAS block sums do with the thread count; no reported value
+uses it: _terms, profile_log_likelihood, oracle_divergence and the KL terms
+keep xlogy.  What only a move changes is cached and refreshed where a move
+is applied: the terms' row sums, the pair-count pieces that depend only on
+the group sizes (with their pc*log(pc)) and the move mask, and, for 0/1
+weights, each node's exact integer weight into each group.  The incremental
+state, caches included, is verified against a from-scratch recomputation
+after every restart.
 """
 
 from __future__ import annotations
@@ -199,17 +206,35 @@ def _block_weight_sums(w: np.ndarray, z0: np.ndarray, k: int) -> np.ndarray:
     return m
 
 
-def _terms(s: np.ndarray, pc: np.ndarray, out=None, tmp=None, pcl=None) -> np.ndarray:
-    """s log s + (pc - s) log(pc - s) - pc log pc with s clipped to [0, pc].
-    out (which may be s) and tmp, arrays of s's shape, take the result and
-    the one intermediate, so that the call allocates nothing.  pcl, if
-    given, holds pc log pc."""
-    s = np.clip(s, 0.0, pc, out=out)
-    d = np.subtract(pc, s, out=tmp)
-    t = xlogy(s, s, out=s)
-    t += xlogy(d, d, out=d)
-    t -= xlogy(pc, pc, out=d) if pcl is None else pcl
+def _terms(s: np.ndarray, pc: np.ndarray) -> np.ndarray:
+    """s log s + (pc - s) log(pc - s) - pc log pc with s clipped to [0, pc],
+    by xlogy: the terms of every reported value."""
+    s = np.clip(s, 0.0, pc)
+    d = pc - s
+    t = xlogy(s, s)
+    t += xlogy(d, d)
+    t -= xlogy(pc, pc)
     return t
+
+
+# The least positive float: its log is finite, so x * log(max(x, _TINY)) is
+# x log x for every x > 0 and (minus) 0 at x = 0.
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _xlogx(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """x log x for x >= 0 by numpy's log, in place in x; buf, of x's shape,
+    takes the logs.  Exactly 0 (as -0.0) where x is 0."""
+    np.maximum(x, _TINY, out=buf)
+    x *= np.log(buf, out=buf)
+    return x
+
+
+def _xlogx_table(top: int) -> np.ndarray:
+    """xlogy(m, m) for the integers m < (top + 1)^2: every pair count, and
+    every 0/1 block sum, of groups of at most top nodes."""
+    m = np.arange((top + 1) ** 2, dtype=np.float64)
+    return xlogy(m, m)
 
 
 def _total_from_terms(t: np.ndarray) -> float:
@@ -322,8 +347,11 @@ class _ProfileState:
 
     Works for any symmetric nonnegative weight matrix with zero diagonal:
     binary adjacency gives the profile log-likelihood, true probabilities give
-    the (negated, shifted) oracle divergence objective.  For integer weights
-    an x*log(x) table xlx gives the same terms by lookup.
+    the (negated, shifted) oracle divergence objective.  An x*log(x) table
+    xlx (_xlogx_table, covering the largest group) gives pc log pc by lookup,
+    and for 0/1 weights (binary) the other two terms as well, with _terms'
+    bits.  Real weights take those two from _xlogx, whose last bit may differ
+    from _terms'.
 
     A move between groups a and b changes only rows and columns a and b of
     the block sums e, the pair counts and the terms t.  A builder per move
@@ -336,8 +364,8 @@ class _ProfileState:
     What only a move changes is cached, and write refreshes it: the row
     sums of t (every move); the size pieces, pair-count rows that depend
     only on the group sizes h, with their pc log pc, and the move mask
-    (every relabel; a swap keeps h); and, for 0/1 weights (xlx given), each
-    node's weight into each group, nbr, by +-w[i] for every node that moves.
+    (every relabel; a swap keeps h); and, for 0/1 weights, each node's
+    weight into each group, nbr, by +-w[i] for every node that moves.
     Exact integer counts keep their bits however they are summed; real
     weights are summed afresh per window.  Each cache holds the bits a
     window would compute from the current state, so scores do not depend
@@ -345,11 +373,14 @@ class _ProfileState:
     """
 
     def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray | None = None,
-                 work: _Workspace | None = None):
+                 work: _Workspace | None = None, binary: bool | None = None):
+        """binary defaults to whether xlx is given; without xlx the state
+        builds a table for groups of up to n nodes."""
         self.w = w
         self.n = w.shape[0]
         self.k = k
-        self.xlx = xlx
+        self.binary = xlx is not None if binary is None else binary
+        self.xlx = _xlogx_table(self.n) if xlx is None else xlx
         self.work = _Workspace() if work is None else work
         self.z = z0.copy()
         self.h = np.bincount(z0, minlength=k).astype(np.int64)
@@ -361,11 +392,11 @@ class _ProfileState:
         self._within = np.arange(self.n + 2) * np.arange(-1, self.n + 1) // 2  # x (x - 1) / 2
         self._refresh_sizes()
         self.e = _block_weight_sums(w, z0, k)
-        self.t = self._terms(self.e, self.sizes[0, 0], np.empty((k, k)))
+        self.t = self._terms(self.e, self.sizes[0, 0], np.empty((k, k)), self.sizes[1, 0])
         self.row_sums = self.t.sum(axis=1)
         self.total = _total_from_terms(self.t)
         self.nbr = None
-        if xlx is not None:
+        if self.binary:
             self.nbr = np.bincount((np.arange(self.n)[:, None] * k + self.z).ravel(),
                                    w.ravel(), self.n * k).reshape(self.n, k)
 
@@ -395,10 +426,7 @@ class _ProfileState:
         self._within.take(rows[:3], out=counts.reshape(4, k * k)[:3, :: k + 1])
         pc, logs = self.sizes
         pc[...] = counts
-        if self.xlx is None:
-            xlogy(pc, pc, out=logs)
-        else:
-            self.xlx.take(counts, out=logs)
+        self.xlx.take(counts, out=logs)
         if mask:
             # a bool index takes _EXCLUDED[0] or [1]
             np.add.outer(_EXCLUDED.take(h <= self.h_min), _EXCLUDED.take(h >= self.h_max),
@@ -406,24 +434,32 @@ class _ProfileState:
             self.mask.reshape(k * k)[:: k + 1] = -np.inf
 
     def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray, pcl=None) -> np.ndarray:
-        """The terms of _terms, written into out (which may be s); pcl, if
-        given, holds pc log pc."""
+        """The terms of _terms, written into out (which may be s), with s
+        clipped to [0, pc]; pcl, if given, holds pc log pc, else it is read
+        from xlx.  0/1 weights give _terms' bits, real weights _xlogx's."""
         tmp = self.work("tmp", s.shape)
-        if self.xlx is None:
-            return _terms(s, pc, out=out, tmp=tmp, pcl=pcl)
-        # Integer s and pc: the same values as _terms, clip included.
-        both = self.work("indices", (2, *s.shape), np.intp)
-        pci, si = both[0], both[1]
-        pci[...] = pc  # an unsafe cast, as astype's
-        si[...] = s
-        np.minimum(si, pci, out=si)
-        np.maximum(si, 0, out=si)
-        # mode="clip" writes into out directly (the default mode buffers it);
-        # every index is in range, so the values are the same.
         xlx = self.xlx
-        t = xlx.take(si, out=out, mode="clip")
-        t += xlx.take(np.subtract(pci, si, out=si), out=tmp, mode="clip")
-        t -= xlx.take(pci, out=tmp, mode="clip") if pcl is None else pcl
+        if pcl is None:  # the writer's two rows, or a fresh state's t
+            pcl = xlx.take(pc.astype(np.intp))
+        if self.binary:
+            # Integer s and pc: the same values as _terms, clip included.
+            both = self.work("indices", (2, *s.shape), np.intp)
+            pci, si = both[0], both[1]
+            pci[...] = pc  # an unsafe cast, as astype's
+            si[...] = s
+            np.minimum(si, pci, out=si)
+            np.maximum(si, 0, out=si)
+            # mode="clip" writes into out directly (the default mode buffers
+            # it); every index is in range, so the values are the same.
+            t = xlx.take(si, out=out, mode="clip")
+            t += xlx.take(np.subtract(pci, si, out=si), out=tmp, mode="clip")
+        else:
+            s = np.clip(s, 0.0, pc, out=out)
+            d = np.subtract(pc, s, out=tmp)
+            logs = self.work("logs", s.shape)
+            t = _xlogx(s, logs)
+            t += _xlogx(d, logs)
+        t -= pcl
         return t
 
     def _neighbor_weights(self, nodes: np.ndarray) -> np.ndarray:
@@ -536,7 +572,7 @@ class _ProfileState:
             self.nbr[:, b] += moved
 
     def verify(self) -> None:
-        fresh = _ProfileState(self.w, self.z, self.k, self.xlx, self.work)
+        fresh = _ProfileState(self.w, self.z, self.k, self.xlx, self.work, self.binary)
         fresh.limit(self.h_min, self.h_max)
         scale = max(1.0, abs(fresh.total))
         if abs(fresh.total - self.total) > _VERIFY_RTOL * scale:
@@ -587,7 +623,11 @@ def _first_improvement(count: int, cap: int, take_first) -> bool:
 def _local_search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generator) -> int:
     """Greedy ascent with relabel and swap moves; returns accepted swap count."""
     n, k = state.n, state.k
+    # Window caps from the cells one candidate stacks: a relabel's k + 1 rows
+    # of k (or its neighbour row), a swap's two rows of k plus, for real
+    # weights, its two neighbour rows of n.
     cap = max(1, _BATCH_CELLS // max(k * k, 2 * n))
+    swap_cap = max(1, _BATCH_CELLS // (2 * k + (0 if state.binary else 2 * n)))
     swaps = 0
     state.limit(h_min, h_max)
 
@@ -632,7 +672,7 @@ def _local_search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.G
             swaps += 1
             return lo + live[t]
 
-        return _first_improvement(len(pairs), cap, take_swap)
+        return _first_improvement(len(pairs), swap_cap, take_swap)
 
     # Relabel moves are cheap, so iterate them to a fixed point; swap sweeps
     # are the escape hatch for size-constrained configurations and only run
@@ -653,9 +693,10 @@ def _maximize_profile(
     restarts: int,
     seed: int,
     extra_inits: list | None = None,
-    xlx: np.ndarray | None = None,
+    binary: bool = False,
 ):
-    """Multi-restart local search; returns (z0, total, swaps, ties, searches run)."""
+    """Multi-restart local search, for 0/1 weights if binary; returns (z0,
+    total, swaps, ties, searches run)."""
     n = w.shape[0]
     _check_constraints(n, k, h_min, h_max)
     _check_restarts(restarts)
@@ -670,6 +711,8 @@ def _maximize_profile(
         inits.append(np.asarray(z0, dtype=np.int64))
     while len(inits) < restarts:
         inits.append(_contiguous_labels(rng.permutation(n), sizes))
+    # a group grows only up to h_max, but a given start may begin above it
+    xlx = _xlogx_table(max([min(h_max, n)] + [np.bincount(z0).max() for z0 in inits]))
 
     best_total = -np.inf
     best_canon = None
@@ -677,7 +720,7 @@ def _maximize_profile(
     ties = False
     work = _Workspace()
     for z0 in inits:
-        state = _ProfileState(w, z0, k, xlx, work)
+        state = _ProfileState(w, z0, k, xlx, work, binary)
         swaps = _local_search(state, h_min, h_max, rng)
         state.verify()
         canon = _canonical_labels(state.z)
@@ -895,10 +938,8 @@ def mple_search(
     """Multi-restart local maximization of the profile log-likelihood."""
     h_max = a.n if h_max is None else h_max
     w = a.a.astype(np.float64)
-    # 0/1 weights: integer block sums; every pair count is below (h_max + 1)^2.
-    m = np.arange((min(h_max, a.n) + 1) ** 2, dtype=np.float64)
     z0, total, swaps, ties, searches = _maximize_profile(
-        w, k, h_min, h_max, restarts, seed, xlx=xlogy(m, m)
+        w, k, h_min, h_max, restarts, seed, binary=True
     )
     return _finish_fit(a, z0, k, total, searches, swaps, ties, seed, h_min, h_max)
 

@@ -236,6 +236,9 @@ def _best_order_mse(
     bound = s2_total + float(np.maximum.reduceat(largest, first).sum())
     e = 4.0 * (k * k + 1) * (np.finfo(float).eps / 2) * bound
 
+    # others[left][t]: the positions of a node's `left` free blocks but t
+    others = [np.array([np.delete(np.arange(left), t) for t in range(left)])
+              for left in range(k)]
     best, kept = math.inf, []
     for lead in range(k):
         # per node of the current level: the placed blocks as a bit mask, the
@@ -256,8 +259,7 @@ def _best_order_mse(
                 q += pair[col, new]
             path.append(new)
             mask = mask[node] | (1 << b)
-            others = np.array([np.delete(np.arange(left), t) for t in range(left)])
-            free = free[:, others].reshape(b.size, left - 1)
+            free = free[:, others[left]].reshape(b.size, left - 1)
         q = s2_total + q
         best = min(best, float(q.min()))
         # best only falls, so this keeps a superset of the final candidates

@@ -157,6 +157,8 @@ class AdjacencyMatrix:
         except ValueError as e:
             raise DomainError(f"non-integer token in edge list: {e}") from None
         n, m = nums[0], nums[1]
+        if n < 2:
+            raise DomainError(f"edge list header needs n >= 2 nodes, got n={n}")
         if len(nums) != 2 + 2 * m:
             raise DomainError(f"expected {m} edges, found {(len(nums) - 2) // 2}")
         a = np.zeros((n, n), dtype=np.uint8)
@@ -164,6 +166,8 @@ class AdjacencyMatrix:
             i, j = nums[2 + 2 * t], nums[3 + 2 * t]
             if not (0 <= i < j < n):
                 raise DomainError(f"edge ({i},{j}) violates 0 <= i < j < n={n}")
+            if a[i, j]:
+                raise DomainError(f"edge ({i},{j}) is listed more than once")
             a[i, j] = a[j, i] = 1
         return cls(a)
 

@@ -44,6 +44,7 @@ from graphonfit.blockmodel import (
     _finish_fit,
     _local_search,
     _terms,
+    _xlogx,
     oracle_divergence,
 )
 from graphonfit.graphons import balanced_partition, partition_quantile
@@ -503,6 +504,54 @@ class TestIncrementalEngine:
         pc = rng.integers(0, 31**2, size=2000).astype(np.float64)
         s = np.floor(pc * rng.uniform(-0.1, 1.1, size=pc.size))  # clipped at both ends
         assert np.array_equal(state._terms(s, pc, np.empty_like(s)), _terms(s, pc))
+        # pc log pc of every size piece, after relabels, comes from the one
+        # table with xlogy's bits, for either kind of weight
+        for binary in (True, False):
+            w, z0 = _search_instance(40, 5, binary, seed=27)
+            state = _ProfileState(w, z0, 5, _xlx_for(40) if binary else None)
+            state.limit(2, 40)
+            moved = 0
+            for i, b in rng.integers(0, [40, 5], size=(40, 2)):
+                if b != state.z[i] and state.h[state.z[i]] > 2:
+                    relabel_move(state, np.array([i]), 0, b)
+                    moved += 1
+            assert moved > 10
+            pc, pcl = state.sizes
+            assert np.array_equal(pcl, xlogy(pc, pc))
+
+    def test_real_window_terms_near_xlogy_terms(self):
+        # numpy's log, which real weights use, may differ from xlogy's in the
+        # last bit; the masked own-group rows of a relabel stack stay finite
+        n, k = 60, 7
+        w, z0 = _search_instance(n, k, False, seed=28)
+        state = _ProfileState(w, z0, k)
+        nodes = np.arange(n)
+        s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes))
+        got = state._terms(s, pc, np.empty_like(s), pcl)
+        assert np.all(np.isfinite(got[nodes, 1 + state.z]))
+        assert np.allclose(got, _terms(s, pc), rtol=1e-12, atol=0.0)
+        iu, ju = np.triu_indices(n, k=1)
+        live = state.z[iu] != state.z[ju]
+        s, pc, pcl = state.swap_rows(iu[live], ju[live])
+        got = state._terms(s, pc, np.empty_like(s), pcl)
+        assert np.allclose(got, _terms(s, pc), rtol=1e-12, atol=0.0)
+
+    def test_real_window_terms_vanish_where_saturated(self):
+        # s log s is exactly 0 at s = 0, and (pc - s) log(pc - s) at s = pc;
+        # the rest, numpy's pc log pc less the table's, is 0 for these small
+        # integer pair counts
+        n, k = 40, 5
+        w, z0 = _search_instance(n, k, False, seed=29)
+        state = _ProfileState(w, z0, k)
+        nodes = np.arange(n)
+        s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes))
+        pick = np.random.default_rng(30).integers(0, 3, size=s.shape)
+        s[pick == 0] = 0.0
+        s[pick == 1] = pc[pick == 1]
+        got = state._terms(s, pc, np.empty_like(s), pcl)
+        assert np.all(got[pick < 2] == 0.0)
+        x = np.array([0.0, 0.5, 3.0])
+        assert np.array_equal(_xlogx(x.copy(), np.empty(3)), [0.0, 0.5 * np.log(0.5), 3.0 * np.log(3.0)])
 
     def test_batched_relabel_deltas_equal_one_node_deltas(self):
         # bitwise, so argmax ties resolve as they do one node at a time
@@ -809,6 +858,15 @@ class TestOracle:
         fit = oracle_mple(p, 2, restarts=8, seed=0)
         assert fit.divergence == pytest.approx(0.0, abs=1e-12)
         assert fit.ties
+
+    def test_extra_start_above_h_max(self):
+        # the search's x log x table also covers a given start's groups
+        # above h_max, whose relabels then shrink them
+        labels = np.repeat([1, 2], 5)
+        pm = np.where(labels[:, None] == labels[None, :], 0.6, 0.2)
+        p = self.make_probabilities(pm.astype(float))
+        fit = oracle_mple(p, 2, h_max=5, restarts=1, seed=0, extra_inits=[np.repeat([0, 1], [8, 2])])
+        assert fit.assignment.canonical_form().z.tolist() == labels.tolist()
 
     def test_restarts_used_counts_extra_inits(self):
         # the degree-sorted start always runs, so one extra init makes two

@@ -133,8 +133,13 @@ def _sweep_argv(d):
     return ["sweep", "--config", d / "cfg.json", "--out-dir", d / "o"]
 
 
+def _fit_bad_argv(d):
+    return ["fit", "--edges", d / "bad.txt", "--k", 2, "--out", d / "bad.json"]
+
+
 class TestMalformedInput:
-    # (edits (file, key, new value or _DROP) made before the run, command line)
+    # (edits (file, key, new value or _DROP) made before the run, command line);
+    # an edit with key None writes the value as the file's whole text
     CASES = {
         "estimate-fit-no-rho_hat": (
             [("fit.json", "rho_hat", _DROP)],
@@ -172,6 +177,8 @@ class TestMalformedInput:
                            "--out", d / "neg.json"],
         ),
         "risk-fit-seed-negative": ([("fit.json", "seed", -1)], _risk_argv),
+        "fit-edges-negative-n": ([("bad.txt", None, "-1 0\n")], _fit_bad_argv),
+        "fit-edges-duplicate": ([("bad.txt", None, "3 2\n0 1\n0 1\n")], _fit_bad_argv),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -185,6 +192,9 @@ class TestMalformedInput:
         ))
         edits, argv = self.CASES[case]
         for name, key, value in edits:
+            if key is None:
+                (tmp_path / name).write_text(value)
+                continue
             obj = json.loads((tmp_path / name).read_text())
             if value is _DROP:
                 del obj[key]
@@ -199,6 +209,8 @@ class TestMalformedInput:
             assert "re-run fit" in err
         if case == "risk-sidecar-xi-short":  # normalized_kl_risk's DomainError
             assert "disagree on n" in err
+        if case == "fit-edges-duplicate":
+            assert "edge (0,1) is listed more than once" in err
 
 
 class TestRiskMatchesSweep:

@@ -151,6 +151,10 @@ class TestEdgeListIO:
             AdjacencyMatrix.from_edge_list("3 1\n0 5\n")  # out of range
         with pytest.raises(DomainError):
             AdjacencyMatrix.from_edge_list("3 1\na b\n")
+        with pytest.raises(DomainError, match="n >= 2"):
+            AdjacencyMatrix.from_edge_list("-1 0\n")  # negative node count
+        with pytest.raises(DomainError, match=r"edge \(0,1\) is listed more than once"):
+            AdjacencyMatrix.from_edge_list("3 2\n0 1\n0 1\n")
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
