@@ -27,9 +27,17 @@ uses it: _terms, profile_log_likelihood, oracle_divergence and the KL terms
 keep xlogy.  What only a move changes is cached and refreshed where a move
 is applied: the terms' row sums, the pair-count pieces that depend only on
 the group sizes (with their pc*log(pc)) and the move mask, and, for 0/1
-weights, each node's exact integer weight into each group.  The incremental
-state, caches included, is verified against a from-scratch recomputation
-after every restart.
+weights, each node's exact integer weight into each group; 0/1 weights keep
+their block sums and pair counts as integers.
+
+The starts of one search run in lockstep, their states stacked slot by slot:
+each round scores one relabel window of every start still relabelling in one
+stack and applies each start's first improving move.  Relabels draw no
+random numbers, and a swap sweep that draws its pairs (n > 80) waits until
+every earlier start has finished, so every start's moves, and the result,
+are those of running the starts one after another.  Each start's
+incremental state, caches included, is verified against a from-scratch
+recomputation once it has finished.
 """
 
 from __future__ import annotations
@@ -342,6 +350,27 @@ _PIECE_SHIFTS = np.array([[[0], [-1], [1], [-1]], [[0], [0], [0], [1]]])
 _EXCLUDED = np.array([0.0, -np.inf])  # a move mask cell, by whether it is excluded
 
 
+class _Stacks:
+    """The arrays of the search states of one search, stacked along a
+    leading slot axis: each _ProfileState views one slot, and a relabel
+    window over several states reads them through (slot, node) indices.
+    Block sums, neighbour counts and pair counts are integers (intp) for
+    0/1 weights; real weights keep float pair counts, which their float
+    block sums meet without a cast."""
+
+    def __init__(self, n: int, slots: int, k: int, binary: bool):
+        self.z = np.empty((slots, n), np.int64)
+        self.h = np.empty((slots, k), np.int64)
+        self.e = np.empty((slots, k, k), np.intp if binary else np.float64)
+        self.nbr = np.empty((slots, n, k), np.intp) if binary else None
+        self.t = np.empty((slots, k, k))
+        self.row_sums = np.empty((slots, k))
+        # [pairs, leave, join, fix] pair counts and their pc log pc
+        self.pieces = np.empty((slots, 4, k, k), np.intp if binary else np.float64)
+        self.piece_logs = np.empty((slots, 4, k, k))
+        self.mask = np.empty((slots, k, k))
+
+
 class _ProfileState:
     """Mutable search state maximizing the block-pair term sum over labelings.
 
@@ -359,13 +388,15 @@ class _ProfileState:
     prices them, and one writer (write) makes the chosen candidate's rows the
     state's and applies the move, so the state holds the rows that were
     scored.  Stacks go into a _Workspace, which a caller may share between
-    states (see _BATCH_CELLS).
+    states (see _BATCH_CELLS).  The state's arrays are views of one slot of
+    a _Stacks, which the states of one search share; given slots, the
+    relabel builder and the scorer stack the windows of several of them.
 
     What only a move changes is cached, and write refreshes it: the row
     sums of t (every move); the size pieces, pair-count rows that depend
-    only on the group sizes h, with their pc log pc, and the move mask
-    (every relabel; a swap keeps h); and, for 0/1 weights, each node's
-    weight into each group, nbr, by +-w[i] for every node that moves.
+    only on the group sizes h, with their pc log pc (piece_logs), and the
+    move mask (every relabel; a swap keeps h); and, for 0/1 weights, each
+    node's weight into each group, nbr, by +-w[i] for every node that moves.
     Exact integer counts keep their bits however they are summed; real
     weights are summed afresh per window.  Each cache holds the bits a
     window would compute from the current state, so scores do not depend
@@ -373,32 +404,39 @@ class _ProfileState:
     """
 
     def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray | None = None,
-                 work: _Workspace | None = None, binary: bool | None = None):
+                 work: _Workspace | None = None, binary: bool | None = None,
+                 stacks: _Stacks | None = None, slot: int = 0):
         """binary defaults to whether xlx is given; without xlx the state
-        builds a table for groups of up to n nodes."""
+        builds a table for groups of up to n nodes.  Without stacks the
+        state has its own, of one slot."""
         self.w = w
         self.n = w.shape[0]
         self.k = k
         self.binary = xlx is not None if binary is None else binary
         self.xlx = _xlogx_table(self.n) if xlx is None else xlx
         self.work = _Workspace() if work is None else work
-        self.z = z0.copy()
-        self.h = np.bincount(z0, minlength=k).astype(np.int64)
+        self.stacks = _Stacks(self.n, 1, k, self.binary) if stacks is None else stacks
+        for name in ("z", "h", "e", "t", "row_sums", "pieces", "piece_logs", "mask"):
+            setattr(self, name, getattr(self.stacks, name)[slot])
+        self.z[...] = z0
+        self.h[...] = np.bincount(z0, minlength=k)
         # Bounds for the move mask; _local_search sets its own (see limit).
         self.h_min, self.h_max = 1, self.n
-        # [pair counts, pc log pc] x [pairs, leave, join, fix], and the mask
-        self.sizes = np.empty((2, 4, k, k))
-        self.mask = np.empty((k, k))
         self._within = np.arange(self.n + 2) * np.arange(-1, self.n + 1) // 2  # x (x - 1) / 2
+        # _refresh_sizes' row and column factors, its integer pieces and their diagonals
+        self._factors = np.empty((2, 4, k), np.int64)
+        self._counts = self.pieces if self.binary else np.empty((4, k, k), np.intp)
+        self._diagonals = self._counts.reshape(4, k * k)[:3, :: k + 1]
         self._refresh_sizes()
-        self.e = _block_weight_sums(w, z0, k)
-        self.t = self._terms(self.e, self.sizes[0, 0], np.empty((k, k)), self.sizes[1, 0])
-        self.row_sums = self.t.sum(axis=1)
+        self.e[...] = _block_weight_sums(w, z0, k)  # exact integers for 0/1 weights
+        self._terms(self.e, self.pieces[0], self.t, self.piece_logs[0])
+        self.t.sum(axis=1, out=self.row_sums)
         self.total = _total_from_terms(self.t)
         self.nbr = None
         if self.binary:
-            self.nbr = np.bincount((np.arange(self.n)[:, None] * k + self.z).ravel(),
-                                   w.ravel(), self.n * k).reshape(self.n, k)
+            self.nbr = self.stacks.nbr[slot]
+            self.nbr[...] = np.bincount((np.arange(self.n)[:, None] * k + self.z).ravel(),
+                                        w.ravel(), self.n * k).reshape(self.n, k)
 
     def limit(self, h_min: int, h_max: int) -> None:
         """Mask relabels that leave a group below h_min or above h_max."""
@@ -419,14 +457,13 @@ class _ProfileState:
         group a to b (row a, column b) stays put or breaks the bounds, else
         0.
         """
-        h, k = self.h, self.k
-        rows, cols = h + _PIECE_SHIFTS
-        counts = self.work("counts", (4, k, k), np.intp)
+        h, k, counts = self.h, self.k, self._counts
+        rows, cols = np.add(h, _PIECE_SHIFTS, out=self._factors)
         np.multiply(rows[:, :, None], cols[:, None, :], out=counts)
-        self._within.take(rows[:3], out=counts.reshape(4, k * k)[:3, :: k + 1])
-        pc, logs = self.sizes
-        pc[...] = counts
-        self.xlx.take(counts, out=logs)
+        self._within.take(rows[:3], out=self._diagonals)
+        if not self.binary:
+            self.pieces[...] = counts
+        self.xlx.take(counts, out=self.piece_logs)
         if mask:
             # a bool index takes _EXCLUDED[0] or [1]
             np.add.outer(_EXCLUDED.take(h <= self.h_min), _EXCLUDED.take(h >= self.h_max),
@@ -434,25 +471,23 @@ class _ProfileState:
             self.mask.reshape(k * k)[:: k + 1] = -np.inf
 
     def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray, pcl=None) -> np.ndarray:
-        """The terms of _terms, written into out (which may be s), with s
-        clipped to [0, pc]; pcl, if given, holds pc log pc, else it is read
-        from xlx.  0/1 weights give _terms' bits, real weights _xlogx's."""
+        """The terms of _terms, written into out, with s clipped to [0, pc];
+        pc holds integer values, and pcl, if given, pc log pc, else it is read
+        from xlx.  0/1 weights (s and pc intp) give _terms' bits, real weights
+        _xlogx's."""
         tmp = self.work("tmp", s.shape)
         xlx = self.xlx
         if pcl is None:  # the writer's two rows, or a fresh state's t
-            pcl = xlx.take(pc.astype(np.intp))
+            pcl = xlx.take(pc if self.binary else pc.astype(np.intp))
         if self.binary:
             # Integer s and pc: the same values as _terms, clip included.
-            both = self.work("indices", (2, *s.shape), np.intp)
-            pci, si = both[0], both[1]
-            pci[...] = pc  # an unsafe cast, as astype's
-            si[...] = s
-            np.minimum(si, pci, out=si)
+            si = self.work("clipped", s.shape, np.intp)
+            np.minimum(s, pc, out=si)
             np.maximum(si, 0, out=si)
             # mode="clip" writes into out directly (the default mode buffers
             # it); every index is in range, so the values are the same.
             t = xlx.take(si, out=out, mode="clip")
-            t += xlx.take(np.subtract(pci, si, out=si), out=tmp, mode="clip")
+            t += xlx.take(np.subtract(pc, si, out=si), out=tmp, mode="clip")
         else:
             s = np.clip(s, 0.0, pc, out=out)
             d = np.subtract(pc, s, out=tmp)
@@ -462,36 +497,55 @@ class _ProfileState:
         t -= pcl
         return t
 
-    def _neighbor_weights(self, nodes: np.ndarray) -> np.ndarray:
-        """Weight of each node into each current group, shape (len(nodes), k)."""
+    def _source(self, slots):
+        """The arrays a window reads and the leading index into them: this
+        state's views, or with slots (one per node) the stacks."""
+        return (self, ()) if slots is None else (self.stacks, (slots,))
+
+    def _neighbor_weights(self, nodes: np.ndarray, slots=None) -> np.ndarray:
+        """Weight of each node into each current group of its state (this
+        one, or that of slot slots[r] for row r), shape (len(nodes), k)."""
+        src, lead = self._source(slots)
         if self.nbr is not None:
-            return self.nbr[nodes]
+            return src.nbr[lead + (nodes,)]
         m = nodes.size
         rows = self.work("rows", (m, self.n), np.intp)
-        np.add(np.arange(m)[:, None] * self.k, self.z, out=rows)
+        np.add(np.arange(m)[:, None] * self.k, src.z[lead], out=rows)
         wn = self.w.take(nodes, axis=0, out=self.work("wrows", (m, self.n)), mode="clip")
         return np.bincount(rows.ravel(), wn.ravel(), m * self.k).reshape(m, self.k)
 
-    def relabel_rows(self, nodes: np.ndarray, cnt: np.ndarray) -> tuple:
+    def relabel_rows(self, nodes: np.ndarray, cnt: np.ndarray, slots=None) -> tuple:
         """Stack (s, pc, pc log pc) for moving each node, with neighbour
         weights cnt, out of its group a: row 0 is group a after the node
         leaves and row 1 + b group b after it joins (meaningless for b = a).
         Row 0's cell b still counts the node in a; write fixes it.  Rows do
-        not depend on the rest of the stack."""
-        k = self.k
-        r = np.arange(nodes.size)
-        a = self.z[nodes]
-        stacks = self.work("stacks", (3, nodes.size, k + 1, k))
-        s, sized = stacks[0], stacks[1:]
-        np.subtract(self.e[a], cnt, out=s[:, 0])
-        np.add(self.e, cnt[:, None, :], out=s[:, 1:])
+        not depend on the rest of the stack.  Given slots, node r belongs to
+        the state of slot slots[r]."""
+        k, m = self.k, nodes.size
+        src, lead = self._source(slots)
+        r = np.arange(m)
+        a = src.z[lead + (nodes,)]
+        s = self.work("sums", (m, k + 1, k), src.e.dtype)
+        np.subtract(src.e[lead + (a,)], cnt, out=s[:, 0])
+        np.add(src.e[lead], cnt[:, None, :], out=s[:, 1:])
         s[r, 1:, a] -= cnt
-        pieces = self.sizes
-        sized[:, :, 0] = pieces[:, 1, a]
-        sized[:, :, 1:] = pieces[:, 2, None]
-        # r and a around a slice put the node axis first
-        sized[:, r, 1:, a] = pieces[:, 3, a].swapaxes(0, 1)
-        return s, sized[0], sized[1]
+        pc = self.work("counts", (m, k + 1, k), src.pieces.dtype)
+        pcl = self.work("count_logs", (m, k + 1, k))
+        # The join rows' pair counts are one state's join piece for a whole
+        # run of rows from that state: copy it per run, not gather it per row.
+        if slots is None:
+            runs = [(self.pieces, self.piece_logs, 0, m)]
+        else:
+            cuts = [0, *(np.flatnonzero(np.diff(slots)) + 1), m]
+            runs = [(src.pieces[slots[lo]], src.piece_logs[slots[lo]], lo, hi)
+                    for lo, hi in zip(cuts, cuts[1:])]
+        for pieces, logs, lo, hi in runs:
+            pc[lo:hi, 1:] = pieces[2]
+            pcl[lo:hi, 1:] = logs[2]
+        for out, pieces in ((pc, src.pieces), (pcl, src.piece_logs)):
+            out[:, 0] = pieces[lead + (1, a)]
+            out[r, 1:, a] = pieces[lead + (3, a)]
+        return s, pc, pcl
 
     def swap_rows(self, ii: np.ndarray, jj: np.ndarray) -> tuple:
         """Stack (s, pc, pc log pc) for exchanging the labels of each pair
@@ -503,7 +557,7 @@ class _ProfileState:
         r = np.arange(ii.size)
         a, b = self.z[ii], self.z[jj]
         ci, cj = np.split(self._neighbor_weights(np.concatenate([ii, jj])), 2)
-        wij = self.w[ii, jj]
+        wij = self.w[ii, jj].astype(ci.dtype)  # exact for 0/1 weights
         cj[r, a] -= wij
         ci[r, b] -= wij
         d = cj - ci
@@ -512,28 +566,29 @@ class _ProfileState:
         s[:, 0] += d
         s[:, 1] -= d
         s[r, 0, b] = s[r, 1, a] = self.e[a, b] - d[r, a] + d[r, b]
-        pc, pcl = self.sizes[:, 0][:, ab]
-        return s, pc, pcl
+        return s, self.pieces[0][ab], self.piece_logs[0][ab]
 
     def score(self, s: np.ndarray, pc: np.ndarray, pcl: np.ndarray, a: np.ndarray,
-              b=None) -> np.ndarray:
+              b=None, slots=None) -> np.ndarray:
         """Objective change of each candidate of a stack.
 
         The change is (sum row 0 - row 0[b]) + sum row b - (old row sums of a
         and b) + t[a, b]: the (a, b) cross term sits in both rows, so only
         row b's copy counts.  b holds each stack's one group b (a swap); with
         b None, candidate c joins group c (a relabel window), and row 0[b] is
-        row 0 itself, not a gather.  Returns deltas of shape (N, m - 1).
+        row 0 itself, not a gather.  slots is relabel_rows'.  Returns deltas
+        of shape (N, m - 1).
         """
         terms = self._terms(s, pc, self.work("terms", s.shape), pcl)
         sums = terms.sum(axis=2)
-        t, row_sums = self.t, self.row_sums
+        src, lead = self._source(slots)
+        t, row_sums = src.t, src.row_sums
         if b is None:
-            at_b, sums_b, t_ab = terms[:, 0], row_sums, t[a]
+            at_b, sums_b, t_ab = terms[:, 0], row_sums[lead], t[lead + (a,)]
         else:
             r = np.arange(a.size)
             at_b, sums_b, t_ab = terms[r, 0, b, None], row_sums[b, None], t[a, b, None]
-        return (sums[:, :1] - at_b) + sums[:, 1:] - row_sums[a][:, None] - sums_b + t_ab
+        return (sums[:, :1] - at_b) + sums[:, 1:] - row_sums[lead + (a,)][:, None] - sums_b + t_ab
 
     def write(self, i: int, b: int, s: np.ndarray, pc: np.ndarray, delta: float,
               j: int | None = None) -> None:
@@ -549,10 +604,10 @@ class _ProfileState:
         e, t = self.e, self.t
         e[a], e[b] = s
         e[:, a], e[:, b] = s
-        rows = self._terms(s, pc, s)
+        rows = self._terms(s, pc, self.work("written", s.shape))
         t[a], t[b] = rows
         t[:, a], t[:, b] = rows
-        self.row_sums = t.sum(axis=1)
+        t.sum(axis=1, out=self.row_sums)
         self.total += delta
         self.z[i] = b
         moved = self.w[i]  # the weight group a loses and b gains, per node
@@ -568,6 +623,7 @@ class _ProfileState:
             self.z[j] = a
             moved = moved - self.w[j]
         if self.nbr is not None:
+            moved = moved.astype(np.intp)  # exact for 0/1 weights
             self.nbr[:, a] -= moved
             self.nbr[:, b] += moved
 
@@ -587,7 +643,8 @@ class _ProfileState:
             "block terms": np.allclose(fresh.t, self.t, rtol=1e-10, atol=1e-8),
             "term row sums": exact(self.t.sum(axis=1), self.row_sums),
             "neighbour counts": self.nbr is None or exact(fresh.nbr, self.nbr),
-            "size pieces": exact(fresh.sizes, self.sizes),
+            "size pieces": exact(fresh.pieces, self.pieces)
+            and exact(fresh.piece_logs, self.piece_logs),
             "move mask": exact(fresh.mask, self.mask),
         }
         for name, ok in checks.items():
@@ -601,52 +658,94 @@ def _contiguous_labels(order: np.ndarray, sizes) -> np.ndarray:
     return z0
 
 
-def _first_improvement(count: int, cap: int, take_first) -> bool:
-    """Scan moves 0..count-1 in order, taking every one that improves.
+def _lockstep(searches: list, cap: int, take_first) -> list:
+    """Run the first-improvement scans of several searches in lockstep.
 
-    take_first(lo, hi) scores moves lo..hi-1 against the current state, applies
-    the first improving one and returns its index, or returns -1.  Resuming
-    right after it takes exactly the moves of a one-at-a-time scan.  The window
-    doubles (up to cap) after a window with no taker and halves after a taker.
+    A search is a generator.  It yields the move count of each scan it
+    wants run and is sent whether that scan took a move, or it yields None
+    to wait until every earlier search has returned.  A scan takes every
+    move that improves, in order.  Each round takes one window (lo, hi) from
+    every running scan, together at most cap moves wide: take_first(windows),
+    with windows a list of (search, lo, hi), scores each window against its
+    search's current state, applies its first improving move and returns
+    that move's index, or -1, per window.  Resuming right after it takes
+    exactly the moves of a one-at-a-time scan.  A scan's window doubles
+    after a window with no taker and halves after a taker.  Returns what
+    each search returns.
     """
-    lo, width, taken = 0, 1, False
-    while lo < count:
-        hi = min(lo + width, count)
-        hit = take_first(lo, hi)
-        if hit < 0:
-            lo, width = hi, min(2 * width, cap)
-        else:
-            lo, width, taken = hit + 1, max(1, width // 2), True
-    return taken
+    out = [None] * len(searches)
+    done = [False] * len(searches)
+    scans = {}  # search -> [lo, width, count, taken]
+    waiting = []
+
+    def resume(i: int, sent) -> None:
+        while True:
+            try:
+                count = searches[i].send(sent)
+            except StopIteration as stop:
+                out[i], done[i] = stop.value, True
+                return
+            if count is None and not all(done[:i]):
+                waiting.append(i)
+                return
+            if count:
+                scans[i] = [0, 1, count, False]
+                return
+            sent = None if count is None else False
+
+    for i in range(len(searches)):
+        resume(i, None)
+    while scans:
+        share = cap // len(scans) or 1
+        windows = [(i, lo, min(lo + min(width, share), count))
+                   for i, (lo, width, count, _) in scans.items()]
+        for (i, _, hi), hit in zip(windows, take_first(windows)):
+            scan = scans[i]
+            if hit < 0:
+                scan[0], scan[1] = hi, min(2 * scan[1], share)
+            else:
+                scan[0], scan[1], scan[3] = hit + 1, max(1, scan[1] // 2), True
+            if scan[0] >= scan[2]:
+                del scans[i]
+                resume(i, scan[3])
+        for i in sorted(waiting) if waiting else ():
+            if all(done[:i]):
+                waiting.remove(i)
+                resume(i, None)
+    return out
 
 
-def _local_search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generator) -> int:
-    """Greedy ascent with relabel and swap moves; returns accepted swap count."""
+def _first_improvement(count: int, cap: int, take_first) -> bool:
+    """Scan moves 0..count-1 in order, taking every one that improves: the
+    one-scan case of _lockstep.  take_first(lo, hi) scores moves lo..hi-1
+    against the current state, applies the first improving one and returns
+    its index, or returns -1.  Returns whether any move was taken.
+
+    A search's starts run their relabel scans together through _lockstep
+    (see _local_searches); each start's swap sweeps and graphon_mse's
+    descents run one scan at a time through this form.
+    """
+
+    def scan():
+        return (yield count)
+
+    def take_one(windows):
+        ((_, lo, hi),) = windows
+        return (take_first(lo, hi),)
+
+    return _lockstep([scan()], cap, take_one)[0]
+
+
+def _search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generator):
+    """One start's greedy ascent with relabel and swap moves, as a _lockstep
+    search: it yields its relabel scans and runs its swap sweeps itself, and
+    returns its accepted swap count."""
     n, k = state.n, state.k
-    # Window caps from the cells one candidate stacks: a relabel's k + 1 rows
-    # of k (or its neighbour row), a swap's two rows of k plus, for real
-    # weights, its two neighbour rows of n.
-    cap = max(1, _BATCH_CELLS // max(k * k, 2 * n))
+    # Window cap from the cells one candidate stacks: a swap's two rows of k
+    # plus, for real weights, its two neighbour rows of n.
     swap_cap = max(1, _BATCH_CELLS // (2 * k + (0 if state.binary else 2 * n)))
     swaps = 0
     state.limit(h_min, h_max)
-
-    def take_relabel(lo: int, hi: int) -> int:
-        nodes = np.arange(lo, hi)
-        a = state.z[lo:hi]
-        s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes))
-        deltas = state.score(s, pc, pcl, a)
-        deltas += state.mask[a]
-        best = deltas.argmax(axis=1)
-        gain = deltas[np.arange(hi - lo), best]
-        hits = np.flatnonzero(gain > _SEARCH_TOL)
-        if hits.size == 0:
-            return -1
-        t = hits[0]
-        i, b = lo + t, best[t]
-        rows = [0, 1 + b]
-        state.write(i, b, s[t, rows], pc[t, rows], float(gain[t]))
-        return i
 
     def swap_sweep() -> bool:
         if n <= 80:
@@ -678,11 +777,67 @@ def _local_search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.G
     # are the escape hatch for size-constrained configurations and only run
     # once relabeling is stuck.
     for _ in range(_MAX_SWEEPS):
-        if _first_improvement(n, cap, take_relabel):
+        if (yield n):
             continue
+        if n > 80:
+            yield None  # its pair draws follow every earlier start's
         if not swap_sweep():
             break
     return swaps
+
+
+def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generator) -> list:
+    """Greedy ascents of states, the slots 0, 1, ... of one _Stacks, in
+    lockstep; returns each one's accepted swap count.
+
+    Each round scores one relabel window of every start still relabelling in
+    one stack (cap cells in all) and applies each window's first improving
+    move.  The starts' moves, swap draws and results are those of searching
+    them one after another with one rng: a start's relabels never draw, and
+    a swap sweep that draws (n > 80) waits until every earlier start has
+    finished.
+    """
+    n, k = states[0].n, states[0].k
+    # Window cap from the cells one candidate stacks: a relabel's k + 1 rows
+    # of k (or its neighbour row).
+    cap = max(1, _BATCH_CELLS // max(k * k, 2 * n))
+    index = np.array(np.meshgrid(np.arange(len(states)), np.arange(n), indexing="ij"))
+
+    def take_relabels(windows: list) -> list:
+        if len(windows) == 1:  # the state's own views: no gather
+            (i, lo, hi), = windows
+            state, slots, nodes = states[i], None, np.arange(lo, hi)
+        else:
+            state = states[0]  # any state: all read the shared stacks
+            slots, nodes = np.concatenate([index[:, i, lo:hi] for i, lo, hi in windows], axis=1)
+        src, lead = state._source(slots)
+        a = src.z[lead + (nodes,)]
+        s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes, slots), slots)
+        deltas = state.score(s, pc, pcl, a, slots=slots)
+        deltas += src.mask[lead + (a,)]
+        best = deltas.argmax(axis=1)
+        gain = deltas[np.arange(nodes.size), best]
+        hits = gain > _SEARCH_TOL
+        taken, start = [], 0
+        for i, lo, hi in windows:
+            first = hits[start:start + hi - lo].argmax()  # the first hit, if any
+            t = start + first
+            if hits[t]:
+                b = best[t]
+                rows = [0, 1 + b]
+                states[i].write(lo + first, b, s[t, rows], pc[t, rows], float(gain[t]))
+                taken.append(lo + first)
+            else:
+                taken.append(-1)
+            start += hi - lo
+        return taken
+
+    return _lockstep([_search(state, h_min, h_max, rng) for state in states], cap, take_relabels)
+
+
+def _local_search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generator) -> int:
+    """Greedy ascent of one state; returns its accepted swap count."""
+    return _local_searches([state], h_min, h_max, rng)[0]
 
 
 def _maximize_profile(
@@ -696,7 +851,15 @@ def _maximize_profile(
     binary: bool = False,
 ):
     """Multi-restart local search, for 0/1 weights if binary; returns (z0,
-    total, swaps, ties, searches run)."""
+    total, swaps, ties, searches run).
+
+    The starts run in lockstep (_local_searches): a round scores one relabel
+    window of each, and a swap sweep that draws its pairs from rng (n > 80)
+    waits until every earlier start has finished, so the draws come in start
+    order.  Each start is verified once all have finished, and the best is
+    picked in start order, so the result is, to the last bit, that of
+    searching the starts one after another.
+    """
     n = w.shape[0]
     _check_constraints(n, k, h_min, h_max)
     _check_restarts(restarts)
@@ -719,9 +882,10 @@ def _maximize_profile(
     best_swaps = 0
     ties = False
     work = _Workspace()
-    for z0 in inits:
-        state = _ProfileState(w, z0, k, xlx, work, binary)
-        swaps = _local_search(state, h_min, h_max, rng)
+    stacks = _Stacks(n, len(inits), k, binary)
+    states = [_ProfileState(w, z0, k, xlx, work, binary, stacks, slot)
+              for slot, z0 in enumerate(inits)]
+    for state, swaps in zip(states, _local_searches(states, h_min, h_max, rng)):
         state.verify()
         canon = _canonical_labels(state.z)
         if state.total > best_total + _TIE_TOL:

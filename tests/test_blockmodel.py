@@ -208,14 +208,36 @@ class TestProfileLikelihood:
         assert total == pytest.approx(-profile_log_likelihood(a, z), abs=1e-10)
 
 
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def reference_terms(s, pc, binary):
+    """The terms a search state computes: _terms' xlogy for 0/1 weights and,
+    for real weights, _xlogx's formula x log(max(x, smallest subnormal)) in
+    its order of operations, so that == holds on any CPU."""
+    if binary:
+        return _terms(s, pc)
+    s = np.clip(s, 0.0, pc)
+    d = pc - s
+    return s * np.log(np.maximum(s, _TINY)) + d * np.log(np.maximum(d, _TINY)) - xlogy(pc, pc)
+
+
 class _ScalarProfileState(_ProfileState):
     """Frozen one-move-at-a-time search state: the reference for the batched one.
 
     Scores one relabel with row-level arithmetic, all relabels of one node at
     once, and a swap by trial-applying half of it and rolling back.  It
     applies every move with its own in-place row and column updates, so none
-    of the batched state's builders, scorer or writer runs in it.
+    of the batched state's builders, scorer or writer runs in it.  Its terms
+    are reference_terms for the kind of its weights.
     """
+
+    def __init__(self, w, z0, k):
+        super().__init__(w, z0, k)
+        self.zero_one = bool(np.all((w == 0.0) | (w == 1.0)))
+
+    def terms(self, s, pc):
+        return reference_terms(s, pc, self.zero_one)
 
     def neighbor_weights(self, i):
         return np.bincount(self.z, weights=self.w[i], minlength=self.k)
@@ -237,8 +259,8 @@ class _ScalarProfileState(_ProfileState):
         pcb = hb * hn
         pcb[b] = hb * (hb - 1.0) / 2.0
         pcb[a] = ha * hb
-        ta = _terms(ea, pca)
-        tb = _terms(eb, pcb)
+        ta = self.terms(ea, pca)
+        tb = self.terms(eb, pcb)
         new = ta.sum() + tb.sum() - ta[b]
         old = self.t[a].sum() + self.t[b].sum() - self.t[a, b]
         return float(new - old)
@@ -253,14 +275,14 @@ class _ScalarProfileState(_ProfileState):
         ha = h[a] - 1.0
         pca0 = ha * h
         pca0[a] = ha * (ha - 1.0) / 2.0
-        ta0 = _terms(ea0, pca0)
+        ta0 = self.terms(ea0, pca0)
         eb = e + cnt[None, :]
         eb[:, a] -= cnt
         hb = h + 1.0
         pcb = hb[:, None] * h[None, :]
         np.fill_diagonal(pcb, hb * h / 2.0)
         pcb[:, a] = hb * ha
-        tb_sum = _terms(eb, pcb).sum(axis=1)
+        tb_sum = self.terms(eb, pcb).sum(axis=1)
         row_sums = t.sum(axis=1)
         deltas = (ta0.sum() - ta0) + tb_sum - row_sums[a] - row_sums + t[a]
         deltas[a] = 0.0
@@ -271,7 +293,7 @@ class _ScalarProfileState(_ProfileState):
         h = self.h.astype(np.float64)
         pc = h[g, None] * h
         pc[[0, 1], g] = h[g] * (h[g] - 1.0) / 2.0
-        rows = _terms(self.e[g], pc)
+        rows = self.terms(self.e[g], pc)
         self.t[g, :] = rows
         self.t[:, g] = rows.T
 
@@ -492,7 +514,7 @@ class TestIncrementalEngine:
             s[0, b], pc[0, b] = s[1, a], pc[1, a]
             g = [a, b]
             assert np.array_equal(state.e[g], s) and np.array_equal(state.e[:, g], s.T)
-            terms = _terms(s, pc)
+            terms = reference_terms(s, pc, binary)
             assert np.array_equal(state.t[g], terms) and np.array_equal(state.t[:, g], terms.T)
             assert state.total == before + delta
             state.verify()
@@ -501,9 +523,10 @@ class TestIncrementalEngine:
     def test_table_terms_equal_xlogy_terms(self):
         rng = np.random.default_rng(20)
         state = _ProfileState(np.zeros((30, 30)), np.repeat(np.arange(3), 10), 3, _xlx_for(30))
-        pc = rng.integers(0, 31**2, size=2000).astype(np.float64)
-        s = np.floor(pc * rng.uniform(-0.1, 1.1, size=pc.size))  # clipped at both ends
-        assert np.array_equal(state._terms(s, pc, np.empty_like(s)), _terms(s, pc))
+        # 0/1 weights keep integer block sums and pair counts
+        pc = rng.integers(0, 31**2, size=2000)
+        s = np.floor(pc * rng.uniform(-0.1, 1.1, size=pc.size)).astype(np.intp)  # clipped at both ends
+        assert np.array_equal(state._terms(s, pc, np.empty(s.shape)), _terms(s, pc))
         # pc log pc of every size piece, after relabels, comes from the one
         # table with xlogy's bits, for either kind of weight
         for binary in (True, False):
@@ -516,7 +539,7 @@ class TestIncrementalEngine:
                     relabel_move(state, np.array([i]), 0, b)
                     moved += 1
             assert moved > 10
-            pc, pcl = state.sizes
+            pc, pcl = state.pieces, state.piece_logs
             assert np.array_equal(pcl, xlogy(pc, pc))
 
     def test_real_window_terms_near_xlogy_terms(self):
@@ -573,7 +596,8 @@ class TestIncrementalEngine:
             ("total", None, "objective"), ("t", (0, 1), "block terms"),
             ("h", 0, "group sizes"), ("e", (0, 1), "block sums"),
             ("nbr", (5, 1), "neighbour counts"), ("row_sums", 2, "term row sums"),
-            ("sizes", (1, 2, 0, 1), "size pieces"), ("mask", (0, 1), "move mask"),
+            ("pieces", (2, 0, 1), "size pieces"), ("piece_logs", (2, 0, 1), "size pieces"),
+            ("mask", (0, 1), "move mask"),
         ):
             state = _ProfileState(w, z0, 3, _xlx_for(20))
             state.limit(2, 10)
@@ -675,6 +699,73 @@ class TestWindowBuffers:
         alone = swap_window(self.instance(binary)[2], ii, jj)
         for got, want in zip(swap_window(state, ii, jj), alone):
             assert np.array_equal(got, want)
+
+
+class TestLockstep:
+    """_maximize_profile runs its starts in lockstep, one relabel window of
+    each per round; its result, and every start's, equal those of searching
+    each start alone by _local_search, in start order, with one rng."""
+
+    # (n, k, h_min, h_max, binary, seed, restarts, extra start): n > 80 draws
+    # its swap pairs, n <= 80 scans all pairs
+    CASES = [
+        (150, 12, 12, 13, True, 4, 3, False), (150, 12, 12, 13, False, 5, 2, True),
+        (100, 10, 2, 100, True, 8, 4, False), (60, 6, 10, 10, True, 6, 3, False),
+        (60, 6, 2, 60, False, 7, 3, True),
+    ]
+
+    @staticmethod
+    def run(monkeypatch, case, alone):
+        """_maximize_profile's result, each start's (z, total, swaps) and, in
+        lockstep, the round in which each start's last window was scored."""
+        n, k, h_min, h_max, binary, seed, restarts, extra = case
+        w, z0 = _search_instance(n, k, binary, seed)
+        lockstep, searched = blockmodel._lockstep, blockmodel._local_searches
+        starts, rounds, last_round = [], [0], {}
+
+        def each_start(states, h_min, h_max, rng):
+            if alone:  # _local_search(state, ...), one start after another
+                swaps = [searched([state], h_min, h_max, rng)[0] for state in states]
+            else:
+                swaps = searched(states, h_min, h_max, rng)
+            starts.extend((state.z.copy(), state.total.hex(), s) for state, s in zip(states, swaps))
+            return swaps
+
+        def counted(searches, cap, take_first):
+            def take(windows):
+                rounds[0] += 1
+                last_round.update((i, rounds[0]) for i, _, _ in windows)
+                return take_first(windows)
+
+            return lockstep(searches, cap, take if len(searches) > 1 else take_first)
+
+        monkeypatch.setattr(blockmodel, "_local_searches", each_start)
+        monkeypatch.setattr(blockmodel, "_lockstep", counted)
+        z, total, swaps, ties, searches = blockmodel._maximize_profile(
+            w, k, h_min, h_max, restarts, seed, [z0] if extra else None, binary)
+        monkeypatch.undo()
+        finished = [last_round.get(i) for i in range(searches)]
+        return (z.tolist(), total.hex(), swaps, ties, searches), starts, finished
+
+    def test_lockstep_equals_one_start_at_a_time(self, monkeypatch):
+        drawn_swaps, apart = set(), 0
+        for case in self.CASES:
+            result, starts, finished = self.run(monkeypatch, case, alone=False)
+            alone, alone_starts, _ = self.run(monkeypatch, case, alone=True)
+            assert result == alone, case
+            for (z, total, swaps), (z1, total1, swaps1) in zip(starts, alone_starts):
+                assert np.array_equal(z, z1) and total == total1 and swaps == swaps1, case
+            assert None not in finished  # every start ran in the lockstep
+            apart = max(apart, max(finished) - min(finished))
+            n, binary = case[0], case[4]
+            if n > 80 and sum(swaps for _, _, swaps in starts[:-1]) > 0:
+                drawn_swaps.add(binary)  # an earlier start took swaps of drawn pairs
+        # both kinds of weight and both pair rules are covered (n <= 80 scans
+        # all pairs, n > 80 draws them), and some starts finished far apart
+        assert {(n > 80, binary) for n, _, _, _, binary, *_ in self.CASES} == {
+            (True, True), (True, False), (False, True), (False, False)}
+        assert drawn_swaps == {True, False}
+        assert apart > 100
 
 
 class TestMpleSearch:
