@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,42 +111,127 @@ CSV_COLUMNS = tuple(f.name for f in fields(RiskReport))
 # ---------------------------------------------------------------------------
 
 
+def _cell_sums(s1: np.ndarray, lo, hi, lo2, hi2) -> np.ndarray:
+    """The truth-grid sums over the cells [lo, hi) x [lo2, hi2) from s1, the
+    zero-padded 2-d prefix sum, by the association ((a - b) - c) + d that
+    every cell sum of the alignment search keeps."""
+    x = s1[hi, hi2]
+    x -= s1[lo, hi2]
+    x -= s1[hi, lo2]
+    x += s1[lo, lo2]
+    return x
+
+
+# Largest _IntervalTable, in cells (m^2 <= 2^18, at most 512 intervals and
+# 2 MiB).  The benchmark's ultra-sparse fits (n 100, k 40, grid 64) reach
+# 181-242 intervals; its dense fits at grid 256 reach 1,497-2,816, whose
+# tables would cost more to build than their search saves.
+_TABLE_CELLS = 1 << 18
+
+
+class _IntervalTable(NamedTuple):
+    """What _mse_for_orders gathers for the m grid intervals that a block
+    of some order can occupy.
+
+    h holds the block sizes; ids[first[a] + s] is the interval of block a
+    when the blocks before it hold s nodes; count[i] is the number of
+    midpoints in interval i; cells[i * m + j] is the truth-grid sum over
+    intervals i and j.
+    """
+
+    h: np.ndarray
+    first: np.ndarray
+    ids: np.ndarray
+    count: np.ndarray
+    cells: np.ndarray
+
+
+def _interval_table(step: StepGraphon, s1: np.ndarray, grid: int) -> _IntervalTable | None:
+    """step's _IntervalTable over the truth prefix sums s1, or None when it
+    would hold more than _TABLE_CELLS cells.
+
+    With N nodes, a block of width w placed after s nodes covers the
+    midpoints cut by s / N and (s + w) / N, s = 0..N - w: the cuts
+    _mse_for_orders takes, by the same division and search.
+    """
+    h = np.asarray(step.partition.h, dtype=np.int64)
+    total = int(h.sum())
+    cut = np.searchsorted(midpoint_grid(grid), np.arange(total + 1) / total, side="right")
+    # one row of starts per distinct width.  bincount and a mask in place of
+    # np.unique and np.sort, whose code pages alone add 0.75 MB of RSS.
+    has = np.bincount(h) > 0
+    ends = np.arange(total + 1) + np.flatnonzero(has)[:, None]
+    key = cut * (grid + 1) + cut[np.minimum(ends, total)]
+    seen = np.zeros((grid + 1) ** 2, dtype=bool)
+    seen[key[ends <= total]] = True
+    reach = np.flatnonzero(seen)
+    m = reach.size
+    if m * m > _TABLE_CELLS:
+        return None
+    lo, hi = np.divmod(reach, grid + 1)
+    # in row chunks of at most 4,096 cells, so that the gathers' chunk-sized
+    # temporaries stay small beside the table
+    cells = np.empty((m, m))
+    rows = max(1, 4096 // m)
+    for r in range(0, m, rows):
+        cells[r:r + rows] = _cell_sums(s1, lo[r:r + rows, None], hi[r:r + rows, None], lo, hi)
+    first = (np.cumsum(has)[h] - 1) * (total + 1)
+    return _IntervalTable(h, first, np.searchsorted(reach, key).ravel(),
+                          (hi - lo).astype(float), cells.ravel())
+
+
 def _mse_for_orders(
     orders: np.ndarray, est: StepGraphon, s1: np.ndarray, s2_total: float, grid: int,
-    work: _Workspace,
+    work: _Workspace, table: _IntervalTable | None = None,
 ) -> np.ndarray:
-    """MSE of each row of a (B, k) stack of block orders, in O(k^2) per order
-    from s1, the zero-padded 2-d prefix sum of the truth grid.  Cell sums keep
-    the association ((a - b) - c) + d and each order's products are summed along
-    a contiguous last axis, so a value has the same bits alone or in any stack.
+    """MSE of each row of a (B, k) stack of block orders, in O(k^2) per order.
 
-    Its (B, k+1, k+1) and (B, k, k) arrays go into work, which the caller
-    keeps for all its stacks, not fresh arrays (see blockmodel._BATCH_CELLS).
+    An order's k x k cell sums come from s1, the zero-padded 2-d prefix sum
+    of the truth grid, as (k+1)^2 corners and three difference passes, or,
+    given the call's table (see _interval_table), as one gather from it.
+    Both paths take each cell sum from the same s1 values with the association
+    ((a - b) - c) + d, so they give the same bits.  Each order's products
+    are summed along a contiguous last axis, so a value has the same bits
+    alone or in any stack.
+
+    Its stack-sized arrays go into work, which the caller keeps for all its
+    stacks, not fresh arrays (see blockmodel._BATCH_CELLS).
     """
     b, k = orders.shape
-    h = np.asarray(est.partition.h, dtype=np.int64)
-    right = np.cumsum(h[orders], axis=1) / h.sum()
-    cuts = np.zeros((b, k + 1), dtype=np.intp)
-    # side='right' sends a midpoint sitting exactly on a block edge to the
-    # lower block, matching the step-graphon quantile convention.
-    cuts[:, 1:] = np.searchsorted(midpoint_grid(grid), right, side="right")
-    index = np.add((cuts * (grid + 1))[:, :, None], cuts[:, None, :],
-                   out=work("index", (b, k + 1, k + 1), np.intp))
-    # mode="clip" writes into out directly (the default mode buffers it);
-    # every index is in range, so the values are the same.
-    p = s1.take(index, out=work("corners", (b, k + 1, k + 1)), mode="clip")
-    cell1 = np.subtract(p[:, 1:, 1:], p[:, :-1, 1:], out=work("cross", (b, k, k)))
-    cell1 -= p[:, 1:, :-1]
-    cell1 += p[:, :-1, :-1]
-    counts = np.diff(cuts, axis=1).astype(float)
     index = np.add((orders * k)[:, :, None], orders[:, None, :],
                    out=work("index", (b, k, k), np.intp))
     v = est.values.take(index, out=work("square", (b, k, k)), mode="clip")
+    if table is None:
+        h = np.asarray(est.partition.h, dtype=np.int64)
+        right = np.cumsum(h[orders], axis=1) / h.sum()
+        cuts = np.zeros((b, k + 1), dtype=np.intp)
+        # side='right' sends a midpoint sitting exactly on a block edge to the
+        # lower block, matching the step-graphon quantile convention.
+        cuts[:, 1:] = np.searchsorted(midpoint_grid(grid), right, side="right")
+        index = np.add((cuts * (grid + 1))[:, :, None], cuts[:, None, :],
+                       out=work("index", (b, k + 1, k + 1), np.intp))
+        # mode="clip" writes into out directly (the default mode buffers it);
+        # every index is in range, so the values are the same.
+        p = s1.take(index, out=work("corners", (b, k + 1, k + 1)), mode="clip")
+        cell1 = np.subtract(p[:, 1:, 1:], p[:, :-1, 1:], out=work("cross", (b, k, k)))
+        cell1 -= p[:, 1:, :-1]
+        cell1 += p[:, :-1, :-1]
+        counts = np.diff(cuts, axis=1).astype(float)
+    else:
+        hb = table.h[orders]
+        ends = np.cumsum(hb, axis=1)
+        ids = table.ids[table.first[orders] + (ends - hb)]
+        index = np.add((ids * table.count.size)[:, :, None], ids[:, None, :],
+                       out=work("index", (b, k, k), np.intp))
+        cell1 = table.cells.take(index, out=work("cross", (b, k, k)), mode="clip")
+        counts = table.count[ids]
     cell1 *= v
+    x = cell1.reshape(b, -1).sum(axis=1)
+    # the cell sums are spent, so their buffer takes the count products
+    np.multiply(counts[:, :, None], counts[:, None, :], out=cell1)
     v *= v
-    # the corners are spent, so their buffer takes the count products
-    v *= np.multiply(counts[:, :, None], counts[:, None, :], out=work("corners", (b, k, k)))
-    sq = s2_total - 2.0 * cell1.reshape(b, -1).sum(axis=1) + v.reshape(b, -1).sum(axis=1)
+    v *= cell1
+    sq = s2_total - 2.0 * x + v.reshape(b, -1).sum(axis=1)
     mse = sq / (grid * grid)
     # prefix-sum cancellation can leave a tiny negative residue at exact fits
     return np.where(mse > 0.0, mse, 0.0)
@@ -206,9 +292,7 @@ def _best_order_mse(
 
     def terms(i, j):
         """The kernel's x and y for the cells with row key i and column key j."""
-        x = s1[hi[i], hi[j]] - s1[lo[i], hi[j]]
-        x -= s1[hi[i], lo[j]]
-        x += s1[lo[i], lo[j]]
+        x = _cell_sums(s1, lo[i], hi[i], lo[j], hi[j])
         y = step.values[blk[i], blk[j]]
         x *= y
         y *= y
@@ -301,7 +385,11 @@ def graphon_mse(
     swap that lowers the MSE by more than 1e-15, and rescans until a scan
     takes none.  Every value returned or compared comes from one kernel,
     _mse_for_orders, in stacks of at most _BATCH_CELLS cells, all written
-    into one workspace per call.
+    into one workspace per call.  The descent's stacks gather their cell
+    sums from one _interval_table per call when its m^2 cells fit
+    _TABLE_CELLS, as at n 100 on grid 64, and otherwise from prefix-sum
+    corners, as for dense fits on grid 256.  The input alone picks the path,
+    and both give the same bits.
     """
     _check_mse_options(grid, alignment)
     k = step.partition.k
@@ -313,9 +401,10 @@ def graphon_mse(
     s2_total = float(np.cumsum((tg**2).sum(axis=0))[-1])
     del tg  # the search needs only the prefix sums; free the grid before it
     work = _Workspace()
+    table = None
 
     def score(orders: np.ndarray) -> np.ndarray:
-        return _mse_for_orders(orders, step, s1, s2_total, grid, work)
+        return _mse_for_orders(orders, step, s1, s2_total, grid, work, table)
 
     if alignment == "identity":
         return float(score(np.arange(k)[None])[0])
@@ -328,6 +417,8 @@ def graphon_mse(
 
     if k <= 8:
         return _best_order_mse(step, s1, s2_total, grid, work)
+    # score reads table when called, so from here on it gathers from it
+    table = _interval_table(step, s1, grid)
     batch = max(1, _BATCH_CELLS // (k + 1) ** 2)
     pa, pb = np.triu_indices(k, k=1)
 

@@ -179,7 +179,7 @@ def sample_latents(n: int, seed: int) -> LatentSample:
     rng = make_rng(seed, _LATENT_STREAM)
     xi = rng.uniform(size=n)
     # Probability-zero boundary hits would break the open-interval invariant.
-    while np.any((xi <= 0.0) | (xi >= 1.0)):  # pragma: no cover
+    while np.any((xi <= 0.0) | (xi >= 1.0)):
         bad = (xi <= 0.0) | (xi >= 1.0)
         xi[bad] = rng.uniform(size=int(bad.sum()))
     return LatentSample(xi=xi, seed=int(seed))

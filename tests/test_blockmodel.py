@@ -879,6 +879,16 @@ class TestExhaustive:
         with pytest.raises(BudgetError):
             mple_exhaustive(a, 4)
 
+    def test_enumeration_count_disagreement_raises(self, monkeypatch):
+        # a count that the enumeration does not reach means the two disagree
+        # on what is admissible, so the maximizer is not trusted
+        a = AdjacencyMatrix(a=np.ones((6, 6), dtype=np.uint8) - np.eye(6, dtype=np.uint8))
+        count = blockmodel.count_admissible_assignments
+        monkeypatch.setattr(blockmodel, "count_admissible_assignments",
+                            lambda *args: count(*args) + 1)
+        with pytest.raises(InternalError, match="enumerated 25 assignments, expected 26"):
+            mple_exhaustive(a, 2)
+
     def test_exhaustive_at_least_local(self):
         rng = np.random.default_rng(16)
         for t in range(50):

@@ -385,25 +385,62 @@ def random_step(k, seed, tied=False, jitter=0.0):
     return StepGraphon(Partition(sizes), np.triu(v) + np.triu(v, 1).T)
 
 
+# The greedy cases (k > 8) fall on both sides of the interval-table budget;
+# test_greedy_cases_take_both_paths checks that they do.
+RANDOM_CASES = [
+    (2, 64, "cosine"), (3, 256, "bilinear"), (4, 64, "product"),
+    (5, 256, "step"), (6, 64, "cosine"), (7, 64, "bilinear"),
+    (8, 256, "cosine"),  # exhaustive branch
+    (9, 64, "cosine"), (10, 256, "bilinear"), (11, 64, "product"),
+    (12, 256, "cosine"), (40, 64, "cosine"),  # greedy branch, interval table
+    (16, 256, "product"), (24, 256, "cosine"),  # greedy branch, corner gather
+]
+TIED_CASES = [(6, 256), (10, 64), (11, 256), (12, 64), (14, 256), (16, 256)]
+
+
+def interval_path(step, grid):
+    """The greedy branch's path by its documented rule, from a count made
+    here: 'table' when the distinct midpoint cuts of every block width at
+    every start, paired, fit risk._TABLE_CELLS, else 'corner'."""
+    h = [int(x) for x in step.partition.h]
+    n, mid = sum(h), midpoint_grid(grid)
+    cuts = [int(np.searchsorted(mid, s / n, side="right")) for s in range(n + 1)]
+    seen = {(cuts[s], cuts[s + w]) for w in set(h) for s in range(n - w + 1)}
+    return "table" if len(seen) ** 2 <= risk._TABLE_CELLS else "corner"
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The interval tables graphon_mse builds, None where it keeps the
+    corner gather, one per call that reaches the greedy branch."""
+    built = []
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    build = risk._interval_table
+    monkeypatch.setattr(risk, "_interval_table", recording)
+    return built
+
+
+def paths_taken(tables):
+    return ["corner" if t is None else "table" for t in tables]
+
+
 class TestGraphonMSEMatchesScalarSearch:
-    @pytest.mark.parametrize(
-        "k, grid, truth_name",
-        [(2, 64, "cosine"), (3, 256, "bilinear"), (4, 64, "product"),
-         (5, 256, "step"), (6, 64, "cosine"), (7, 64, "bilinear"),
-         (8, 256, "cosine"),  # exhaustive branch
-         (9, 64, "cosine"), (10, 256, "bilinear"), (11, 64, "product"),
-         (12, 256, "cosine"), (40, 64, "cosine")],  # greedy branch
-    )
-    def test_random_steps(self, k, grid, truth_name):
+    @pytest.mark.parametrize("k, grid, truth_name", RANDOM_CASES)
+    def test_random_steps(self, k, grid, truth_name, tables):
         step = random_step(k, seed=100 + k)
         truth = graphon_by_name(truth_name)
         for al in ALIGNMENTS:
             assert graphon_mse(truth, step, grid=grid, alignment=al) == \
                 scalar_graphon_mse(truth, step, grid, al)
+        assert paths_taken(tables) == ([] if k <= 8 else [interval_path(step, grid)])
 
     @pytest.mark.parametrize("jitter", [0.0, 1e-12])
-    @pytest.mark.parametrize("k, grid", [(6, 256), (10, 64), (11, 256), (12, 64)])
-    def test_tied_values(self, k, grid, jitter):
+    @pytest.mark.parametrize("k, grid", TIED_CASES)
+    def test_tied_values(self, k, grid, jitter, tables):
         # The truth is the estimate with its blocks shuffled and every height
         # drawn from three values, exactly or up to a 1e-12 jitter, so many
         # orders score alike or within about 1e-14 of each other and the
@@ -418,6 +455,28 @@ class TestGraphonMSEMatchesScalarSearch:
         for al in ALIGNMENTS:
             assert graphon_mse(truth, step, grid=grid, alignment=al) == \
                 scalar_graphon_mse(truth, step, grid, al)
+        assert paths_taken(tables) == ([] if k <= 8 else [interval_path(step, grid)])
+
+    def test_greedy_cases_take_both_paths(self):
+        random = {interval_path(random_step(k, seed=100 + k), grid)
+                  for k, grid, _ in RANDOM_CASES if k > 8}
+        tied = {interval_path(random_step(k, seed=200 + k, tied=True), grid)
+                for k, grid in TIED_CASES if k > 8}
+        assert random == tied == {"table", "corner"}
+
+    def test_greedy_block_with_no_grid_cells(self, tables):
+        # 308 nodes on 64 midpoints: a width-2 block spans 0.0065 < 1/64, so
+        # at most starts it covers no midpoint and the table holds
+        # zero-length intervals.
+        h = (40, 2, 44, 34, 40, 2, 38, 36, 30, 42)
+        v = np.random.default_rng(4).uniform(0, 2, size=(10, 10))
+        step = StepGraphon(Partition(h), v + v.T)
+        truth = graphon_by_name("cosine")
+        al = "block_permutation_search"
+        assert graphon_mse(truth, step, grid=64, alignment=al) == \
+            scalar_graphon_mse(truth, step, 64, al)
+        (table,) = tables
+        assert 0.0 in table.count
 
     def test_exhaustive_k8_timing_gate(self):
         # Scoring all 8! orders one at a time took about 3 s at grid 256.
@@ -506,30 +565,44 @@ class TestMseWorkspace:
         s2_total = float((tg**2).cumsum(axis=0).cumsum(axis=1)[-1, -1])
         return step, s1, s2_total, self.GRID
 
+    @staticmethod
+    def paths(kernel_args):
+        """The kernel's two inputs for its cell sums: none (the corner
+        gather) and the call's interval table."""
+        step, s1, _, grid = kernel_args
+        table = risk._interval_table(step, s1, grid)
+        assert table is not None
+        return None, table
+
     def orders(self, count, seed):
         rng = np.random.default_rng(seed)
         return np.array([rng.permutation(self.K) for _ in range(count)])
 
     def test_warm_stack_allocates_no_stack_array(self, kernel_args, warm_peak):
         orders = self.orders(self.CAP, seed=1)
-        work = risk._Workspace()
-        peak = warm_peak(lambda: risk._mse_for_orders(orders, *kernel_args, work))
-        # One (CAP, k, k) float array, the smallest stack-sized one (and under
-        # a (CAP, k+1, k+1) one), so any single stack-sized temporary fails
-        # this.  numpy's ufunc iterator buffers, about 130 KB at most, pass.
-        assert peak < self.CAP * self.K * self.K * 8
+        for table in self.paths(kernel_args):
+            work = risk._Workspace()
+            peak = warm_peak(lambda: risk._mse_for_orders(orders, *kernel_args, work, table))
+            # One (CAP, k, k) float array, the smallest stack-sized one (and
+            # under a (CAP, k+1, k+1) one), so any single stack-sized temporary
+            # fails this.  numpy's ufunc iterator buffers, about 155 KB at
+            # most (the broadcast index adds), pass.
+            assert peak < self.CAP * self.K * self.K * 8
 
     def test_reused_workspace_leaves_no_stale_values(self, kernel_args):
         step, s1, s2_total, grid = kernel_args
-        work = risk._Workspace()
-        full = risk._mse_for_orders(self.orders(self.CAP, seed=2), *kernel_args, work)
-        kept = full.copy()
-        short = self.orders(3, seed=3)
-        reused = risk._mse_for_orders(short, *kernel_args, work)
-        assert np.array_equal(reused, risk._mse_for_orders(short, *kernel_args, risk._Workspace()))
-        assert reused.tolist() == [scalar_order_mse(o, step, s1, s2_total, grid) for o in short]
-        # what a call returns is its own, not a view of the workspace
-        assert np.array_equal(full, kept)
+        for table in self.paths(kernel_args):
+            work = risk._Workspace()
+            full = risk._mse_for_orders(self.orders(self.CAP, seed=2), *kernel_args, work, table)
+            kept = full.copy()
+            short = self.orders(3, seed=3)
+            reused = risk._mse_for_orders(short, *kernel_args, work, table)
+            fresh = risk._mse_for_orders(short, *kernel_args, risk._Workspace(), table)
+            assert np.array_equal(reused, fresh)
+            assert reused.tolist() == [scalar_order_mse(o, step, s1, s2_total, grid)
+                                       for o in short]
+            # what a call returns is its own, not a view of the workspace
+            assert np.array_equal(full, kept)
 
 
 class TestKLTaylor:

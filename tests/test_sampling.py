@@ -17,6 +17,7 @@ from graphonfit import (
     sample_adjacency,
     sample_latents,
 )
+from graphonfit import sampling
 
 
 class TestLatents:
@@ -31,6 +32,25 @@ class TestLatents:
         n = 10**4
         xi = sample_latents(n, seed=9)
         assert abs(xi.xi.mean() - 0.5) <= 4.0 / math.sqrt(12 * n)
+
+    def test_boundary_draws_are_redrawn(self, monkeypatch):
+        # a draw of exactly 0 or 1 has probability zero but would break the
+        # open interval, so those latents alone are drawn again
+        class StubRng:
+            def __init__(self):
+                self.draws = [np.array([0.0, 0.25, 1.0, 0.5]), np.array([0.0, 0.75]),
+                              np.array([0.125])]
+
+            def uniform(self, size):
+                draw = self.draws.pop(0)
+                assert draw.size == size
+                return draw
+
+        rng = StubRng()
+        monkeypatch.setattr(sampling, "make_rng", lambda seed, stream: rng)
+        xi = sample_latents(4, seed=0)
+        assert xi.xi.tolist() == [0.125, 0.25, 0.75, 0.5]
+        assert rng.draws == []
 
     def test_minimum_size(self):
         assert sample_latents(2, seed=0).n == 2

@@ -1,0 +1,71 @@
+"""Print every benchmark replicate's risk report with exact float bits.
+
+Usage, from the repository root:
+
+    python3 tools/replicate_bits.py --seeds 1 2 3 > change.txt
+    python3 tools/replicate_bits.py --root ../parent --seeds 1 2 3 > parent.txt
+    diff parent.txt change.txt
+
+For each seed and each workload of bench/sweepbench.WORKLOADS (read, not
+changed), it runs the workload's sweep config one ``run_replicate`` call at
+a time with one BLAS thread, as the benchmark's timed pass does, and prints
+one line per replicate: the workload, the root seed, the replicate's index
+and every RiskReport field but runtime_ms, floats as ``float.hex``.  The
+library and the workloads come from the checkout at --root (default: this
+repository), so the outputs of two checkouts can be compared with diff.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from dataclasses import fields
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _field(value) -> str:
+    return value.hex() if isinstance(value, float) else str(value)
+
+
+def replicate_lines(seeds, workloads=None):
+    """One line per replicate of the named workloads (all by default)."""
+    from graphonfit.harness import run_replicate
+    from graphonfit.risk import RiskReport
+    from sweepbench import WORKLOADS
+
+    names = [f.name for f in fields(RiskReport) if f.name != "runtime_ms"]
+    for seed in seeds:
+        for name in workloads or WORKLOADS:
+            cfg = WORKLOADS[name].sweep_config(seed)
+            for n in cfg.n_list:
+                for rep in range(cfg.replicates):
+                    report = run_replicate(cfg, n, rep)
+                    values = " ".join(f"{f}={_field(getattr(report, f))}" for f in names)
+                    yield f"{name} root_seed={seed} rep={rep} {values}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=ROOT)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--workloads", nargs="+", default=None)
+    args = parser.parse_args(argv)
+
+    os.environ.update(BLAS_ENV)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import graphonfit
+
+    if Path(graphonfit.__file__).resolve().parents[1] != root / "src":
+        parser.error(f"graphonfit was imported from {graphonfit.__file__}, not {root / 'src'}")
+    for line in replicate_lines(args.seeds, args.workloads):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
