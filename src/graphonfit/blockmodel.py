@@ -24,11 +24,12 @@ and (pc - s)*log(pc - s) with numpy's log, which is about four times faster
 than scipy's xlogy.  numpy's log may differ from xlogy's in the last bit,
 and by CPU, as BLAS block sums do with the thread count; no reported value
 uses it: _terms, profile_log_likelihood, oracle_divergence and the KL terms
-keep xlogy.  What only a move changes is cached and refreshed where a move
-is applied: the terms' row sums, the pair-count pieces that depend only on
-the group sizes (with their pc*log(pc)) and the move mask, and, for 0/1
-weights, each node's exact integer weight into each group; 0/1 weights keep
-their block sums and pair counts as integers.
+keep xlogy, which imports scipy.special at its first call, so importing
+this module loads no scipy.  What only a move changes is cached and
+refreshed where a move is applied: the terms' row sums, the pair-count
+pieces that depend only on the group sizes (with their pc*log(pc)) and the
+move mask, and, for 0/1 weights, each node's exact integer weight into each
+group; 0/1 weights keep their block sums and pair counts as integers.
 
 The starts of one search run in lockstep, their states stacked slot by slot:
 each round scores one relabel window of every start still relabelling in one
@@ -42,12 +43,12 @@ recomputation once it has finished.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     BudgetError,
@@ -212,6 +213,15 @@ def _block_weight_sums(w: np.ndarray, z0: np.ndarray, k: int) -> np.ndarray:
     m = (m + m.T) / 2.0
     np.fill_diagonal(m, np.diag(m) / 2.0)
     return m
+
+
+def xlogy(x, y):
+    """scipy.special.xlogy(x, y), unchanged.  scipy.special is imported at
+    the first call: it is most of what importing graphonfit would cost, and
+    only a likelihood evaluation needs it."""
+    from scipy.special import xlogy as scipy_xlogy
+
+    return scipy_xlogy(x, y)
 
 
 def _terms(s: np.ndarray, pc: np.ndarray) -> np.ndarray:
@@ -395,8 +405,10 @@ class _ProfileState:
     What only a move changes is cached, and write refreshes it: the row
     sums of t (every move); the size pieces, pair-count rows that depend
     only on the group sizes h, with their pc log pc (piece_logs), and the
-    move mask (every relabel; a swap keeps h); and, for 0/1 weights, each
-    node's weight into each group, nbr, by +-w[i] for every node that moves.
+    move mask, with pinned, whether some group sits at h_min so that its
+    nodes cannot relabel (every relabel; a swap keeps h); and, for 0/1
+    weights, each node's weight into each group, nbr, by +-w[i] for every
+    node that moves.
     Exact integer counts keep their bits however they are summed; real
     weights are summed afresh per window.  Each cache holds the bits a
     window would compute from the current state, so scores do not depend
@@ -465,6 +477,7 @@ class _ProfileState:
             self.pieces[...] = counts
         self.xlx.take(counts, out=self.piece_logs)
         if mask:
+            self.pinned = not _can_relabel(h, self.h_min).all()
             # a bool index takes _EXCLUDED[0] or [1]
             np.add.outer(_EXCLUDED.take(h <= self.h_min), _EXCLUDED.take(h >= self.h_max),
                          out=self.mask)
@@ -645,7 +658,7 @@ class _ProfileState:
             "neighbour counts": self.nbr is None or exact(fresh.nbr, self.nbr),
             "size pieces": exact(fresh.pieces, self.pieces)
             and exact(fresh.piece_logs, self.piece_logs),
-            "move mask": exact(fresh.mask, self.mask),
+            "move mask": exact(fresh.mask, self.mask) and fresh.pinned == self.pinned,
         }
         for name, ok in checks.items():
             if not ok:
@@ -786,6 +799,12 @@ def _search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generat
     return swaps
 
 
+def _can_relabel(sizes: np.ndarray, h_min: int) -> np.ndarray:
+    """Whether a node in a group of each size may relabel: in a group at
+    h_min it may not, since its whole move-mask row is -inf."""
+    return sizes > h_min
+
+
 def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generator) -> list:
     """Greedy ascents of states, the slots 0, 1, ... of one _Stacks, in
     lockstep; returns each one's accepted swap count.
@@ -812,6 +831,17 @@ def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generat
             slots, nodes = np.concatenate([index[:, i, lo:hi] for i, lo, hi in windows], axis=1)
         src, lead = state._source(slots)
         a = src.z[lead + (nodes,)]
+        # Rows of nodes that cannot relabel are not built; ends, the end of
+        # each window's rows, then counts only the rows kept.
+        ends = itertools.accumulate(hi - lo for _, lo, hi in windows)
+        if any(states[i].pinned for i, _, _ in windows):
+            keep = np.flatnonzero(_can_relabel(src.h[lead + (a,)], h_min))
+            if keep.size == 0:
+                return [-1] * len(windows)
+            nodes, a = nodes[keep], a[keep]
+            slots = None if slots is None else slots[keep]
+            src, lead = state._source(slots)
+            ends = np.searchsorted(keep, list(ends))
         s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes, slots), slots)
         deltas = state.score(s, pc, pcl, a, slots=slots)
         deltas += src.mask[lead + (a,)]
@@ -819,17 +849,16 @@ def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generat
         gain = deltas[np.arange(nodes.size), best]
         hits = gain > _SEARCH_TOL
         taken, start = [], 0
-        for i, lo, hi in windows:
-            first = hits[start:start + hi - lo].argmax()  # the first hit, if any
-            t = start + first
-            if hits[t]:
-                b = best[t]
+        for (i, _, _), end in zip(windows, ends):
+            t = start + hits[start:end].argmax() if end > start else start
+            if end > start and hits[t]:  # the window's first hit
+                node, b = int(nodes[t]), best[t]
                 rows = [0, 1 + b]
-                states[i].write(lo + first, b, s[t, rows], pc[t, rows], float(gain[t]))
-                taken.append(lo + first)
+                states[i].write(node, b, s[t, rows], pc[t, rows], float(gain[t]))
+                taken.append(node)
             else:
                 taken.append(-1)
-            start += hi - lo
+            start = end
         return taken
 
     return _lockstep([_search(state, h_min, h_max, rng) for state in states], cap, take_relabels)

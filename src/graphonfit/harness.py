@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -271,6 +270,13 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     ns, reps = zip(*((n, rep) for n in cfg.n_list for rep in range(cfg.replicates)))
     cfgs = (cfg,) * len(ns)
     if jobs > 1:
+        # Imported here: multiprocessing is no cost to a one-process run.
+        # scipy.special is loaded before the pool forks its workers, so they
+        # inherit it rather than each importing it again.
+        from concurrent.futures import ProcessPoolExecutor
+
+        import scipy.special  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run_replicate, cfgs, ns, reps, chunksize=1))
     else:

@@ -768,6 +768,60 @@ class TestLockstep:
         assert apart > 100
 
 
+class TestFrozenRows:
+    """A node whose group sits at h_min cannot relabel, so its row is never
+    built; every start takes the moves, and the search finds the fit, that
+    building every row gives."""
+
+    # (n, k, h_min, h_max, binary, seed, restarts): one start reads its own
+    # views, several read the stacks; at h_min == h_max no row is ever built
+    CASES = [
+        (150, 12, 12, 13, True, 4, 3), (150, 12, 12, 14, False, 5, 1),
+        (100, 40, 2, 100, True, 8, 1), (60, 6, 9, 11, False, 7, 3),
+        (60, 6, 10, 10, True, 6, 3),
+    ]
+
+    @staticmethod
+    def run(monkeypatch, case, prune):
+        """_maximize_profile's result, each start's (z, total), and the
+        counts of relabel rows built and of those built for a node at h_min."""
+        n, k, h_min, h_max, binary, seed, restarts = case
+        w, _ = _search_instance(n, k, binary, seed)
+        relabel_rows, verify = _ProfileState.relabel_rows, _ProfileState.verify
+        rows, frozen, starts = [0], [0], []
+
+        def recorded_rows(self, nodes, cnt, slots=None):
+            src, lead = self._source(slots)
+            sizes = src.h[lead + (src.z[lead + (nodes,)],)]
+            rows[0] += nodes.size
+            frozen[0] += int((sizes <= h_min).sum())
+            return relabel_rows(self, nodes, cnt, slots)
+
+        def recorded_verify(self):
+            starts.append((self.z.tolist(), self.total.hex()))
+            verify(self)
+
+        monkeypatch.setattr(_ProfileState, "relabel_rows", recorded_rows)
+        monkeypatch.setattr(_ProfileState, "verify", recorded_verify)
+        if not prune:  # build every row, as if any node could relabel
+            monkeypatch.setattr(blockmodel, "_can_relabel", lambda sizes, h_min: sizes > 0)
+        z, total, swaps, ties, searches = blockmodel._maximize_profile(
+            w, k, h_min, h_max, restarts, seed, None, binary)
+        monkeypatch.undo()
+        return (z.tolist(), total.hex(), swaps, ties, searches), starts, rows[0], frozen[0]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_frozen_rows_are_not_built(self, monkeypatch, case):
+        result, starts, rows, frozen = self.run(monkeypatch, case, prune=True)
+        full, full_starts, full_rows, full_frozen = self.run(monkeypatch, case, prune=False)
+        assert result == full
+        assert starts == full_starts and len(starts) == case[-1]
+        assert frozen == 0 and full_frozen > 0  # every case has frozen rows
+        assert rows == full_rows - full_frozen
+        if case[2] == case[3]:  # no group can shrink: no round builds a row
+            assert rows == 0
+
+
 class TestMpleSearch:
     def test_planted_pairs(self):
         a = adjacency_from_edges(4, [(0, 1), (2, 3)])

@@ -313,6 +313,49 @@ class TestSweepGoldenOutput:
         assert summary == (GOLDEN / name / "summary.json").read_bytes()
 
 
+# Run in a fresh interpreter with sys.argv[1:] = net, fit, est: what config
+# validation, sample and estimate import, then whether a fit loads scipy.special.
+_IMPORT_PATH_SCRIPT = """
+import sys
+import graphonfit
+import graphonfit.harness
+from graphonfit import AdjacencyMatrix, cli, mple_search
+from graphonfit.harness import ExperimentConfig
+
+net, fit, est = sys.argv[1:]
+dense = ExperimentConfig(graphon_name="cosine", n_list=(200, 400), k_rule="sqrt(n)",
+                         rho_rule="0.3", replicates=4, restarts=3,
+                         h_max_rule="ceil(2*n/k)", grid=256)
+ExperimentConfig.from_json(dense.to_json()).validate()
+assert cli.main(["sample", "--graphon", "cosine", "--n", "30", "--rho", "0.3",
+                 "--seed", "5", "--out", net]) == 0
+assert cli.main(["estimate", "--fit", fit, "--out", est]) == 0
+heavy = ("scipy", "multiprocessing", "concurrent.futures.process")
+print(*[name for name in heavy if name in sys.modules], sep=",")
+mple_search(AdjacencyMatrix.from_edge_list(open(net).read()), 3, restarts=1)
+print("scipy.special" in sys.modules)
+"""
+
+
+class TestImportPath:
+    def test_no_scipy_or_multiprocessing_before_a_likelihood(self, tmp_path):
+        """Importing graphonfit, validating a config, sample and estimate load
+        neither scipy nor a process pool's modules; the first fit loads
+        scipy.special."""
+        net, fit, est = tmp_path / "net.txt", tmp_path / "fit.json", tmp_path / "est.json"
+        assert run(sample_args(net, n=30, seed=4)) == 0
+        assert run(["fit", "--edges", net, "--k", 3, "--out", fit]) == 0
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PATH_SCRIPT, net, fit, est],
+            env=_module_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded, fitted = done.stdout.splitlines()[-2:]
+        assert loaded == ""
+        assert fitted == "True"
+        assert est.is_file()
+
+
 class TestSelftest:
     def test_module_entry_point(self):
         # python -m graphonfit runs the same command line as cli.main
