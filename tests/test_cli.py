@@ -332,7 +332,8 @@ assert cli.main(["sample", "--graphon", "cosine", "--n", "30", "--rho", "0.3",
 assert cli.main(["estimate", "--fit", fit, "--out", est]) == 0
 heavy = ("scipy", "multiprocessing", "concurrent.futures.process")
 print(*[name for name in heavy if name in sys.modules], sep=",")
-mple_search(AdjacencyMatrix.from_edge_list(open(net).read()), 3, restarts=1)
+with open(net) as f:
+    mple_search(AdjacencyMatrix.from_edge_list(f.read()), 3, restarts=1)
 print("scipy.special" in sys.modules)
 """
 
