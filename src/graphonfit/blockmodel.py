@@ -43,6 +43,7 @@ recomputation once it has finished.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -395,9 +396,9 @@ class _ProfileState:
     A move between groups a and b changes only rows and columns a and b of
     the block sums e, the pair counts and the terms t.  A builder per move
     (relabel_rows, swap_rows) stacks its candidate rows, one scorer (score)
-    prices them, and one writer (write) makes the chosen candidate's rows the
-    state's and applies the move, so the state holds the rows that were
-    scored.  Stacks go into a _Workspace, which a caller may share between
+    prices them, and one writer (write) makes the chosen candidate's rows
+    and their scored terms the state's and applies the move, so the state
+    holds the rows and terms that were scored.  Stacks go into a _Workspace, which a caller may share between
     states (see _BATCH_CELLS).  The state's arrays are views of one slot of
     a _Stacks, which the states of one search share; given slots, the
     relabel builder and the scorer stack the windows of several of them.
@@ -432,7 +433,7 @@ class _ProfileState:
             setattr(self, name, getattr(self.stacks, name)[slot])
         self.z[...] = z0
         self.h[...] = np.bincount(z0, minlength=k)
-        # Bounds for the move mask; _local_search sets its own (see limit).
+        # Bounds for the move mask; a search sets its own (see limit).
         self.h_min, self.h_max = 1, self.n
         self._within = np.arange(self.n + 2) * np.arange(-1, self.n + 1) // 2  # x (x - 1) / 2
         # _refresh_sizes' row and column factors, its integer pieces and their diagonals
@@ -475,7 +476,7 @@ class _ProfileState:
         self._within.take(rows[:3], out=self._diagonals)
         if not self.binary:
             self.pieces[...] = counts
-        self.xlx.take(counts, out=self.piece_logs)
+        self.xlx.take(counts, out=self.piece_logs, mode="clip")  # unbuffered; all in range
         if mask:
             self.pinned = not _can_relabel(h, self.h_min).all()
             # a bool index takes _EXCLUDED[0] or [1]
@@ -483,24 +484,22 @@ class _ProfileState:
                          out=self.mask)
             self.mask.reshape(k * k)[:: k + 1] = -np.inf
 
-    def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray, pcl=None) -> np.ndarray:
-        """The terms of _terms, written into out, with s clipped to [0, pc];
-        pc holds integer values, and pcl, if given, pc log pc, else it is read
-        from xlx.  0/1 weights (s and pc intp) give _terms' bits, real weights
-        _xlogx's."""
+    def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray, pcl: np.ndarray) -> np.ndarray:
+        """The terms of _terms, written into out; pc holds integer values and
+        pcl pc log pc.  0/1 weights (s and pc intp) give _terms' bits, real
+        weights _xlogx's.
+
+        0/1 block sums count node pairs, so every s a search stacks already
+        lies in [0, pc] and is not clipped.  Real weights are clipped: their
+        float sums can round below 0."""
         tmp = self.work("tmp", s.shape)
         xlx = self.xlx
-        if pcl is None:  # the writer's two rows, or a fresh state's t
-            pcl = xlx.take(pc if self.binary else pc.astype(np.intp))
         if self.binary:
-            # Integer s and pc: the same values as _terms, clip included.
-            si = self.work("clipped", s.shape, np.intp)
-            np.minimum(s, pc, out=si)
-            np.maximum(si, 0, out=si)
             # mode="clip" writes into out directly (the default mode buffers
             # it); every index is in range, so the values are the same.
-            t = xlx.take(si, out=out, mode="clip")
-            t += xlx.take(np.subtract(pc, si, out=si), out=tmp, mode="clip")
+            t = xlx.take(s, out=out, mode="clip")
+            d = np.subtract(pc, s, out=self.work("gaps", s.shape, np.intp))
+            t += xlx.take(d, out=tmp, mode="clip")
         else:
             s = np.clip(s, 0.0, pc, out=out)
             d = np.subtract(pc, s, out=tmp)
@@ -544,18 +543,8 @@ class _ProfileState:
         s[r, 1:, a] -= cnt
         pc = self.work("counts", (m, k + 1, k), src.pieces.dtype)
         pcl = self.work("count_logs", (m, k + 1, k))
-        # The join rows' pair counts are one state's join piece for a whole
-        # run of rows from that state: copy it per run, not gather it per row.
-        if slots is None:
-            runs = [(self.pieces, self.piece_logs, 0, m)]
-        else:
-            cuts = [0, *(np.flatnonzero(np.diff(slots)) + 1), m]
-            runs = [(src.pieces[slots[lo]], src.piece_logs[slots[lo]], lo, hi)
-                    for lo, hi in zip(cuts, cuts[1:])]
-        for pieces, logs, lo, hi in runs:
-            pc[lo:hi, 1:] = pieces[2]
-            pcl[lo:hi, 1:] = logs[2]
         for out, pieces in ((pc, src.pieces), (pcl, src.piece_logs)):
+            out[:, 1:] = pieces[lead + (2,)]
             out[:, 0] = pieces[lead + (1, a)]
             out[r, 1:, a] = pieces[lead + (3, a)]
         return s, pc, pcl
@@ -590,7 +579,8 @@ class _ProfileState:
         row b's copy counts.  b holds each stack's one group b (a swap); with
         b None, candidate c joins group c (a relabel window), and row 0[b] is
         row 0 itself, not a gather.  slots is relabel_rows'.  Returns deltas
-        of shape (N, m - 1).
+        of shape (N, m - 1) and the stack's terms, whose chosen rows write
+        takes.
         """
         terms = self._terms(s, pc, self.work("terms", s.shape), pcl)
         sums = terms.sum(axis=2)
@@ -601,25 +591,25 @@ class _ProfileState:
         else:
             r = np.arange(a.size)
             at_b, sums_b, t_ab = terms[r, 0, b, None], row_sums[b, None], t[a, b, None]
-        return (sums[:, :1] - at_b) + sums[:, 1:] - row_sums[lead + (a,)][:, None] - sums_b + t_ab
+        deltas = (sums[:, :1] - at_b) + sums[:, 1:] - row_sums[lead + (a,)][:, None] - sums_b + t_ab
+        return deltas, terms
 
-    def write(self, i: int, b: int, s: np.ndarray, pc: np.ndarray, delta: float,
+    def write(self, i: int, b: int, s: np.ndarray, terms: np.ndarray, delta: float,
               j: int | None = None) -> None:
         """Apply a chosen move: node i leaves its group a for group b and,
         for a swap, node j leaves b for a.  The candidate's rows s[0], s[1],
-        with pair counts pc[0], pc[1], become rows a and b (s and pc are
-        overwritten), its delta is added to the total, and the caches
-        follow."""
+        with their scored terms terms[0], terms[1], become rows a and b (s
+        and terms are overwritten), its delta is added to the total, and the
+        caches follow."""
         a = self.z[i]
         # Columns are written after rows, so row 0's cell b lands at (b, a):
         # make it the cross cell that row b holds and score counted.
-        s[0, b], pc[0, b] = s[1, a], pc[1, a]
+        s[0, b], terms[0, b] = s[1, a], terms[1, a]
         e, t = self.e, self.t
         e[a], e[b] = s
         e[:, a], e[:, b] = s
-        rows = self._terms(s, pc, self.work("written", s.shape))
-        t[a], t[b] = rows
-        t[:, a], t[:, b] = rows
+        t[a], t[b] = terms
+        t[:, a], t[:, b] = terms
         t.sum(axis=1, out=self.row_sums)
         self.total += delta
         self.z[i] = b
@@ -683,12 +673,14 @@ def _lockstep(searches: list, cap: int, take_first) -> list:
     search's current state, applies its first improving move and returns
     that move's index, or -1, per window.  Resuming right after it takes
     exactly the moves of a one-at-a-time scan.  A scan's window doubles
-    after a window with no taker and halves after a taker.  Returns what
-    each search returns.
+    after a window with no taker and halves after a taker; a search's first
+    scan starts at width 1 and each later one at the width its previous
+    scan ended with.  Returns what each search returns.
     """
     out = [None] * len(searches)
     done = [False] * len(searches)
     scans = {}  # search -> [lo, width, count, taken]
+    widths = [1] * len(searches)  # each search's width at its last scan's end
     waiting = []
 
     def resume(i: int, sent) -> None:
@@ -702,7 +694,7 @@ def _lockstep(searches: list, cap: int, take_first) -> list:
                 waiting.append(i)
                 return
             if count:
-                scans[i] = [0, 1, count, False]
+                scans[i] = [0, widths[i], count, False]
                 return
             sent = None if count is None else False
 
@@ -720,6 +712,7 @@ def _lockstep(searches: list, cap: int, take_first) -> list:
                 scan[0], scan[1], scan[3] = hit + 1, max(1, scan[1] // 2), True
             if scan[0] >= scan[2]:
                 del scans[i]
+                widths[i] = scan[1]
                 resume(i, scan[3])
         for i in sorted(waiting) if waiting else ():
             if all(done[:i]):
@@ -774,13 +767,13 @@ def _search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generat
                 return -1
             ii, jj = ii[live], jj[live]
             s, pc, pcl = state.swap_rows(ii, jj)
-            deltas = state.score(s, pc, pcl, state.z[ii], state.z[jj])[:, 0]
-            hits = np.flatnonzero(deltas > _SEARCH_TOL)
+            deltas, terms = state.score(s, pc, pcl, state.z[ii], state.z[jj])
+            hits = np.flatnonzero(deltas[:, 0] > _SEARCH_TOL)
             if hits.size == 0:
                 return -1
             t = hits[0]
             j = jj[t]
-            state.write(ii[t], state.z[j], s[t], pc[t], float(deltas[t]), j)
+            state.write(ii[t], state.z[j], s[t], terms[t], float(deltas[t, 0]), j)
             swaps += 1
             return lo + live[t]
 
@@ -843,18 +836,17 @@ def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generat
             src, lead = state._source(slots)
             ends = np.searchsorted(keep, list(ends))
         s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes, slots), slots)
-        deltas = state.score(s, pc, pcl, a, slots=slots)
+        deltas, terms = state.score(s, pc, pcl, a, slots=slots)
         deltas += src.mask[lead + (a,)]
-        best = deltas.argmax(axis=1)
-        gain = deltas[np.arange(nodes.size), best]
-        hits = gain > _SEARCH_TOL
+        hits = np.flatnonzero(deltas.max(axis=1) > _SEARCH_TOL).tolist()
         taken, start = [], 0
         for (i, _, _), end in zip(windows, ends):
-            t = start + hits[start:end].argmax() if end > start else start
-            if end > start and hits[t]:  # the window's first hit
-                node, b = int(nodes[t]), best[t]
+            first = bisect.bisect_left(hits, start)
+            if first < len(hits) and hits[first] < end:  # the window's first hit
+                t = hits[first]
+                node, b = int(nodes[t]), int(deltas[t].argmax())
                 rows = [0, 1 + b]
-                states[i].write(node, b, s[t, rows], pc[t, rows], float(gain[t]))
+                states[i].write(node, b, s[t, rows], terms[t, rows], float(deltas[t, b]))
                 taken.append(node)
             else:
                 taken.append(-1)
@@ -862,11 +854,6 @@ def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generat
         return taken
 
     return _lockstep([_search(state, h_min, h_max, rng) for state in states], cap, take_relabels)
-
-
-def _local_search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generator) -> int:
-    """Greedy ascent of one state; returns its accepted swap count."""
-    return _local_searches([state], h_min, h_max, rng)[0]
 
 
 def _maximize_profile(

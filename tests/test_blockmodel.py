@@ -42,7 +42,7 @@ from graphonfit.blockmodel import (
     _enumerate_canonical,
     _exhaustive_profile,
     _finish_fit,
-    _local_search,
+    _local_searches,
     _terms,
     _xlogx,
     oracle_divergence,
@@ -388,11 +388,11 @@ def _xlx_for(n):
 
 
 def relabel_window(state, nodes):
-    """(cnt, deltas) of a relabel window as _local_search scores it, with
+    """(cnt, deltas) of a relabel window as a search scores it, with
     each node's own group, which the search masks, at 0 as in the reference."""
     cnt = state._neighbor_weights(nodes)
     a = state.z[nodes]
-    deltas = state.score(*state.relabel_rows(nodes, cnt), a)
+    deltas, _ = state.score(*state.relabel_rows(nodes, cnt), a)
     deltas[np.arange(nodes.size), a] = 0.0
     return cnt, deltas
 
@@ -400,29 +400,31 @@ def relabel_window(state, nodes):
 def swap_window(state, ii, jj):
     """(rows, deltas) of a swap window: the built rows and their changes."""
     s, pc, pcl = state.swap_rows(ii, jj)
-    return s, state.score(s, pc, pcl, state.z[ii], state.z[jj])[:, 0]
+    return s, state.score(s, pc, pcl, state.z[ii], state.z[jj])[0][:, 0]
 
 
 def relabel_move(state, nodes, t, b):
     """Score a relabel window of nodes, then move nodes[t] into group b as
-    _local_search does.  Returns copies of the candidate's rows (s, pc) taken
+    a search does.  Returns copies of the candidate's rows (s, pc) taken
     before scoring, and its delta."""
     s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes))
     rows = [0, 1 + b]
     scored = s[t, rows], pc[t, rows]
-    delta = float(state.score(s, pc, pcl, state.z[nodes])[t, b])
-    state.write(nodes[t], b, s[t, rows], pc[t, rows], delta)
+    deltas, terms = state.score(s, pc, pcl, state.z[nodes])
+    delta = float(deltas[t, b])
+    state.write(nodes[t], b, s[t, rows], terms[t, rows], delta)
     return scored, delta
 
 
 def swap_move(state, ii, jj, t):
     """Score a swap window of pairs (ii, jj), then exchange the labels of
-    pair t as _local_search does; returns what relabel_move returns."""
+    pair t as a search does; returns what relabel_move returns."""
     i, j = ii[t], jj[t]
     s, pc, pcl = state.swap_rows(ii, jj)
     scored = s[t].copy(), pc[t].copy()
-    delta = float(state.score(s, pc, pcl, state.z[ii], state.z[jj])[t, 0])
-    state.write(i, state.z[j], s[t], pc[t], delta, j)
+    deltas, terms = state.score(s, pc, pcl, state.z[ii], state.z[jj])
+    delta = float(deltas[t, 0])
+    state.write(i, state.z[j], s[t], terms[t], delta, j)
     return scored, delta
 
 
@@ -523,10 +525,12 @@ class TestIncrementalEngine:
     def test_table_terms_equal_xlogy_terms(self):
         rng = np.random.default_rng(20)
         state = _ProfileState(np.zeros((30, 30)), np.repeat(np.arange(3), 10), 3, _xlx_for(30))
-        # 0/1 weights keep integer block sums and pair counts
+        # 0/1 weights keep integer block sums and pair counts, and every sum
+        # lies in [0, pc] (see TestUnclippedTerms), both ends included
         pc = rng.integers(0, 31**2, size=2000)
-        s = np.floor(pc * rng.uniform(-0.1, 1.1, size=pc.size)).astype(np.intp)  # clipped at both ends
-        assert np.array_equal(state._terms(s, pc, np.empty(s.shape)), _terms(s, pc))
+        s = np.floor(pc * rng.uniform(0.0, 1.0, size=pc.size)).astype(np.intp)
+        s[:100], s[100:200] = 0, pc[100:200]
+        assert np.array_equal(state._terms(s, pc, np.empty(s.shape), state.xlx[pc]), _terms(s, pc))
         # pc log pc of every size piece, after relabels, comes from the one
         # table with xlogy's bits, for either kind of weight
         for binary in (True, False):
@@ -647,7 +651,7 @@ class TestIncrementalEngine:
             ref = _ScalarProfileState(w, z0, k)
             ref_swaps = _scalar_local_search(ref, h_min, h_max, np.random.default_rng(t))
             state = _ProfileState(w, z0, k, _xlx_for(n) if binary else None)
-            swaps = _local_search(state, h_min, h_max, np.random.default_rng(t))
+            swaps = _local_searches([state], h_min, h_max, np.random.default_rng(t))[0]
             state.verify()
             assert np.array_equal(state.z, ref.z), (n, k, h_min, h_max)
             assert swaps == ref_swaps
@@ -662,7 +666,7 @@ class TestWindowBuffers:
     the full one left there."""
 
     N, K = 100, 40
-    WINDOW = _BATCH_CELLS // max(K * K, 2 * N)  # 20 nodes, _local_search's cap
+    WINDOW = _BATCH_CELLS // max(K * K, 2 * N)  # 20 nodes, a one-start search's cap
 
     def instance(self, binary):
         w, z0 = _search_instance(self.N, self.K, binary, seed=23)
@@ -704,7 +708,7 @@ class TestWindowBuffers:
 class TestLockstep:
     """_maximize_profile runs its starts in lockstep, one relabel window of
     each per round; its result, and every start's, equal those of searching
-    each start alone by _local_search, in start order, with one rng."""
+    each start alone, in start order, with one rng."""
 
     # (n, k, h_min, h_max, binary, seed, restarts, extra start): n > 80 draws
     # its swap pairs, n <= 80 scans all pairs
@@ -724,7 +728,7 @@ class TestLockstep:
         starts, rounds, last_round = [], [0], {}
 
         def each_start(states, h_min, h_max, rng):
-            if alone:  # _local_search(state, ...), one start after another
+            if alone:  # one start after another
                 swaps = [searched([state], h_min, h_max, rng)[0] for state in states]
             else:
                 swaps = searched(states, h_min, h_max, rng)
@@ -766,6 +770,59 @@ class TestLockstep:
             (True, True), (True, False), (False, True), (False, False)}
         assert drawn_swaps == {True, False}
         assert apart > 100
+
+    def test_scans_keep_their_window_width(self):
+        windows = []
+
+        def scans(*counts):
+            for count in counts:
+                yield count
+
+        def none_taken(batch):
+            windows.extend((lo, hi) for _, lo, hi in batch)
+            return [-1] * len(batch)
+
+        # two scans that take nothing: the first, of 10 moves, widens from 1
+        # to 16, and the second starts at 16
+        blockmodel._lockstep([scans(10, 40)], 100, none_taken)
+        assert windows == [(0, 1), (1, 3), (3, 7), (7, 10), (0, 16), (16, 40)]
+        # a one-scan call starts at width 1, however wide the last one ended
+        windows.clear()
+        for _ in range(2):
+            blockmodel._first_improvement(40, 100, lambda lo, hi: none_taken([(0, lo, hi)])[0])
+        assert windows == [(0, 1), (1, 3), (3, 7), (7, 15), (15, 31), (31, 40)] * 2
+
+        # several searches of three scans each take the moves of scanning one
+        # move at a time: move j improves while values[j] tops the level,
+        # which taking it raises to values[j] and each scan resets
+        values = np.random.default_rng(31).random((3, 50))
+        levels, taken = np.zeros(3), [[], [], []]
+
+        def search(i):
+            for _ in range(3):
+                levels[i] = 0.0
+                yield values.shape[1]
+
+        def take_first(batch):
+            hits = []
+            for i, lo, hi in batch:
+                up = np.flatnonzero(values[i, lo:hi] > levels[i])
+                hits.append(lo + int(up[0]) if up.size else -1)
+                if up.size:
+                    levels[i] = values[i, hits[-1]]
+                    taken[i].append(hits[-1])
+            return hits
+
+        blockmodel._lockstep([search(i) for i in range(3)], 30, take_first)
+        for v, moves in zip(values, taken):
+            one_at_a_time = []
+            for _ in range(3):
+                level = 0.0
+                for j, x in enumerate(v):
+                    if x > level:
+                        level = x
+                        one_at_a_time.append(j)
+            assert moves == one_at_a_time and len(moves) > 5
 
 
 class TestFrozenRows:
@@ -820,6 +877,38 @@ class TestFrozenRows:
         assert rows == full_rows - full_frozen
         if case[2] == case[3]:  # no group can shrink: no round builds a row
             assert rows == 0
+
+
+class TestUnclippedTerms:
+    """The 0/1 path of _ProfileState._terms does not clip its block sums: every
+    sum a search starts from or stacks, and so every sum it writes, lies in
+    [0, pc].  Checked over the 0/1 searches of the scalar-reference, lockstep
+    and frozen-row cases: relabel and swap windows, one start and several,
+    groups pinned at h_min, and h_min == h_max."""
+
+    def test_binary_sums_lie_in_pair_counts(self, monkeypatch):
+        terms = _ProfileState._terms
+        cells, stacked = [0], set()
+
+        def checked(self, s, pc, out, pcl):
+            if self.binary:
+                assert s.dtype == pc.dtype == np.intp
+                assert np.all((0 <= s) & (s <= pc))
+                cells[0] += s.size
+                if s.ndim == 3:  # a window: k + 1 rows per relabel, 2 per swap
+                    stacked.add("relabel" if s.shape[1] == self.k + 1 else "swap")
+            return terms(self, s, pc, out, pcl)
+
+        monkeypatch.setattr(_ProfileState, "_terms", checked)
+        for t, (n, k, h_min, h_max) in enumerate(TestIncrementalEngine.CASES):
+            w, z0 = _search_instance(n, k, True, seed=100 + t)
+            state = _ProfileState(w, z0, k, _xlx_for(n))
+            _local_searches([state], h_min, h_max, np.random.default_rng(t))
+        for n, k, h_min, h_max, binary, seed, restarts, *_ in TestLockstep.CASES + TestFrozenRows.CASES:
+            if binary:
+                w, _ = _search_instance(n, k, True, seed)
+                blockmodel._maximize_profile(w, k, h_min, h_max, restarts, seed, None, True)
+        assert stacked == {"relabel", "swap"} and cells[0] > 10**6
 
 
 class TestMpleSearch:
