@@ -398,10 +398,11 @@ class _ProfileState:
     (relabel_rows, swap_rows) stacks its candidate rows, one scorer (score)
     prices them, and one writer (write) makes the chosen candidate's rows
     and their scored terms the state's and applies the move, so the state
-    holds the rows and terms that were scored.  Stacks go into a _Workspace, which a caller may share between
-    states (see _BATCH_CELLS).  The state's arrays are views of one slot of
-    a _Stacks, which the states of one search share; given slots, the
-    relabel builder and the scorer stack the windows of several of them.
+    holds the rows and terms that were scored.  Stacks go into a _Workspace,
+    which a caller may share between states (see _BATCH_CELLS).  The
+    state's arrays are views of one slot of a _Stacks, which the states of
+    one search share; given slots, the relabel builder and the scorer stack
+    the windows of several of them.
 
     What only a move changes is cached, and write refreshes it: the row
     sums of t (every move); the size pieces, pair-count rows that depend
@@ -484,7 +485,8 @@ class _ProfileState:
                          out=self.mask)
             self.mask.reshape(k * k)[:: k + 1] = -np.inf
 
-    def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray, pcl: np.ndarray) -> np.ndarray:
+    def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray,
+               pcl: np.ndarray) -> np.ndarray:
         """The terms of _terms, written into out; pc holds integer values and
         pcl pc log pc.  0/1 weights (s and pc intp) give _terms' bits, real
         weights _xlogx's.

@@ -530,7 +530,8 @@ class TestIncrementalEngine:
         pc = rng.integers(0, 31**2, size=2000)
         s = np.floor(pc * rng.uniform(0.0, 1.0, size=pc.size)).astype(np.intp)
         s[:100], s[100:200] = 0, pc[100:200]
-        assert np.array_equal(state._terms(s, pc, np.empty(s.shape), state.xlx[pc]), _terms(s, pc))
+        got = state._terms(s, pc, np.empty(s.shape), state.xlx[pc])
+        assert np.array_equal(got, _terms(s, pc))
         # pc log pc of every size piece, after relabels, comes from the one
         # table with xlogy's bits, for either kind of weight
         for binary in (True, False):
@@ -904,7 +905,8 @@ class TestUnclippedTerms:
             w, z0 = _search_instance(n, k, True, seed=100 + t)
             state = _ProfileState(w, z0, k, _xlx_for(n))
             _local_searches([state], h_min, h_max, np.random.default_rng(t))
-        for n, k, h_min, h_max, binary, seed, restarts, *_ in TestLockstep.CASES + TestFrozenRows.CASES:
+        for case in TestLockstep.CASES + TestFrozenRows.CASES:
+            n, k, h_min, h_max, binary, seed, restarts = case[:7]
             if binary:
                 w, _ = _search_instance(n, k, True, seed)
                 blockmodel._maximize_profile(w, k, h_min, h_max, restarts, seed, None, True)
