@@ -362,14 +362,16 @@ _EXCLUDED = np.array([0.0, -np.inf])  # a move mask cell, by whether it is exclu
 
 
 class _Stacks:
-    """The arrays of the search states of one search, stacked along a
-    leading slot axis: each _ProfileState views one slot, and a relabel
-    window over several states reads them through (slot, node) indices.
-    Block sums, neighbour counts and pair counts are integers (intp) for
-    0/1 weights; real weights keep float pair counts, which their float
-    block sums meet without a cast."""
+    """The arrays of the search states of one search over the weights w,
+    stacked along a leading slot axis: each _ProfileState views one slot,
+    and every window reads them at its slots.  Integer weights are the 0/1
+    weights (binary), for which block sums, neighbour counts and pair counts
+    are integers (intp); real weights keep float pair counts, which their
+    float block sums meet without a cast."""
 
-    def __init__(self, n: int, slots: int, k: int, binary: bool):
+    def __init__(self, w: np.ndarray, slots: int, k: int):
+        n = w.shape[0]
+        self.binary = binary = w.dtype.kind == "i"
         self.z = np.empty((slots, n), np.int64)
         self.h = np.empty((slots, k), np.int64)
         self.e = np.empty((slots, k, k), np.intp if binary else np.float64)
@@ -387,22 +389,24 @@ class _ProfileState:
 
     Works for any symmetric nonnegative weight matrix with zero diagonal:
     binary adjacency gives the profile log-likelihood, true probabilities give
-    the (negated, shifted) oracle divergence objective.  An x*log(x) table
-    xlx (_xlogx_table, covering the largest group) gives pc log pc by lookup,
-    and for 0/1 weights (binary) the other two terms as well, with _terms'
-    bits.  Real weights take those two from _xlogx, whose last bit may differ
-    from _terms'.
+    the (negated, shifted) oracle divergence objective; integer weights are
+    the 0/1 weights (binary, see _Stacks).  An x*log(x) table xlx
+    (_xlogx_table, covering the largest group) gives pc log pc by lookup,
+    and for 0/1 weights the other two terms as well, with _terms' bits.  Real weights take those two
+    from _xlogx, whose last bit may differ from _terms'.
 
     A move between groups a and b changes only rows and columns a and b of
     the block sums e, the pair counts and the terms t.  A builder per move
     (relabel_rows, swap_rows) stacks its candidate rows, one scorer (score)
     prices them, and one writer (write) makes the chosen candidate's rows
     and their scored terms the state's and applies the move, so the state
-    holds the rows and terms that were scored.  Stacks go into a _Workspace,
-    which a caller may share between states (see _BATCH_CELLS).  The
-    state's arrays are views of one slot of a _Stacks, which the states of
-    one search share; given slots, the relabel builder and the scorer stack
-    the windows of several of them.
+    holds the rows and terms that were scored.  Stacks go into the
+    _Workspace work, which a caller may share between states (see
+    _BATCH_CELLS).  The state's arrays are views of its slot of a _Stacks,
+    which the states of one search share (without stacks, it has its own).
+    The builders and the scorer read the stacks at slots: an int slot (one
+    state's window, or a swap), whose rows are views, not gathers, or one
+    slot per row, which stacks the windows of several states.
 
     What only a move changes is cached, and write refreshes it: the row
     sums of t (every move); the size pieces, pair-count rows that depend
@@ -417,19 +421,16 @@ class _ProfileState:
     on what is cached.
     """
 
-    def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray | None = None,
-                 work: _Workspace | None = None, binary: bool | None = None,
-                 stacks: _Stacks | None = None, slot: int = 0):
-        """binary defaults to whether xlx is given; without xlx the state
-        builds a table for groups of up to n nodes.  Without stacks the
-        state has its own, of one slot."""
+    def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray,
+                 work: _Workspace, stacks: _Stacks | None = None, slot: int = 0):
         self.w = w
         self.n = w.shape[0]
         self.k = k
-        self.binary = xlx is not None if binary is None else binary
-        self.xlx = _xlogx_table(self.n) if xlx is None else xlx
-        self.work = _Workspace() if work is None else work
-        self.stacks = _Stacks(self.n, 1, k, self.binary) if stacks is None else stacks
+        self.xlx = xlx
+        self.work = work
+        self.slot = slot
+        self.stacks = _Stacks(w, 1, k) if stacks is None else stacks
+        self.binary = self.stacks.binary
         for name in ("z", "h", "e", "t", "row_sums", "pieces", "piece_logs", "mask"):
             setattr(self, name, getattr(self.stacks, name)[slot])
         self.z[...] = z0
@@ -511,44 +512,37 @@ class _ProfileState:
         t -= pcl
         return t
 
-    def _source(self, slots):
-        """The arrays a window reads and the leading index into them: this
-        state's views, or with slots (one per node) the stacks."""
-        return (self, ()) if slots is None else (self.stacks, (slots,))
-
-    def _neighbor_weights(self, nodes: np.ndarray, slots=None) -> np.ndarray:
-        """Weight of each node into each current group of its state (this
-        one, or that of slot slots[r] for row r), shape (len(nodes), k)."""
-        src, lead = self._source(slots)
+    def _neighbor_weights(self, nodes: np.ndarray, slots) -> np.ndarray:
+        """Weight of each node into each current group of its state, of slot
+        slots or, for row r, slots[r]; shape (len(nodes), k)."""
         if self.nbr is not None:
-            return src.nbr[lead + (nodes,)]
+            return self.stacks.nbr[slots, nodes]
         m = nodes.size
         rows = self.work("rows", (m, self.n), np.intp)
-        np.add(np.arange(m)[:, None] * self.k, src.z[lead], out=rows)
+        np.add(np.arange(m)[:, None] * self.k, self.stacks.z[slots], out=rows)
         wn = self.w.take(nodes, axis=0, out=self.work("wrows", (m, self.n)), mode="clip")
         return np.bincount(rows.ravel(), wn.ravel(), m * self.k).reshape(m, self.k)
 
-    def relabel_rows(self, nodes: np.ndarray, cnt: np.ndarray, slots=None) -> tuple:
+    def relabel_rows(self, nodes: np.ndarray, cnt: np.ndarray, slots) -> tuple:
         """Stack (s, pc, pc log pc) for moving each node, with neighbour
         weights cnt, out of its group a: row 0 is group a after the node
         leaves and row 1 + b group b after it joins (meaningless for b = a).
         Row 0's cell b still counts the node in a; write fixes it.  Rows do
-        not depend on the rest of the stack.  Given slots, node r belongs to
-        the state of slot slots[r]."""
-        k, m = self.k, nodes.size
-        src, lead = self._source(slots)
+        not depend on the rest of the stack.  The nodes belong to the state
+        of slot slots or, node r, of slot slots[r]."""
+        k, m, stacks = self.k, nodes.size, self.stacks
         r = np.arange(m)
-        a = src.z[lead + (nodes,)]
-        s = self.work("sums", (m, k + 1, k), src.e.dtype)
-        np.subtract(src.e[lead + (a,)], cnt, out=s[:, 0])
-        np.add(src.e[lead], cnt[:, None, :], out=s[:, 1:])
+        a = stacks.z[slots, nodes]
+        s = self.work("sums", (m, k + 1, k), stacks.e.dtype)
+        np.subtract(stacks.e[slots, a], cnt, out=s[:, 0])
+        np.add(stacks.e[slots], cnt[:, None, :], out=s[:, 1:])
         s[r, 1:, a] -= cnt
-        pc = self.work("counts", (m, k + 1, k), src.pieces.dtype)
+        pc = self.work("counts", (m, k + 1, k), stacks.pieces.dtype)
         pcl = self.work("count_logs", (m, k + 1, k))
-        for out, pieces in ((pc, src.pieces), (pcl, src.piece_logs)):
-            out[:, 1:] = pieces[lead + (2,)]
-            out[:, 0] = pieces[lead + (1, a)]
-            out[r, 1:, a] = pieces[lead + (3, a)]
+        for out, pieces in ((pc, stacks.pieces), (pcl, stacks.piece_logs)):
+            out[:, 1:] = pieces[slots, 2]
+            out[:, 0] = pieces[slots, 1, a]
+            out[r, 1:, a] = pieces[slots, 3, a]
         return s, pc, pcl
 
     def swap_rows(self, ii: np.ndarray, jj: np.ndarray) -> tuple:
@@ -560,8 +554,8 @@ class _ProfileState:
         """
         r = np.arange(ii.size)
         a, b = self.z[ii], self.z[jj]
-        ci, cj = np.split(self._neighbor_weights(np.concatenate([ii, jj])), 2)
-        wij = self.w[ii, jj].astype(ci.dtype)  # exact for 0/1 weights
+        ci, cj = np.split(self._neighbor_weights(np.concatenate([ii, jj]), self.slot), 2)
+        wij = self.w[ii, jj]
         cj[r, a] -= wij
         ci[r, b] -= wij
         d = cj - ci
@@ -572,28 +566,29 @@ class _ProfileState:
         s[r, 0, b] = s[r, 1, a] = self.e[a, b] - d[r, a] + d[r, b]
         return s, self.pieces[0][ab], self.piece_logs[0][ab]
 
-    def score(self, s: np.ndarray, pc: np.ndarray, pcl: np.ndarray, a: np.ndarray,
-              b=None, slots=None) -> np.ndarray:
+    def score(self, s: np.ndarray, pc: np.ndarray, pcl: np.ndarray, slots, a: np.ndarray,
+              b=None) -> np.ndarray:
         """Objective change of each candidate of a stack.
 
         The change is (sum row 0 - row 0[b]) + sum row b - (old row sums of a
         and b) + t[a, b]: the (a, b) cross term sits in both rows, so only
         row b's copy counts.  b holds each stack's one group b (a swap); with
         b None, candidate c joins group c (a relabel window), and row 0[b] is
-        row 0 itself, not a gather.  slots is relabel_rows'.  Returns deltas
-        of shape (N, m - 1) and the stack's terms, whose chosen rows write
-        takes.
+        row 0 itself, not a gather.  Old rows are read from the stacks at
+        slots, as relabel_rows reads them (a swap passes its state's slot).
+        Returns deltas of shape (N, m - 1) and the stack's terms, whose
+        chosen rows write takes.
         """
         terms = self._terms(s, pc, self.work("terms", s.shape), pcl)
         sums = terms.sum(axis=2)
-        src, lead = self._source(slots)
-        t, row_sums = src.t, src.row_sums
+        t, row_sums = self.stacks.t, self.stacks.row_sums
         if b is None:
-            at_b, sums_b, t_ab = terms[:, 0], row_sums[lead], t[lead + (a,)]
+            at_b, sums_b, t_ab = terms[:, 0], row_sums[slots], t[slots, a]
         else:
             r = np.arange(a.size)
-            at_b, sums_b, t_ab = terms[r, 0, b, None], row_sums[b, None], t[a, b, None]
-        deltas = (sums[:, :1] - at_b) + sums[:, 1:] - row_sums[lead + (a,)][:, None] - sums_b + t_ab
+            at_b = terms[r, 0, b, None]
+            sums_b, t_ab = row_sums[slots, b, None], t[slots, a, b, None]
+        deltas = (sums[:, :1] - at_b) + sums[:, 1:] - row_sums[slots, a][:, None] - sums_b + t_ab
         return deltas, terms
 
     def write(self, i: int, b: int, s: np.ndarray, terms: np.ndarray, delta: float,
@@ -628,12 +623,11 @@ class _ProfileState:
             self.z[j] = a
             moved = moved - self.w[j]
         if self.nbr is not None:
-            moved = moved.astype(np.intp)  # exact for 0/1 weights
             self.nbr[:, a] -= moved
             self.nbr[:, b] += moved
 
     def verify(self) -> None:
-        fresh = _ProfileState(self.w, self.z, self.k, self.xlx, self.work, self.binary)
+        fresh = _ProfileState(self.w, self.z, self.k, self.xlx, self.work)
         fresh.limit(self.h_min, self.h_max)
         scale = max(1.0, abs(fresh.total))
         if abs(fresh.total - self.total) > _VERIFY_RTOL * scale:
@@ -769,7 +763,7 @@ def _search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generat
                 return -1
             ii, jj = ii[live], jj[live]
             s, pc, pcl = state.swap_rows(ii, jj)
-            deltas, terms = state.score(s, pc, pcl, state.z[ii], state.z[jj])
+            deltas, terms = state.score(s, pc, pcl, state.slot, state.z[ii], state.z[jj])
             hits = np.flatnonzero(deltas[:, 0] > _SEARCH_TOL)
             if hits.size == 0:
                 return -1
@@ -801,8 +795,8 @@ def _can_relabel(sizes: np.ndarray, h_min: int) -> np.ndarray:
 
 
 def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generator) -> list:
-    """Greedy ascents of states, the slots 0, 1, ... of one _Stacks, in
-    lockstep; returns each one's accepted swap count.
+    """Greedy ascents of states, slots of one _Stacks, in lockstep; returns
+    each one's accepted swap count.
 
     Each round scores one relabel window of every start still relabelling in
     one stack (cap cells in all) and applies each window's first improving
@@ -811,35 +805,33 @@ def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generat
     a swap sweep that draws (n > 80) waits until every earlier start has
     finished.
     """
-    n, k = states[0].n, states[0].k
+    state = states[0]  # any state: all read the shared stacks
+    n, k, stacks = state.n, state.k, state.stacks
     # Window cap from the cells one candidate stacks: a relabel's k + 1 rows
     # of k (or its neighbour row).
     cap = max(1, _BATCH_CELLS // max(k * k, 2 * n))
-    index = np.array(np.meshgrid(np.arange(len(states)), np.arange(n), indexing="ij"))
+    index = np.array(np.meshgrid([st.slot for st in states], np.arange(n), indexing="ij"))
 
     def take_relabels(windows: list) -> list:
-        if len(windows) == 1:  # the state's own views: no gather
+        if len(windows) == 1:  # an int slot: its rows are views, not gathers
             (i, lo, hi), = windows
-            state, slots, nodes = states[i], None, np.arange(lo, hi)
+            slots, nodes = states[i].slot, np.arange(lo, hi)
         else:
-            state = states[0]  # any state: all read the shared stacks
             slots, nodes = np.concatenate([index[:, i, lo:hi] for i, lo, hi in windows], axis=1)
-        src, lead = state._source(slots)
-        a = src.z[lead + (nodes,)]
+        a = stacks.z[slots, nodes]
         # Rows of nodes that cannot relabel are not built; ends, the end of
         # each window's rows, then counts only the rows kept.
         ends = itertools.accumulate(hi - lo for _, lo, hi in windows)
         if any(states[i].pinned for i, _, _ in windows):
-            keep = np.flatnonzero(_can_relabel(src.h[lead + (a,)], h_min))
+            keep = np.flatnonzero(_can_relabel(stacks.h[slots, a], h_min))
             if keep.size == 0:
                 return [-1] * len(windows)
             nodes, a = nodes[keep], a[keep]
-            slots = None if slots is None else slots[keep]
-            src, lead = state._source(slots)
+            slots = slots if np.isscalar(slots) else slots[keep]
             ends = np.searchsorted(keep, list(ends))
         s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes, slots), slots)
-        deltas, terms = state.score(s, pc, pcl, a, slots=slots)
-        deltas += src.mask[lead + (a,)]
+        deltas, terms = state.score(s, pc, pcl, slots, a)
+        deltas += stacks.mask[slots, a]
         hits = np.flatnonzero(deltas.max(axis=1) > _SEARCH_TOL).tolist()
         taken, start = [], 0
         for (i, _, _), end in zip(windows, ends):
@@ -855,7 +847,7 @@ def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generat
             start = end
         return taken
 
-    return _lockstep([_search(state, h_min, h_max, rng) for state in states], cap, take_relabels)
+    return _lockstep([_search(st, h_min, h_max, rng) for st in states], cap, take_relabels)
 
 
 def _maximize_profile(
@@ -866,10 +858,9 @@ def _maximize_profile(
     restarts: int,
     seed: int,
     extra_inits: list | None = None,
-    binary: bool = False,
 ):
-    """Multi-restart local search, for 0/1 weights if binary; returns (z0,
-    total, swaps, ties, searches run).
+    """Multi-restart local search, for 0/1 weights if w is of integers;
+    returns (z0, total, swaps, ties, searches run).
 
     The starts run in lockstep (_local_searches): a round scores one relabel
     window of each, and a swap sweep that draws its pairs from rng (n > 80)
@@ -900,8 +891,8 @@ def _maximize_profile(
     best_swaps = 0
     ties = False
     work = _Workspace()
-    stacks = _Stacks(n, len(inits), k, binary)
-    states = [_ProfileState(w, z0, k, xlx, work, binary, stacks, slot)
+    stacks = _Stacks(w, len(inits), k)
+    states = [_ProfileState(w, z0, k, xlx, work, stacks, slot)
               for slot, z0 in enumerate(inits)]
     for state, swaps in zip(states, _local_searches(states, h_min, h_max, rng)):
         state.verify()
@@ -1119,9 +1110,9 @@ def mple_search(
 ) -> FitResult:
     """Multi-restart local maximization of the profile log-likelihood."""
     h_max = a.n if h_max is None else h_max
-    w = a.a.astype(np.float64)
+    # intp, not uint8: degrees and the writer's w[i] - w[j] would wrap
     z0, total, swaps, ties, searches = _maximize_profile(
-        w, k, h_min, h_max, restarts, seed, binary=True
+        a.a.astype(np.intp), k, h_min, h_max, restarts, seed
     )
     return _finish_fit(a, z0, k, total, searches, swaps, ties, seed, h_min, h_max)
 

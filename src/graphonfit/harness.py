@@ -265,7 +265,10 @@ def _summarize(cfg: ExperimentConfig, rows: list) -> dict:
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
-    """Run all (n, replicate) cells; deterministic given the config seed."""
+    """Run all (n, replicate) cells in jobs processes (at least 1);
+    deterministic given the config seed."""
+    if jobs < 1:
+        raise ConfigError(f"jobs={jobs} must be >= 1")
     cfg.validate()
     ns, reps = zip(*((n, rep) for n in cfg.n_list for rep in range(cfg.replicates)))
     cfgs = (cfg,) * len(ns)

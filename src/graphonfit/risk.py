@@ -146,17 +146,16 @@ class _IntervalTable(NamedTuple):
     cells: np.ndarray
 
 
-def _interval_table(step: StepGraphon, s1: np.ndarray, grid: int) -> _IntervalTable | None:
+def _interval_table(step: StepGraphon, s1: np.ndarray, cut: np.ndarray) -> _IntervalTable | None:
     """step's _IntervalTable over the truth prefix sums s1, or None when it
     would hold more than _TABLE_CELLS cells.
 
     With N nodes, a block of width w placed after s nodes covers the
-    midpoints cut by s / N and (s + w) / N, s = 0..N - w: the cuts
-    _mse_for_orders takes, by the same division and search.
+    midpoints from cut[s] to cut[s + w], s = 0..N - w: the cuts
+    _mse_for_orders takes, from the same array (see graphon_mse).
     """
     h = np.asarray(step.partition.h, dtype=np.int64)
-    total = int(h.sum())
-    cut = np.searchsorted(midpoint_grid(grid), np.arange(total + 1) / total, side="right")
+    total, grid = cut.size - 1, s1.shape[0] - 1
     # one row of starts per distinct width.  bincount and a mask in place of
     # np.unique and np.sort, whose code pages alone add 0.75 MB of RSS.
     has = np.bincount(h) > 0
@@ -181,14 +180,15 @@ def _interval_table(step: StepGraphon, s1: np.ndarray, grid: int) -> _IntervalTa
 
 
 def _mse_for_orders(
-    orders: np.ndarray, est: StepGraphon, s1: np.ndarray, s2_total: float, grid: int,
+    orders: np.ndarray, est: StepGraphon, s1: np.ndarray, s2_total: float, cut: np.ndarray,
     work: _Workspace, table: _IntervalTable | None = None,
 ) -> np.ndarray:
     """MSE of each row of a (B, k) stack of block orders, in O(k^2) per order.
 
     An order's k x k cell sums come from s1, the zero-padded 2-d prefix sum
-    of the truth grid, as (k+1)^2 corners and three difference passes, or,
-    given the call's table (see _interval_table), as one gather from it.
+    of the truth grid, as (k+1)^2 corners at its block edges' cuts (see
+    graphon_mse) and three difference passes, or, given the call's table
+    (see _interval_table), as one gather from it.
     Both paths take each cell sum from the same s1 values with the association
     ((a - b) - c) + d, so they give the same bits.  Each order's products
     are summed along a contiguous last axis, so a value has the same bits
@@ -198,16 +198,14 @@ def _mse_for_orders(
     stacks, not fresh arrays (see blockmodel._BATCH_CELLS).
     """
     b, k = orders.shape
+    grid = s1.shape[0] - 1
     index = np.add((orders * k)[:, :, None], orders[:, None, :],
                    out=work("index", (b, k, k), np.intp))
     v = est.values.take(index, out=work("square", (b, k, k)), mode="clip")
     if table is None:
         h = np.asarray(est.partition.h, dtype=np.int64)
-        right = np.cumsum(h[orders], axis=1) / h.sum()
         cuts = np.zeros((b, k + 1), dtype=np.intp)
-        # side='right' sends a midpoint sitting exactly on a block edge to the
-        # lower block, matching the step-graphon quantile convention.
-        cuts[:, 1:] = np.searchsorted(midpoint_grid(grid), right, side="right")
+        cuts[:, 1:] = cut[np.cumsum(h[orders], axis=1)]
         index = np.add((cuts * (grid + 1))[:, :, None], cuts[:, None, :],
                        out=work("index", (b, k + 1, k + 1), np.intp))
         # mode="clip" writes into out directly (the default mode buffers it);
@@ -238,7 +236,7 @@ def _mse_for_orders(
 
 
 def _best_order_mse(
-    step: StepGraphon, s1: np.ndarray, s2_total: float, grid: int, work: _Workspace
+    step: StepGraphon, s1: np.ndarray, s2_total: float, cut: np.ndarray, work: _Workspace
 ) -> float:
     """The least _mse_for_orders value over all k! block orders, from a screen
     over a table of cell terms and an exact confirmation of its near-minima.
@@ -285,9 +283,7 @@ def _best_order_mse(
     # for every mask without a
     keymap = np.stack([first[a] + np.searchsorted(starts[a], width) for a in range(k)])
     start = np.concatenate(starts)
-    mid = midpoint_grid(grid)
-    lo = np.searchsorted(mid, start / h.sum(), side="right")
-    hi = np.searchsorted(mid, (start + h[blk]) / h.sum(), side="right")
+    lo, hi = cut[start], cut[start + h[blk]]
     count = (hi - lo).astype(float)
 
     def terms(i, j):
@@ -352,7 +348,7 @@ def _best_order_mse(
     q, orders = (np.concatenate(part) for part in zip(*kept))
     orders = orders[q <= best + 2.0 * e]
     batch = max(1, _BATCH_CELLS // (k + 1) ** 2)
-    return min(float(_mse_for_orders(orders[i:i + batch], step, s1, s2_total, grid, work).min())
+    return min(float(_mse_for_orders(orders[i:i + batch], step, s1, s2_total, cut, work).min())
                for i in range(0, len(orders), batch))
 
 
@@ -389,7 +385,9 @@ def graphon_mse(
     sums from one _interval_table per call when its m^2 cells fit
     _TABLE_CELLS, as at n 100 on grid 64, and otherwise from prefix-sum
     corners, as for dense fits on grid 256.  The input alone picks the path,
-    and both give the same bits.
+    and both give the same bits.  The table, the corners and the k <= 8
+    screen all cut the grid's midpoints at one array per call, cut[s] for a
+    block edge after s of the n nodes.
     """
     _check_mse_options(grid, alignment)
     k = step.partition.k
@@ -400,11 +398,15 @@ def graphon_mse(
     # corner of a 2-d cumulative sum, without its two grid x grid arrays.
     s2_total = float(np.cumsum((tg**2).sum(axis=0))[-1])
     del tg  # the search needs only the prefix sums; free the grid before it
+    n = sum(step.partition.h)
+    # side='right' sends a midpoint sitting exactly on a block edge to the
+    # lower block, matching the step-graphon quantile convention.
+    cut = np.searchsorted(midpoint_grid(grid), np.arange(n + 1) / n, side="right")
     work = _Workspace()
     table = None
 
     def score(orders: np.ndarray) -> np.ndarray:
-        return _mse_for_orders(orders, step, s1, s2_total, grid, work, table)
+        return _mse_for_orders(orders, step, s1, s2_total, cut, work, table)
 
     if alignment == "identity":
         return float(score(np.arange(k)[None])[0])
@@ -416,9 +418,9 @@ def graphon_mse(
         return float(score(degree_order[None])[0])
 
     if k <= 8:
-        return _best_order_mse(step, s1, s2_total, grid, work)
+        return _best_order_mse(step, s1, s2_total, cut, work)
     # score reads table when called, so from here on it gathers from it
-    table = _interval_table(step, s1, grid)
+    table = _interval_table(step, s1, cut)
     batch = max(1, _BATCH_CELLS // (k + 1) ** 2)
     pa, pb = np.triu_indices(k, k=1)
 

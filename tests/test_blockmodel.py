@@ -233,7 +233,7 @@ class _ScalarProfileState(_ProfileState):
     """
 
     def __init__(self, w, z0, k):
-        super().__init__(w, z0, k)
+        super().__init__(w.astype(np.float64), z0, k, _xlx_for(w.shape[0]), _Workspace())
         self.zero_one = bool(np.all((w == 0.0) | (w == 1.0)))
 
     def terms(self, s, pc):
@@ -376,7 +376,7 @@ def _search_instance(n, k, binary, seed):
     xs = rng.random(n)
     p = 0.15 + 0.6 * np.exp(-8.0 * np.subtract.outer(xs, xs) ** 2)
     p += 0.1 * rng.random((n, n))
-    w = np.triu(rng.random((n, n)) < p if binary else p, 1).astype(np.float64)
+    w = np.triu(rng.random((n, n)) < p if binary else p, 1).astype(np.intp if binary else np.float64)
     w = w + w.T
     z0 = _contiguous_labels(rng.permutation(n), np.asarray(balanced_partition(n, k).h))
     return w, z0
@@ -387,12 +387,18 @@ def _xlx_for(n):
     return xlogy(m, m)
 
 
+def new_state(w, z0, k):
+    """A search state with a table for groups of up to n nodes and its own
+    workspace; integer weights are 0/1 weights."""
+    return _ProfileState(w, z0, k, _xlx_for(w.shape[0]), _Workspace())
+
+
 def relabel_window(state, nodes):
     """(cnt, deltas) of a relabel window as a search scores it, with
     each node's own group, which the search masks, at 0 as in the reference."""
-    cnt = state._neighbor_weights(nodes)
+    cnt = state._neighbor_weights(nodes, state.slot)
     a = state.z[nodes]
-    deltas, _ = state.score(*state.relabel_rows(nodes, cnt), a)
+    deltas, _ = state.score(*state.relabel_rows(nodes, cnt, state.slot), state.slot, a)
     deltas[np.arange(nodes.size), a] = 0.0
     return cnt, deltas
 
@@ -400,17 +406,17 @@ def relabel_window(state, nodes):
 def swap_window(state, ii, jj):
     """(rows, deltas) of a swap window: the built rows and their changes."""
     s, pc, pcl = state.swap_rows(ii, jj)
-    return s, state.score(s, pc, pcl, state.z[ii], state.z[jj])[0][:, 0]
+    return s, state.score(s, pc, pcl, state.slot, state.z[ii], state.z[jj])[0][:, 0]
 
 
 def relabel_move(state, nodes, t, b):
     """Score a relabel window of nodes, then move nodes[t] into group b as
     a search does.  Returns copies of the candidate's rows (s, pc) taken
     before scoring, and its delta."""
-    s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes))
+    s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes, state.slot), state.slot)
     rows = [0, 1 + b]
     scored = s[t, rows], pc[t, rows]
-    deltas, terms = state.score(s, pc, pcl, state.z[nodes])
+    deltas, terms = state.score(s, pc, pcl, state.slot, state.z[nodes])
     delta = float(deltas[t, b])
     state.write(nodes[t], b, s[t, rows], terms[t, rows], delta)
     return scored, delta
@@ -422,7 +428,7 @@ def swap_move(state, ii, jj, t):
     i, j = ii[t], jj[t]
     s, pc, pcl = state.swap_rows(ii, jj)
     scored = s[t].copy(), pc[t].copy()
-    deltas, terms = state.score(s, pc, pcl, state.z[ii], state.z[jj])
+    deltas, terms = state.score(s, pc, pcl, state.slot, state.z[ii], state.z[jj])
     delta = float(deltas[t, 0])
     state.write(i, state.z[j], s[t], terms[t], delta, j)
     return scored, delta
@@ -437,9 +443,9 @@ class TestIncrementalEngine:
             w = np.triu(w, 1)
             w = w + w.T
             if binary:
-                w = (w > 0.5).astype(float)
+                w = (w > 0.5).astype(np.intp)
             z0 = np.repeat(np.arange(k), [6, 5, 5])
-            state = _ProfileState(w, z0, k, _xlx_for(n) if binary else None)
+            state = new_state(w, z0, k)
             swapped = 0
             for _ in range(60):
                 i = int(rng.integers(0, n))
@@ -453,7 +459,7 @@ class TestIncrementalEngine:
                     swapped += 1
             assert swapped > 20
             state.verify()
-            fresh = _ProfileState(w, state.z, k)
+            fresh = new_state(w, state.z, k)
             assert np.allclose(state.e, fresh.e, atol=1e-9)
             assert np.allclose(state.t, fresh.t, atol=1e-9)
             assert state.total == pytest.approx(fresh.total, abs=1e-8)
@@ -466,9 +472,9 @@ class TestIncrementalEngine:
             w = np.triu(w, 1)
             w = w + w.T
             if binary:
-                w = (w > 0.5).astype(float)
+                w = (w > 0.5).astype(np.intp)
             z0 = np.repeat(np.arange(k), [4, 4, 3, 3])
-            state = _ProfileState(w, z0, k, _xlx_for(n) if binary else None)
+            state = new_state(w, z0, k)
             _, deltas = relabel_window(state, np.arange(n))
             for i in range(n):
                 for b in range(k):
@@ -476,7 +482,7 @@ class TestIncrementalEngine:
                         continue
                     z = state.z.copy()
                     z[i] = b
-                    moved = _ProfileState(w, z, k).total - state.total
+                    moved = new_state(w, z, k).total - state.total
                     assert deltas[i, b] == pytest.approx(moved, abs=1e-9)
             iu, ju = np.triu_indices(n, k=1)
             live = state.z[iu] != state.z[ju]
@@ -485,7 +491,7 @@ class TestIncrementalEngine:
             for p in range(ii.size):
                 z = state.z.copy()
                 z[ii[p]], z[jj[p]] = z[jj[p]], z[ii[p]]
-                swapped = _ProfileState(w, z, k).total - state.total
+                swapped = new_state(w, z, k).total - state.total
                 assert sd[p] == pytest.approx(swapped, abs=1e-9)
 
     @pytest.mark.parametrize("binary", [True, False])
@@ -495,7 +501,7 @@ class TestIncrementalEngine:
         # as score counts it) and their terms, and total moved by its delta.
         n, k = 40, 5
         w, z0 = _search_instance(n, k, binary, seed=24)
-        state = _ProfileState(w, z0, k, _xlx_for(n) if binary else None)
+        state = new_state(w, z0, k)
         rng = np.random.default_rng(25)
         moves = {"relabel": 0, "swap": 0}
         for _ in range(60):
@@ -524,7 +530,7 @@ class TestIncrementalEngine:
 
     def test_table_terms_equal_xlogy_terms(self):
         rng = np.random.default_rng(20)
-        state = _ProfileState(np.zeros((30, 30)), np.repeat(np.arange(3), 10), 3, _xlx_for(30))
+        state = new_state(np.zeros((30, 30), np.intp), np.repeat(np.arange(3), 10), 3)
         # 0/1 weights keep integer block sums and pair counts, and every sum
         # lies in [0, pc] (see TestUnclippedTerms), both ends included
         pc = rng.integers(0, 31**2, size=2000)
@@ -536,7 +542,7 @@ class TestIncrementalEngine:
         # table with xlogy's bits, for either kind of weight
         for binary in (True, False):
             w, z0 = _search_instance(40, 5, binary, seed=27)
-            state = _ProfileState(w, z0, 5, _xlx_for(40) if binary else None)
+            state = new_state(w, z0, 5)
             state.limit(2, 40)
             moved = 0
             for i, b in rng.integers(0, [40, 5], size=(40, 2)):
@@ -552,9 +558,9 @@ class TestIncrementalEngine:
         # last bit; the masked own-group rows of a relabel stack stay finite
         n, k = 60, 7
         w, z0 = _search_instance(n, k, False, seed=28)
-        state = _ProfileState(w, z0, k)
+        state = new_state(w, z0, k)
         nodes = np.arange(n)
-        s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes))
+        s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes, state.slot), state.slot)
         got = state._terms(s, pc, np.empty_like(s), pcl)
         assert np.all(np.isfinite(got[nodes, 1 + state.z]))
         assert np.allclose(got, _terms(s, pc), rtol=1e-12, atol=0.0)
@@ -570,9 +576,9 @@ class TestIncrementalEngine:
         # integer pair counts
         n, k = 40, 5
         w, z0 = _search_instance(n, k, False, seed=29)
-        state = _ProfileState(w, z0, k)
+        state = new_state(w, z0, k)
         nodes = np.arange(n)
-        s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes))
+        s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes, state.slot), state.slot)
         pick = np.random.default_rng(30).integers(0, 3, size=s.shape)
         s[pick == 0] = 0.0
         s[pick == 1] = pc[pick == 1]
@@ -586,7 +592,7 @@ class TestIncrementalEngine:
         for binary in (True, False):
             w, z0 = _search_instance(60, 7, binary, seed=21)
             ref = _ScalarProfileState(w, z0, 7)
-            state = _ProfileState(w, z0, 7, _xlx_for(60) if binary else None)
+            state = new_state(w, z0, 7)
             cnt, deltas = relabel_window(state, np.arange(60))
             for i in range(60):
                 c1, d1 = ref.relabel_deltas_all(i)
@@ -595,7 +601,7 @@ class TestIncrementalEngine:
 
     def test_verify_checks_every_cache(self):
         # one cell of each cache, or the total, off by one; the neighbour
-        # counts exist for 0/1 weights (xlx given) only
+        # counts exist for 0/1 (integer) weights only
         w, z0 = _search_instance(20, 3, True, seed=22)
         for cache, cell, named in (
             ("total", None, "objective"), ("t", (0, 1), "block terms"),
@@ -604,7 +610,7 @@ class TestIncrementalEngine:
             ("pieces", (2, 0, 1), "size pieces"), ("piece_logs", (2, 0, 1), "size pieces"),
             ("mask", (0, 1), "move mask"),
         ):
-            state = _ProfileState(w, z0, 3, _xlx_for(20))
+            state = new_state(w, z0, 3)
             state.limit(2, 10)
             state.verify()
             if cell is None:
@@ -651,7 +657,7 @@ class TestIncrementalEngine:
             w, z0 = _search_instance(n, k, binary, seed=100 + t)
             ref = _ScalarProfileState(w, z0, k)
             ref_swaps = _scalar_local_search(ref, h_min, h_max, np.random.default_rng(t))
-            state = _ProfileState(w, z0, k, _xlx_for(n) if binary else None)
+            state = new_state(w, z0, k)
             swaps = _local_searches([state], h_min, h_max, np.random.default_rng(t))[0]
             state.verify()
             assert np.array_equal(state.z, ref.z), (n, k, h_min, h_max)
@@ -671,12 +677,14 @@ class TestWindowBuffers:
 
     def instance(self, binary):
         w, z0 = _search_instance(self.N, self.K, binary, seed=23)
-        return w, z0, _ProfileState(w, z0, self.K, _xlx_for(self.N) if binary else None)
+        return w, z0, new_state(w, z0, self.K)
 
     @pytest.mark.parametrize("binary", [True, False])
     def test_warm_window_allocates_no_stack_array(self, binary, warm_peak):
         _, _, state = self.instance(binary)
         nodes = np.arange(self.WINDOW)
+        # relabel_window reads the stacks at the state's int slot, as a
+        # one-state round does, so its row reads are views, not gathers
         peak = warm_peak(lambda: relabel_window(state, nodes))
         # One (WINDOW, k+1, k) float array, the window's stack size (and under
         # a (WINDOW, k+1, k+1) one), so any single stack-sized temporary fails
@@ -747,7 +755,7 @@ class TestLockstep:
         monkeypatch.setattr(blockmodel, "_local_searches", each_start)
         monkeypatch.setattr(blockmodel, "_lockstep", counted)
         z, total, swaps, ties, searches = blockmodel._maximize_profile(
-            w, k, h_min, h_max, restarts, seed, [z0] if extra else None, binary)
+            w, k, h_min, h_max, restarts, seed, [z0] if extra else None)
         monkeypatch.undo()
         finished = [last_round.get(i) for i in range(searches)]
         return (z.tolist(), total.hex(), swaps, ties, searches), starts, finished
@@ -831,8 +839,9 @@ class TestFrozenRows:
     built; every start takes the moves, and the search finds the fit, that
     building every row gives."""
 
-    # (n, k, h_min, h_max, binary, seed, restarts): one start reads its own
-    # views, several read the stacks; at h_min == h_max no row is ever built
+    # (n, k, h_min, h_max, binary, seed, restarts): one start reads the stacks
+    # at an int slot, several at one slot per row; at h_min == h_max no row
+    # is ever built
     CASES = [
         (150, 12, 12, 13, True, 4, 3), (150, 12, 12, 14, False, 5, 1),
         (100, 40, 2, 100, True, 8, 1), (60, 6, 9, 11, False, 7, 3),
@@ -848,9 +857,8 @@ class TestFrozenRows:
         relabel_rows, verify = _ProfileState.relabel_rows, _ProfileState.verify
         rows, frozen, starts = [0], [0], []
 
-        def recorded_rows(self, nodes, cnt, slots=None):
-            src, lead = self._source(slots)
-            sizes = src.h[lead + (src.z[lead + (nodes,)],)]
+        def recorded_rows(self, nodes, cnt, slots):
+            sizes = self.stacks.h[slots, self.stacks.z[slots, nodes]]
             rows[0] += nodes.size
             frozen[0] += int((sizes <= h_min).sum())
             return relabel_rows(self, nodes, cnt, slots)
@@ -864,7 +872,7 @@ class TestFrozenRows:
         if not prune:  # build every row, as if any node could relabel
             monkeypatch.setattr(blockmodel, "_can_relabel", lambda sizes, h_min: sizes > 0)
         z, total, swaps, ties, searches = blockmodel._maximize_profile(
-            w, k, h_min, h_max, restarts, seed, None, binary)
+            w, k, h_min, h_max, restarts, seed)
         monkeypatch.undo()
         return (z.tolist(), total.hex(), swaps, ties, searches), starts, rows[0], frozen[0]
 
@@ -903,13 +911,13 @@ class TestUnclippedTerms:
         monkeypatch.setattr(_ProfileState, "_terms", checked)
         for t, (n, k, h_min, h_max) in enumerate(TestIncrementalEngine.CASES):
             w, z0 = _search_instance(n, k, True, seed=100 + t)
-            state = _ProfileState(w, z0, k, _xlx_for(n))
+            state = new_state(w, z0, k)
             _local_searches([state], h_min, h_max, np.random.default_rng(t))
         for case in TestLockstep.CASES + TestFrozenRows.CASES:
             n, k, h_min, h_max, binary, seed, restarts = case[:7]
             if binary:
                 w, _ = _search_instance(n, k, True, seed)
-                blockmodel._maximize_profile(w, k, h_min, h_max, restarts, seed, None, True)
+                blockmodel._maximize_profile(w, k, h_min, h_max, restarts, seed)
         assert stacked == {"relabel", "swap"} and cells[0] > 10**6
 
 

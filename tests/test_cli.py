@@ -171,6 +171,7 @@ class TestMalformedInput:
         "sweep-restarts-0": ([("cfg.json", "restarts", 0)], _sweep_argv),
         "sweep-alignment-bogus": ([("cfg.json", "alignment", "bogus")], _sweep_argv),
         "sweep-seed-negative": ([("cfg.json", "seed", -1)], _sweep_argv),
+        "sweep-jobs-0": ([], lambda d: _sweep_argv(d) + ["--jobs", 0]),
         "sample-seed-negative": ([], lambda d: sample_args(d / "neg.txt", seed=-1)),
         "fit-seed-negative": (
             [], lambda d: ["fit", "--edges", d / "net.txt", "--k", 3, "--seed", -1,

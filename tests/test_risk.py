@@ -548,6 +548,35 @@ class TestExhaustiveScreen:
         assert 0 < sum(scored) < 100
 
 
+class TestMidpointCut:
+    """graphon_mse cuts the grid's midpoints at one array per call: cut[s]
+    counts the midpoints below a block edge after s of the n nodes, and a
+    midpoint sitting exactly on the edge goes to the lower block."""
+
+    def test_cut_at_every_prefix_sum(self, monkeypatch):
+        cuts = []
+
+        def recording(orders, est, s1, s2_total, cut, *rest):
+            cuts.append(cut)
+            return kernel(orders, est, s1, s2_total, cut, *rest)
+
+        kernel = risk._mse_for_orders
+        monkeypatch.setattr(risk, "_mse_for_orders", recording)
+        rng = np.random.default_rng(41)
+        h = rng.multinomial(128 - 2 * 12, np.full(12, 1 / 12)) + 2  # n = 128
+        v = rng.uniform(0, 2, size=(12, 12))
+        step = StepGraphon(Partition(tuple(int(x) for x in h)), v + v.T)
+        graphon_mse(graphon_by_name("cosine"), step, grid=64, alignment="identity")
+        (cut,) = cuts
+        orders = np.array([rng.permutation(12) for _ in range(200)])
+        s = np.concatenate([[0], np.cumsum(h[orders], axis=1).ravel()])
+        mid = midpoint_grid(64)
+        assert np.array_equal(cut[s], np.searchsorted(mid, s / 128, side="right"))
+        # an odd s puts a midpoint, (2i + 1) / 128, exactly on the block edge
+        odd = s[s % 2 == 1]
+        assert odd.size > 100 and np.isin(odd / 128, mid).all()
+
+
 class TestMseWorkspace:
     """_mse_for_orders writes its stack-sized arrays into the caller's
     workspace: a warm call allocates none of them, and a short stack scored
@@ -563,14 +592,16 @@ class TestMseWorkspace:
         s1 = np.zeros((self.GRID + 1, self.GRID + 1))
         s1[1:, 1:] = tg.cumsum(axis=0).cumsum(axis=1)
         s2_total = float((tg**2).cumsum(axis=0).cumsum(axis=1)[-1, -1])
-        return step, s1, s2_total, self.GRID
+        n = sum(step.partition.h)
+        cut = np.searchsorted(midpoint_grid(self.GRID), np.arange(n + 1) / n, side="right")
+        return step, s1, s2_total, cut
 
     @staticmethod
     def paths(kernel_args):
         """The kernel's two inputs for its cell sums: none (the corner
         gather) and the call's interval table."""
-        step, s1, _, grid = kernel_args
-        table = risk._interval_table(step, s1, grid)
+        step, s1, _, cut = kernel_args
+        table = risk._interval_table(step, s1, cut)
         assert table is not None
         return None, table
 
@@ -590,7 +621,7 @@ class TestMseWorkspace:
             assert peak < self.CAP * self.K * self.K * 8
 
     def test_reused_workspace_leaves_no_stale_values(self, kernel_args):
-        step, s1, s2_total, grid = kernel_args
+        step, s1, s2_total, _ = kernel_args
         for table in self.paths(kernel_args):
             work = risk._Workspace()
             full = risk._mse_for_orders(self.orders(self.CAP, seed=2), *kernel_args, work, table)
@@ -599,7 +630,7 @@ class TestMseWorkspace:
             reused = risk._mse_for_orders(short, *kernel_args, work, table)
             fresh = risk._mse_for_orders(short, *kernel_args, risk._Workspace(), table)
             assert np.array_equal(reused, fresh)
-            assert reused.tolist() == [scalar_order_mse(o, step, s1, s2_total, grid)
+            assert reused.tolist() == [scalar_order_mse(o, step, s1, s2_total, self.GRID)
                                        for o in short]
             # what a call returns is its own, not a view of the workspace
             assert np.array_equal(full, kept)
