@@ -392,8 +392,9 @@ class _ProfileState:
     the (negated, shifted) oracle divergence objective; integer weights are
     the 0/1 weights (binary, see _Stacks).  An x*log(x) table xlx
     (_xlogx_table, covering the largest group) gives pc log pc by lookup,
-    and for 0/1 weights the other two terms as well, with _terms' bits.  Real weights take those two
-    from _xlogx, whose last bit may differ from _terms'.
+    and for 0/1 weights the other two terms as well, with _terms' bits.
+    Real weights take those two from _xlogx, whose last bit may differ from
+    _terms'.
 
     A move between groups a and b changes only rows and columns a and b of
     the block sums e, the pair counts and the terms t.  A builder per move

@@ -376,7 +376,8 @@ def _search_instance(n, k, binary, seed):
     xs = rng.random(n)
     p = 0.15 + 0.6 * np.exp(-8.0 * np.subtract.outer(xs, xs) ** 2)
     p += 0.1 * rng.random((n, n))
-    w = np.triu(rng.random((n, n)) < p if binary else p, 1).astype(np.intp if binary else np.float64)
+    w = np.triu(rng.random((n, n)) < p if binary else p, 1)
+    w = w.astype(np.intp if binary else np.float64)
     w = w + w.T
     z0 = _contiguous_labels(rng.permutation(n), np.asarray(balanced_partition(n, k).h))
     return w, z0
@@ -560,7 +561,8 @@ class TestIncrementalEngine:
         w, z0 = _search_instance(n, k, False, seed=28)
         state = new_state(w, z0, k)
         nodes = np.arange(n)
-        s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes, state.slot), state.slot)
+        cnt = state._neighbor_weights(nodes, state.slot)
+        s, pc, pcl = state.relabel_rows(nodes, cnt, state.slot)
         got = state._terms(s, pc, np.empty_like(s), pcl)
         assert np.all(np.isfinite(got[nodes, 1 + state.z]))
         assert np.allclose(got, _terms(s, pc), rtol=1e-12, atol=0.0)
@@ -578,7 +580,8 @@ class TestIncrementalEngine:
         w, z0 = _search_instance(n, k, False, seed=29)
         state = new_state(w, z0, k)
         nodes = np.arange(n)
-        s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes, state.slot), state.slot)
+        cnt = state._neighbor_weights(nodes, state.slot)
+        s, pc, pcl = state.relabel_rows(nodes, cnt, state.slot)
         pick = np.random.default_rng(30).integers(0, 3, size=s.shape)
         s[pick == 0] = 0.0
         s[pick == 1] = pc[pick == 1]
