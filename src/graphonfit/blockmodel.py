@@ -444,15 +444,17 @@ class _ProfileState:
         self._counts = self.pieces if self.binary else np.empty((4, k, k), np.intp)
         self._diagonals = self._counts.reshape(4, k * k)[:3, :: k + 1]
         self._refresh_sizes()
-        self.e[...] = _block_weight_sums(w, z0, k)  # exact integers for 0/1 weights
+        self.nbr = self.stacks.nbr[slot] if self.binary else None
+        if self.binary:  # float products of 0/1 weights: exact counts, w cast once
+            onehot = np.eye(k)[z0]
+            self.nbr[...] = w @ onehot
+            self.e[...] = onehot.T @ self.nbr
+            self.e.reshape(-1)[:: k + 1] //= 2  # a pair within a group is counted twice
+        else:
+            self.e[...] = _block_weight_sums(w, z0, k)
         self._terms(self.e, self.pieces[0], self.t, self.piece_logs[0])
         self.t.sum(axis=1, out=self.row_sums)
         self.total = _total_from_terms(self.t)
-        self.nbr = None
-        if self.binary:
-            self.nbr = self.stacks.nbr[slot]
-            self.nbr[...] = np.bincount((np.arange(self.n)[:, None] * k + self.z).ravel(),
-                                        w.ravel(), self.n * k).reshape(self.n, k)
 
     def limit(self, h_min: int, h_max: int) -> None:
         """Mask relabels that leave a group below h_min or above h_max."""

@@ -460,7 +460,7 @@ class TestIncrementalEngine:
                     swapped += 1
             assert swapped > 20
             state.verify()
-            fresh = new_state(w, state.z, k)
+            fresh = new_state(w.astype(np.float64), state.z, k)  # the real-weight path
             assert np.allclose(state.e, fresh.e, atol=1e-9)
             assert np.allclose(state.t, fresh.t, atol=1e-9)
             assert state.total == pytest.approx(fresh.total, abs=1e-8)
@@ -483,7 +483,7 @@ class TestIncrementalEngine:
                         continue
                     z = state.z.copy()
                     z[i] = b
-                    moved = new_state(w, z, k).total - state.total
+                    moved = new_state(w.astype(np.float64), z, k).total - state.total
                     assert deltas[i, b] == pytest.approx(moved, abs=1e-9)
             iu, ju = np.triu_indices(n, k=1)
             live = state.z[iu] != state.z[ju]
@@ -492,7 +492,7 @@ class TestIncrementalEngine:
             for p in range(ii.size):
                 z = state.z.copy()
                 z[ii[p]], z[jj[p]] = z[jj[p]], z[ii[p]]
-                swapped = new_state(w, z, k).total - state.total
+                swapped = new_state(w.astype(np.float64), z, k).total - state.total
                 assert sd[p] == pytest.approx(swapped, abs=1e-9)
 
     @pytest.mark.parametrize("binary", [True, False])
