@@ -361,6 +361,14 @@ _PIECE_SHIFTS = np.array([[[0], [-1], [1], [-1]], [[0], [0], [0], [1]]])
 _EXCLUDED = np.array([0.0, -np.inf])  # a move mask cell, by whether it is excluded
 
 
+def _gather(stack: np.ndarray, slots, index: np.ndarray) -> np.ndarray:
+    """stack[slots, index], one value per index, at an int slot or at one
+    slot per index.  An int slot gathers through its view: numpy's fast path
+    serves one integer-array index, not a mixed (int, array) one, which is
+    several times slower."""
+    return stack[slots][index] if isinstance(slots, int) else stack[slots, index]
+
+
 class _Stacks:
     """The arrays of the search states of one search over the weights w,
     stacked along a leading slot axis: each _ProfileState views one slot,
@@ -535,7 +543,7 @@ class _ProfileState:
         of slot slots or, node r, of slot slots[r]."""
         k, m, stacks = self.k, nodes.size, self.stacks
         r = np.arange(m)
-        a = stacks.z[slots, nodes]
+        a = _gather(stacks.z, slots, nodes)
         s = self.work("sums", (m, k + 1, k), stacks.e.dtype)
         np.subtract(stacks.e[slots, a], cnt, out=s[:, 0])
         np.add(stacks.e[slots], cnt[:, None, :], out=s[:, 1:])
@@ -554,6 +562,7 @@ class _ProfileState:
         row after the swap, e[a] + d, and row 1 group b's, e[b] - d, where d
         is the weight j brings to a row minus the weight i takes from it.
         Both rows hold the new cross cell (a, b); pair counts do not change.
+        The stacks go into the same work buffers as a relabel window's.
         """
         r = np.arange(ii.size)
         a, b = self.z[ii], self.z[jj]
@@ -561,13 +570,17 @@ class _ProfileState:
         wij = self.w[ii, jj]
         cj[r, a] -= wij
         ci[r, b] -= wij
-        d = cj - ci
+        d = np.subtract(cj, ci, out=cj)
         ab = np.array([a, b]).T
-        s = self.e[ab]
+        shape = (ii.size, 2, self.k)
+        s = self.e.take(ab, axis=0, out=self.work("sums", shape, self.e.dtype), mode="clip")
         s[:, 0] += d
         s[:, 1] -= d
         s[r, 0, b] = s[r, 1, a] = self.e[a, b] - d[r, a] + d[r, b]
-        return s, self.pieces[0][ab], self.piece_logs[0][ab]
+        pc = self.pieces[0].take(ab, axis=0, out=self.work("counts", shape, self.pieces.dtype),
+                                 mode="clip")
+        pcl = self.piece_logs[0].take(ab, axis=0, out=self.work("count_logs", shape), mode="clip")
+        return s, pc, pcl
 
     def score(self, s: np.ndarray, pc: np.ndarray, pcl: np.ndarray, slots, a: np.ndarray,
               b=None) -> np.ndarray:
@@ -590,8 +603,9 @@ class _ProfileState:
         else:
             r = np.arange(a.size)
             at_b = terms[r, 0, b, None]
-            sums_b, t_ab = row_sums[slots, b, None], t[slots, a, b, None]
-        deltas = (sums[:, :1] - at_b) + sums[:, 1:] - row_sums[slots, a][:, None] - sums_b + t_ab
+            sums_b, t_ab = _gather(row_sums, slots, b)[:, None], t[slots, a, b, None]
+        sums_a = _gather(row_sums, slots, a)[:, None]
+        deltas = (sums[:, :1] - at_b) + sums[:, 1:] - sums_a - sums_b + t_ab
         return deltas, terms
 
     def write(self, i: int, b: int, s: np.ndarray, terms: np.ndarray, delta: float,
@@ -660,7 +674,7 @@ def _contiguous_labels(order: np.ndarray, sizes) -> np.ndarray:
     return z0
 
 
-def _lockstep(searches: list, cap: int, take_first) -> list:
+def _lockstep(searches: list, cap: int, take_first, width: int = 1) -> list:
     """Run the first-improvement scans of several searches in lockstep.
 
     A search is a generator.  It yields the move count of each scan it
@@ -673,16 +687,26 @@ def _lockstep(searches: list, cap: int, take_first) -> list:
     that move's index, or -1, per window.  Resuming right after it takes
     exactly the moves of a one-at-a-time scan.  A scan's window doubles
     after a window with no taker and halves after a taker; a search's first
-    scan starts at width 1 and each later one at the width its previous
-    scan ended with.  Returns what each search returns.
+    scan opens at the given width and each later one at the width its
+    previous scan ended with.  Returns what each search returns.
+
+    A search sent True yields, as its next scan, a rescan of the same moves
+    and changes nothing between: its state is the one the last scan's last
+    take left.  The moves after that take were scored against that state,
+    and none improved, so the rescan stops right after the last take unless
+    it takes a move before then, in which case it runs to the end.  It
+    takes the moves a full rescan would take, and tells its search the same.
     """
     out = [None] * len(searches)
     done = [False] * len(searches)
-    scans = {}  # search -> [lo, width, count, taken]
-    widths = [1] * len(searches)  # each search's width at its last scan's end
+    # search -> [lo, width, end, count, last]: a scan runs to end, its move
+    # count or, while a rescan has taken nothing, its bound; last is its last
+    # take + 1, or 0
+    scans = {}
+    widths = [width] * len(searches)  # each search's width at its last scan's end
     waiting = []
 
-    def resume(i: int, sent) -> None:
+    def resume(i: int, sent, bound: int = 0) -> None:
         while True:
             try:
                 count = searches[i].send(sent)
@@ -693,26 +717,27 @@ def _lockstep(searches: list, cap: int, take_first) -> list:
                 waiting.append(i)
                 return
             if count:
-                scans[i] = [0, widths[i], count, False]
+                scans[i] = [0, widths[i], bound or count, count, 0]
                 return
-            sent = None if count is None else False
+            sent, bound = None if count is None else False, 0
 
     for i in range(len(searches)):
         resume(i, None)
     while scans:
         share = cap // len(scans) or 1
-        windows = [(i, lo, min(lo + min(width, share), count))
-                   for i, (lo, width, count, _) in scans.items()]
+        windows = [(i, lo, min(lo + min(width, share), end))
+                   for i, (lo, width, end, _, _) in scans.items()]
         for (i, _, hi), hit in zip(windows, take_first(windows)):
             scan = scans[i]
             if hit < 0:
                 scan[0], scan[1] = hi, min(2 * scan[1], share)
-            else:
-                scan[0], scan[1], scan[3] = hit + 1, max(1, scan[1] // 2), True
+            else:  # the state moved on, so the scan runs to its end
+                scan[0], scan[1], scan[2] = hit + 1, max(1, scan[1] // 2), scan[3]
+                scan[4] = hit + 1
             if scan[0] >= scan[2]:
                 del scans[i]
                 widths[i] = scan[1]
-                resume(i, scan[3])
+                resume(i, scan[4] > 0, scan[4])
         for i in sorted(waiting) if waiting else ():
             if all(done[:i]):
                 waiting.remove(i)
@@ -720,31 +745,49 @@ def _lockstep(searches: list, cap: int, take_first) -> list:
     return out
 
 
-def _first_improvement(count: int, cap: int, take_first) -> bool:
-    """Scan moves 0..count-1 in order, taking every one that improves: the
-    one-scan case of _lockstep.  take_first(lo, hi) scores moves lo..hi-1
-    against the current state, applies the first improving one and returns
-    its index, or returns -1.  Returns whether any move was taken.
+def _first_improvement(count: int, cap: int, take_first, width: int = 1,
+                       repeat: bool = False) -> bool:
+    """Scan moves 0..count-1 in order, taking every one that improves, and
+    with repeat rescan until a scan takes none: the one-search case of
+    _lockstep, opening at the given width.  take_first(lo, hi) scores moves
+    lo..hi-1 against the current state, applies the first improving one and
+    returns its index, or returns -1.  Returns whether any move was taken.
 
     A search's starts run their relabel scans together through _lockstep
-    (see _local_searches); each start's swap sweeps and graphon_mse's
-    descents run one scan at a time through this form.
+    (see _local_searches).  Each start's swap sweeps run one scan at a time
+    through this form, opening at their cap: a sweep seldom takes a swap,
+    so a window ramp from one pair would score the same pairs in more
+    rounds.  graphon_mse's descents repeat here, opening at width 1: they
+    take moves often enough that a window opened at the cap scores many
+    candidates past its taker.  Each rescan opens at the width the scan
+    before it ended with, and the one that ends a descent stops right after
+    the last take (see _lockstep).
     """
 
-    def scan():
-        return (yield count)
+    def scans():
+        taken = again = yield count
+        while repeat and again:
+            again = yield count
+        return taken
 
     def take_one(windows):
         ((_, lo, hi),) = windows
         return (take_first(lo, hi),)
 
-    return _lockstep([scan()], cap, take_one)[0]
+    return _lockstep([scans()], cap, take_one, width)[0]
 
 
 def _search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generator):
     """One start's greedy ascent with relabel and swap moves, as a _lockstep
     search: it yields its relabel scans and runs its swap sweeps itself, and
-    returns its accepted swap count."""
+    returns its accepted swap count.
+
+    A relabel scan that took a move is followed at once by a rescan of the
+    same state, which _lockstep stops right after that scan's last take
+    unless it takes a move first; the moves, and the scans counted against
+    _MAX_SWEEPS, are those of full rescans.  A swap sweep runs only after a
+    relabel scan that took nothing, and opens at its full window cap (see
+    _first_improvement)."""
     n, k = state.n, state.k
     # Window cap from the cells one candidate stacks: a swap's two rows of k
     # plus, for real weights, its two neighbour rows of n.
@@ -776,7 +819,7 @@ def _search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generat
             swaps += 1
             return lo + live[t]
 
-        return _first_improvement(len(pairs), swap_cap, take_swap)
+        return _first_improvement(len(pairs), swap_cap, take_swap, width=swap_cap)
 
     # Relabel moves are cheap, so iterate them to a fixed point; swap sweeps
     # are the escape hatch for size-constrained configurations and only run
@@ -821,12 +864,12 @@ def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generat
             slots, nodes = states[i].slot, np.arange(lo, hi)
         else:
             slots, nodes = np.concatenate([index[:, i, lo:hi] for i, lo, hi in windows], axis=1)
-        a = stacks.z[slots, nodes]
+        a = _gather(stacks.z, slots, nodes)
         # Rows of nodes that cannot relabel are not built; ends, the end of
         # each window's rows, then counts only the rows kept.
         ends = itertools.accumulate(hi - lo for _, lo, hi in windows)
         if any(states[i].pinned for i, _, _ in windows):
-            keep = np.flatnonzero(_can_relabel(stacks.h[slots, a], h_min))
+            keep = np.flatnonzero(_can_relabel(_gather(stacks.h, slots, a), h_min))
             if keep.size == 0:
                 return [-1] * len(windows)
             nodes, a = nodes[keep], a[keep]

@@ -379,15 +379,18 @@ def graphon_mse(
     descent from the identity and degree-sorted orders.  A descent scans the
     pairs a < b row-major with blockmodel._first_improvement, takes the first
     swap that lowers the MSE by more than 1e-15, and rescans until a scan
-    takes none.  Every value returned or compared comes from one kernel,
-    _mse_for_orders, in stacks of at most _BATCH_CELLS cells, all written
-    into one workspace per call.  The descent's stacks gather their cell
-    sums from one _interval_table per call when its m^2 cells fit
-    _TABLE_CELLS, as at n 100 on grid 64, and otherwise from prefix-sum
-    corners, as for dense fits on grid 256.  The input alone picks the path,
-    and both give the same bits.  The table, the corners and the k <= 8
-    screen all cut the grid's midpoints at one array per call, cut[s] for a
-    block edge after s of the n nodes.
+    takes none.  Its first window is one pair wide, and each rescan opens at
+    the width the scan before it ended with.  The rescan that takes none
+    stops right after the previous scan's last take: the pairs after it were
+    scored against the same order, and none improved.  Every value returned
+    or compared comes from one kernel, _mse_for_orders, in stacks of at most
+    _BATCH_CELLS cells, all written into one workspace per call.  The
+    descent's stacks gather their cell sums from one _interval_table per
+    call when its m^2 cells fit _TABLE_CELLS, as at n 100 on grid 64, and
+    otherwise from prefix-sum corners, as for dense fits on grid 256.  The
+    input alone picks the path, and both give the same bits.  The table, the
+    corners and the k <= 8 screen all cut the grid's midpoints at one array
+    per call, cut[s] for a block edge after s of the n nodes.
     """
     _check_mse_options(grid, alignment)
     k = step.partition.k
@@ -441,8 +444,7 @@ def graphon_mse(
             order, cur = cands[j], float(vals[j])
             return lo + j
 
-        while _first_improvement(pa.size, batch, take_first):
-            pass
+        _first_improvement(pa.size, batch, take_first, repeat=True)
         return cur
 
     return min(descend(start) for start in (np.arange(k), degree_order))

@@ -747,13 +747,13 @@ class TestLockstep:
             starts.extend((state.z.copy(), state.total.hex(), s) for state, s in zip(states, swaps))
             return swaps
 
-        def counted(searches, cap, take_first):
+        def counted(searches, cap, take_first, *args):
             def take(windows):
                 rounds[0] += 1
                 last_round.update((i, rounds[0]) for i, _, _ in windows)
                 return take_first(windows)
 
-            return lockstep(searches, cap, take if len(searches) > 1 else take_first)
+            return lockstep(searches, cap, take if len(searches) > 1 else take_first, *args)
 
         monkeypatch.setattr(blockmodel, "_local_searches", each_start)
         monkeypatch.setattr(blockmodel, "_lockstep", counted)
@@ -806,7 +806,8 @@ class TestLockstep:
 
         # several searches of three scans each take the moves of scanning one
         # move at a time: move j improves while values[j] tops the level,
-        # which taking it raises to values[j] and each scan resets
+        # which taking it raises to values[j] and each scan resets (so move 0
+        # improves at once and every rescan runs to its end)
         values = np.random.default_rng(31).random((3, 50))
         levels, taken = np.zeros(3), [[], [], []]
 
@@ -835,6 +836,86 @@ class TestLockstep:
                         level = x
                         one_at_a_time.append(j)
             assert moves == one_at_a_time and len(moves) > 5
+
+    def test_rescans_stop_after_the_last_take(self):
+        # Bubble sorts: move j swaps x[j] and x[j + 1] when they are out of
+        # order.  Each search's array persists across its scans, which it
+        # repeats while they take moves, and a pass can leave earlier pairs
+        # out of order, so rescans take moves before the last take too.
+        count = 29
+        arrays = [np.random.default_rng(40 + i).permutation(count + 1) for i in range(4)]
+        starts = [x.copy() for x in arrays]
+        runs = [[] for _ in arrays]  # per search and scan: (windows, takes)
+
+        def search():
+            while (yield count):
+                pass
+
+        def take_first(batch):
+            hits = []
+            for i, lo, hi in batch:
+                if lo == 0:
+                    runs[i].append(([], []))
+                x, (windows, takes) = arrays[i], runs[i][-1]
+                windows.append((lo, hi))
+                up = np.flatnonzero(x[lo:hi] > x[lo + 1:hi + 1])
+                hits.append(lo + int(up[0]) if up.size else -1)
+                if up.size:
+                    j = hits[-1]
+                    x[j], x[j + 1] = x[j + 1], x[j]
+                    takes.append(j)
+            return hits
+
+        # three searches in lockstep, and one alone through _first_improvement
+        blockmodel._lockstep([search() for _ in range(3)], 12, take_first)
+        assert blockmodel._first_improvement(
+            count, 12, lambda lo, hi: take_first([(3, lo, hi)])[0], repeat=True)
+        stopped = ran_on = 0
+        for x, runs_i in zip(starts, runs):
+            one_at_a_time = []
+            while not one_at_a_time or one_at_a_time[-1]:
+                takes = []
+                for j in range(count):
+                    if x[j] > x[j + 1]:
+                        x[j], x[j + 1] = x[j + 1], x[j]
+                        takes.append(j)
+                one_at_a_time.append(takes)
+            # the same moves, scan by scan, and the same number of scans
+            assert [takes for _, takes in runs_i] == one_at_a_time
+            for (_, before), (windows, takes) in zip(runs_i, runs_i[1:]):
+                stop = before[-1] + 1
+                if takes and takes[0] < stop:  # the state moved on: a full rescan
+                    assert windows[-1][1] == count
+                    ran_on += 1
+                else:  # the confirming rescan ends right after the last take
+                    assert not takes and windows[-1][1] == stop < count
+                    stopped += 1
+        assert stopped == len(arrays) and ran_on > len(arrays)
+
+    @pytest.mark.parametrize("n, k, binary", [(60, 6, False), (70, 30, True)])
+    def test_swap_sweeps_open_at_their_cap(self, monkeypatch, n, k, binary):
+        # a seeded search with all-pair sweeps (n <= 80) ends with a sweep that
+        # takes nothing; it scores one window per cap-full of pairs
+        first_improvement, sweeps = blockmodel._first_improvement, []
+
+        def recorded(count, cap, take_first, *args, **kwargs):
+            windows = []
+
+            def take(lo, hi):
+                windows.append((lo, hi))
+                return take_first(lo, hi)
+
+            taken = first_improvement(count, cap, take, *args, **kwargs)
+            sweeps.append((count, cap, windows, taken))
+            return taken
+
+        monkeypatch.setattr(blockmodel, "_first_improvement", recorded)
+        w, z0 = _search_instance(n, k, binary, seed=12)
+        _local_searches([new_state(w, z0, k)], 2, n, np.random.default_rng(0))
+        count, cap, windows, taken = sweeps[-1]
+        assert count == n * (n - 1) // 2 and not taken
+        assert cap == _BATCH_CELLS // (2 * k + (0 if binary else 2 * n)) < count
+        assert windows == [(lo, min(lo + cap, count)) for lo in range(0, count, cap)]
 
 
 class TestFrozenRows:
