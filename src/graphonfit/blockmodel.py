@@ -101,8 +101,8 @@ class _Workspace:
     have alone.  Its contents are garbage until written and are overwritten
     by the next request for the same name, so a caller uses such a view
     before that request and keeps none.
-    Views are kept per shape: small windows are called often enough that
-    slicing and reshaping anew costs a measurable share of them.
+    Views are kept per name and shape: small windows are called often enough
+    that slicing and reshaping anew costs a measurable share of them.
     """
 
     def __init__(self):
@@ -110,15 +110,15 @@ class _Workspace:
         self._views = {}
 
     def __call__(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        view = self._views.get((name, shape))
+        view = self._views.get(name, {}).get(shape)
         if view is None:
             size = math.prod(shape)
             flat = self._flat.get(name)
             if flat is None or flat.size < size:
                 flat = self._flat[name] = np.empty(size, dtype)
-                # drop the views that would keep the smaller array alive
-                self._views = {key: v for key, v in self._views.items() if key[0] != name}
-            view = self._views[name, shape] = flat[:size].reshape(shape)
+                # drop this name's views, which keep the smaller array alive
+                self._views[name] = {}
+            view = self._views[name][shape] = flat[:size].reshape(shape)
         return view
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -113,12 +114,14 @@ CSV_COLUMNS = tuple(f.name for f in fields(RiskReport))
 
 def _cell_sums(s1: np.ndarray, lo, hi, lo2, hi2) -> np.ndarray:
     """The truth-grid sums over the cells [lo, hi) x [lo2, hi2) from s1, the
-    zero-padded 2-d prefix sum, by the association ((a - b) - c) + d that
-    every cell sum of the alignment search keeps."""
-    x = s1[hi, hi2]
-    x -= s1[lo, hi2]
-    x -= s1[hi, lo2]
-    x += s1[lo, lo2]
+    zero-padded 2-d prefix sum, by flat takes (2-4 times faster than 2-d
+    fancy indexing) and the association ((a - b) - c) + d that every cell
+    sum of the alignment search keeps."""
+    s1, lo, hi = s1.ravel(), lo * s1.shape[1], hi * s1.shape[1]
+    x = s1.take(hi + hi2)
+    x -= s1.take(lo + hi2)
+    x -= s1.take(hi + lo2)
+    x += s1.take(lo + lo2)
     return x
 
 
@@ -245,25 +248,29 @@ def _best_order_mse(
     x = cell1 * v and y = v^2 * (count_i * count_j), and its squared error is
     (s2_total - 2 sum x) + sum y.  A cell's terms depend only on its two blocks
     and on their start widths, the summed sizes of the blocks placed before
-    them.  So they are tabulated once over pairs of (block, start) keys, with
-    every subset sum of the other blocks' sizes as a start, by the kernel's
-    own expressions: the same cuts and the association ((a - b) - c) + d.
-    Each tabulated term has the kernel's bits; only the summation order
-    differs.
+    them.  So they are computed once, as m = y - 2x, for each pair of (block,
+    start) keys, with every subset sum of the other blocks' sizes as a start,
+    by the kernel's own expressions: the same cuts and the association
+    ((a - b) - c) + d.  x and y have the kernel's bits; only the summation
+    order differs.  The table pair = m + m^T is then formed in m's place,
+    one square tile at a time, so that no second K x K array is made.
 
     Screen.  Orders are built as a prefix tree, one subtree per leading block.
     Placing a block adds its diagonal term y - 2x and, for each block placed
-    before it, the pair's two off-diagonal terms in one table entry.
+    before it, the pair's two off-diagonal terms in one table entry, all by
+    flat takes, with each placed key multiplied by K, the number of keys.
 
     Bound.  The kernel's squared error and the screened one, q, each add the
     same 2k^2 + 1 numbers (s2_total, every -2x and every y; doubling is exact)
-    in some tree of additions.  Each is therefore within gamma(2k^2) * B of
-    the real sum, where gamma(m) = m u / (1 - m u), u = 2^-53, and B is
-    s2_total plus the order's sum of 2|x| + y (Higham 2002, section 4.2).  Each
-    pair of blocks meets in exactly one cell of an order, so B is at most
-    s2_total plus, summed over ordered block pairs, the pair's largest 2|x| + y
-    over all its keys.  For k <= 8, e = 4 (k^2 + 1) u B then bounds |q - exact|,
-    with room for the rounding of B and of the threshold below.
+    in different trees of additions: q adds each cell's y and -2x first, then
+    a pair's two cells, then block by block.  The bound for any such tree
+    (Higham 2002, section 4.2) puts each within gamma(2k^2) * B of the real
+    sum, where gamma(m) = m u / (1 - m u), u = 2^-53, and B is s2_total plus
+    the order's sum of 2|x| + y.  Each pair of blocks meets in exactly one
+    cell of an order, so B is at most s2_total plus, summed over ordered
+    block pairs, the pair's largest 2|x| + y over all its keys.  For k <= 8,
+    e = 4 (k^2 + 1) u B then bounds |q - exact|, with room for the rounding
+    of B and of the threshold below.
 
     Confirm.  With q* the least screened value, the order of least exact value
     has q <= exact min + e <= exact(argmin q) + e <= q* + 2e.  So the least
@@ -279,77 +286,83 @@ def _best_order_mse(
     nkeys = [s.size for s in starts]
     first = np.cumsum([0] + nkeys[:-1])
     blk = np.repeat(np.arange(k), nkeys)
-    # keymap[a, mask]: the key of block a placed after the blocks in mask,
-    # for every mask without a
-    keymap = np.stack([first[a] + np.searchsorted(starts[a], width) for a in range(k)])
+    # keymap[a << k | mask]: the key of block a placed after the blocks in
+    # mask, for every mask without a
+    keymap = np.concatenate([first[a] + np.searchsorted(starts[a], width) for a in range(k)])
     start = np.concatenate(starts)
     lo, hi = cut[start], cut[start + h[blk]]
     count = (hi - lo).astype(float)
+    size, values = blk.size, step.values.ravel()
 
-    def terms(i, j):
-        """The kernel's x and y for the cells with row key i and column key j."""
-        x = _cell_sums(s1, lo[i], hi[i], lo[j], hi[j])
-        y = step.values[blk[i], blk[j]]
+    # m[i, j]: the kernel's y - 2x for the cell of row key i and column key
+    # j, each computed once.  Row chunks hold at most _BATCH_CELLS / k
+    # cells, so their temporaries stay small.
+    m, largest = np.empty((size, size)), np.empty((size, k))
+    rows = max(1, _BATCH_CELLS // (k * size))
+    for r in range(0, size, rows):
+        i = slice(r, r + rows)
+        x = _cell_sums(s1, lo[i, None], hi[i, None], lo, hi)
+        y = values.take(blk[i, None] * k + blk)
         x *= y
         y *= y
-        y *= count[i] * count[j]
-        return x, y
-
-    keys = np.arange(blk.size)
-    x, y = terms(keys, keys)
-    diag = y - 2.0 * x
-    # pair[i, j]: the four off-diagonal terms of keys i and j.  Row chunks
-    # hold at most _BATCH_CELLS / k cells, so their temporaries stay small.
-    pair, largest = np.empty((keys.size, keys.size)), np.empty((keys.size, k))
-    rows = max(1, _BATCH_CELLS // (k * keys.size))
-    for r in range(0, keys.size, rows):
-        i = keys[r:r + rows, None]
-        x, y = terms(i, keys)
-        largest[r:r + rows] = np.maximum.reduceat(2.0 * np.abs(x) + y, first, axis=1)
+        y *= count[i, None] * count
+        largest[i] = np.maximum.reduceat(2.0 * np.abs(x) + y, first, axis=1)
         x *= -2.0
         x += y
-        xt, yt = terms(keys, i)
-        xt *= -2.0
-        xt += yt
-        x += xt
-        pair[r:r + rows] = x
+        m[i] = x
+    diag = m.diagonal().copy()
+    # pair[i, j] = m[i, j] + m[j, i]: the four off-diagonal terms of keys i
+    # and j, formed in m's place one square tile at a time
+    for r in range(0, size, 64):
+        for c in range(r, size, 64):
+            upper, lower = m[r:r + 64, c:c + 64], m[c:c + 64, r:r + 64]
+            upper += lower.T
+            lower[...] = upper.T
+    pair = m.ravel()
     bound = s2_total + float(np.maximum.reduceat(largest, first).sum())
     e = 4.0 * (k * k + 1) * (np.finfo(float).eps / 2) * bound
 
     # others[left][t]: the positions of a node's `left` free blocks but t
-    others = [np.array([np.delete(np.arange(left), t) for t in range(left)])
-              for left in range(k)]
+    others = [np.arange(left - 1) + (np.arange(left - 1) >= np.arange(left)[:, None])
+              for left in range(k + 1)]
     best, kept = math.inf, []
     for lead in range(k):
         # per node of the current level: the placed blocks as a bit mask, the
-        # blocks not yet placed, the keys placed so far (one array per
-        # position) and the screened sum of their terms
+        # blocks not yet placed, the keys placed so far, each times size (one
+        # array per position) and the screened sum of their terms
         mask = np.array([1 << lead])
-        free = np.delete(np.arange(k), lead)[None]
-        path = [keymap[lead, :1]]
-        q = diag[path[0]]
+        free = others[k][lead:lead + 1]
+        new = keymap[lead << k:(lead << k) + 1]
+        q, path = diag.take(new), [new * size]
         for left in range(k - 1, 0, -1):
-            # a node's children place, in turn, each of its `left` free blocks
-            node = np.repeat(np.arange(q.size), left)
+            # a node's children place, in turn, each of its `left` free
+            # blocks; on the last level a node's one child keeps its index
+            node = np.repeat(np.arange(q.size), left) if left > 1 else slice(None)
             b = free.ravel()
-            new = keymap[b, mask[node]]
-            q = q[node] + diag[new]
+            mask = mask[node]
+            new = keymap.take((b << k) | mask)
+            q = q[node]
+            q += diag.take(new)
             path = [col[node] for col in path]
             for col in path:
-                q += pair[col, new]
-            path.append(new)
-            mask = mask[node] | (1 << b)
-            free = free[:, others[left]].reshape(b.size, left - 1)
+                q += pair.take(col + new)
+            path.append(new * size)
+            mask |= 1 << b
+            free = free.take(others[left], axis=1).reshape(b.size, left - 1)
         q = s2_total + q
         best = min(best, float(q.min()))
         # best only falls, so this keeps a superset of the final candidates
         keep = q <= best + 2.0 * e
-        kept.append((q[keep], blk[np.column_stack([col[keep] for col in path])]))
+        kept.append((q[keep], blk[np.column_stack([col[keep] for col in path]) // size]))
     q, orders = (np.concatenate(part) for part in zip(*kept))
     orders = orders[q <= best + 2.0 * e]
     batch = max(1, _BATCH_CELLS // (k + 1) ** 2)
     return min(float(_mse_for_orders(orders[i:i + batch], step, s1, s2_total, cut, work).min())
                for i in range(0, len(orders), batch))
+
+
+# (id(truth), grid) -> (s1, s2_total) while the truth lives (see graphon_mse)
+_TRUTH_SUMS: dict = {}
 
 
 _ALIGNMENTS = ("identity", "degree_sort", "block_permutation_search")
@@ -390,17 +403,24 @@ def graphon_mse(
     otherwise from prefix-sum corners, as for dense fits on grid 256.  The
     input alone picks the path, and both give the same bits.  The table, the
     corners and the k <= 8 screen all cut the grid's midpoints at one array
-    per call, cut[s] for a block edge after s of the n nodes.
+    per call, cut[s] for a block edge after s of the n nodes.  A truth's
+    read-only prefix sums are built once per grid, into _TRUTH_SUMS, and a
+    replicate's two calls share them until the truth is collected.
     """
     _check_mse_options(grid, alignment)
     k = step.partition.k
-    tg = truth.grid_values(grid)
-    s1 = np.zeros((grid + 1, grid + 1))
-    s1[1:, 1:] = tg.cumsum(axis=0).cumsum(axis=1)
-    # Column sums, then their running sum: the additions, in order, of the
-    # corner of a 2-d cumulative sum, without its two grid x grid arrays.
-    s2_total = float(np.cumsum((tg**2).sum(axis=0))[-1])
-    del tg  # the search needs only the prefix sums; free the grid before it
+    key = (id(truth), grid)
+    if key not in _TRUTH_SUMS:
+        tg = truth.grid_values(grid)
+        s1 = np.zeros((grid + 1, grid + 1))
+        s1[1:, 1:] = tg.cumsum(axis=0).cumsum(axis=1)
+        s1.setflags(write=False)
+        # Column sums, then their running sum: the additions, in order, of the
+        # corner of a 2-d cumulative sum, without its two grid x grid arrays.
+        weakref.finalize(truth, _TRUTH_SUMS.pop, key, None)
+        _TRUTH_SUMS[key] = s1, float(np.cumsum((tg**2).sum(axis=0))[-1])
+        del tg  # the search needs only the prefix sums; free the grid before it
+    s1, s2_total = _TRUTH_SUMS[key]
     n = sum(step.partition.h)
     # side='right' sends a midpoint sitting exactly on a block edge to the
     # lower block, matching the step-graphon quantile convention.

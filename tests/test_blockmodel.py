@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -715,6 +717,24 @@ class TestWindowBuffers:
         alone = swap_window(self.instance(binary)[2], ii, jj)
         for got, want in zip(swap_window(state, ii, jj), alone):
             assert np.array_equal(got, want)
+
+
+class TestWorkspace:
+    def test_growth_drops_only_that_names_views(self):
+        work = _Workspace()
+        a, b = work("a", (2, 3)), work("b", (4,), np.intp)
+        assert work("a", (2, 3)) is a and work("b", (4,), np.intp) is b
+        old, b_views = weakref.ref(work._flat["a"]), work._views["b"]
+        grown = work("a", (5, 5))
+        # b's views, and the dict that keys them by shape, are untouched
+        assert work._views["b"] is b_views and work("b", (4,), np.intp) is b
+        assert work("a", (5, 5)) is grown
+        # a's old view still holds the smaller array; once it goes, so does it
+        assert old() is not None
+        del a
+        gc.collect()
+        assert old() is None
+        assert np.shares_memory(work("a", (2, 3)), grown)
 
 
 class TestLockstep:

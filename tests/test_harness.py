@@ -1,6 +1,7 @@
 import ast
 import collections
 import dataclasses
+import gc
 import json
 import math
 from pathlib import Path
@@ -9,11 +10,17 @@ import numpy as np
 import pytest
 
 import graphonfit.harness as harness
+import graphonfit.risk as risk
 from graphonfit import (
     CommunityAssignment,
     ConfigError,
     DomainError,
+    Graphon,
     Partition,
+    edge_probabilities,
+    graphon_by_name,
+    mple_search,
+    sample_adjacency,
     sample_latents,
 )
 from graphonfit.harness import (
@@ -257,6 +264,34 @@ class TestRunSweep:
             candidate = ofit.divergence / harness._pair_total(p)
             assert candidate == risk(p, ofit.assignment)
             assert row.oracle_risk == min(others[0], risk(p, ofit.assignment), others[1])
+
+
+class TestSharedTruthSums:
+    """A replicate's identity and aligned graphon_mse calls share one set of
+    truth prefix sums, which are read-only and go with the truth."""
+
+    def test_one_grid_per_replicate(self, monkeypatch):
+        grids = []
+        grid_values = Graphon.grid_values
+
+        def counting(self, m):
+            grids.append(m)
+            return grid_values(self, m)
+
+        monkeypatch.setattr(Graphon, "grid_values", counting)
+        before = set(risk._TRUTH_SUMS)
+        truth, xi = graphon_by_name("cosine"), sample_latents(40, 5)
+        p = edge_probabilities(truth, xi, 0.3)
+        fit = mple_search(sample_adjacency(p, 5), 3, restarts=1, seed=5)
+        report = harness.score_replicate(truth, xi, p, fit, 64, "block_permutation_search")
+        assert report.mse_aligned <= report.mse_identity
+        assert grids == [64]
+        s1, _ = risk._TRUTH_SUMS[id(truth), 64]
+        with pytest.raises(ValueError, match="read-only"):
+            s1[1, 1] = 0.0
+        del truth, p, s1
+        gc.collect()
+        assert set(risk._TRUTH_SUMS) <= before
 
 
 class TestSlopeEstimate:

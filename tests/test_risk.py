@@ -548,6 +548,55 @@ class TestExhaustiveScreen:
         assert 0 < sum(scored) < 100
 
 
+def many_keys_step():
+    """A k = 8 step graphon with the block sizes of a 1,000-node fit, 101-140."""
+    rng = np.random.default_rng(7)
+    h = tuple(int(x) for x in rng.integers(101, 141, size=8))
+    v = rng.uniform(0, 2, size=(8, 8))
+    return StepGraphon(Partition(h), np.triu(v) + np.triu(v, 1).T)
+
+
+def key_count(step):
+    """The screen's (block, start) keys: per block, the distinct sums of the
+    subsets of the other blocks' sizes."""
+    h = step.partition.h
+    return sum(len({sum(c) for r in range(len(h)) for c in itertools.combinations(others, r)})
+               for others in (h[:a] + h[a + 1:] for a in range(len(h))))
+
+
+class TestScreenAgainstAllOrders:
+    """The k <= 8 screen against the exact kernel scored on all k! orders in
+    stacks, and its memory: one K x K table over K keys."""
+
+    @pytest.mark.parametrize("step", [random_step(3, seed=303), random_step(5, seed=305),
+                                      random_step(8, seed=308), many_keys_step()],
+                             ids=["k3", "k5", "k8", "k8-734-keys"])
+    def test_equals_least_over_all_orders(self, step):
+        truth, grid, k = graphon_by_name("cosine"), 256, step.partition.k
+        tg = truth.grid_values(grid)
+        s1 = np.zeros((grid + 1, grid + 1))
+        s1[1:, 1:] = tg.cumsum(axis=0).cumsum(axis=1)
+        s2_total = float((tg**2).cumsum(axis=0).cumsum(axis=1)[-1, -1])
+        n = sum(step.partition.h)
+        cut = np.searchsorted(midpoint_grid(grid), np.arange(n + 1) / n, side="right")
+        orders = np.array(list(itertools.permutations(range(k))))
+        batch, work = risk._BATCH_CELLS // (k + 1) ** 2, risk._Workspace()
+        least = min(
+            float(risk._mse_for_orders(orders[i:i + batch], step, s1, s2_total, cut, work).min())
+            for i in range(0, len(orders), batch))
+        assert graphon_mse(truth, step, grid=grid) == least
+
+    def test_pair_table_memory(self, warm_peak):
+        step = many_keys_step()
+        keys = key_count(step)
+        # 734 keys, a 4.1 MiB table, not a whole number of the 64-key tiles
+        assert keys == 734
+        # a fresh truth per call, so its prefix sums count too
+        peak = warm_peak(lambda: graphon_mse(graphon_by_name("cosine"), step, grid=256))
+        # one K x K table and 2.5 MiB for the rest: a second K x K array fails
+        assert peak <= 8 * keys**2 + 2.5 * 2**20
+
+
 class TestMidpointCut:
     """graphon_mse cuts the grid's midpoints at one array per call: cut[s]
     counts the midpoints below a block edge after s of the n nodes, and a
