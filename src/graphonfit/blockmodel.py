@@ -17,19 +17,18 @@ The local search uses single-node relabels plus pairwise label swaps
 rows it would change, one scorer prices a window of either move from cached
 block sums (swaps in closed form, no trial and rollback), and one writer
 applies the chosen move; each sweep takes the first improving move in scan
-order.  Pair counts are integers for either kind of weight, so pc*log(pc)
-comes from one x*log(x) table per search, and 0/1 weights read their other
-two terms from it too.  Real weights (the oracle search) compute s*log(s)
-and (pc - s)*log(pc - s) with numpy's log, which is about four times faster
-than scipy's xlogy.  numpy's log may differ from xlogy's in the last bit,
-and by CPU, as BLAS block sums do with the thread count; no reported value
+order.  Every weight it sees is an integer (0/1 as intp, the oracle's
+probabilities in fixed point, see _fixed_point), so every sum is exact in
+any order, BLAS products included.  pc*log(pc) comes from one x*log(x) table
+per search, as do 0/1 weights' other two terms; fixed-point sums read theirs
+through numpy's log, about four times faster than scipy's xlogy.  numpy's
+log may differ from xlogy's in the last bit, and by CPU; no reported value
 uses it: _terms, profile_log_likelihood, oracle_divergence and the KL terms
 keep xlogy, which imports scipy.special at its first call, so importing
 this module loads no scipy.  What only a move changes is cached and
 refreshed where a move is applied: the terms' row sums, the pair-count
-pieces that depend only on the group sizes (with their pc*log(pc)) and the
-move mask, and, for 0/1 weights, each node's exact integer weight into each
-group; 0/1 weights keep their block sums and pair counts as integers.
+pieces that depend only on the group sizes (with their pc*log(pc)), the
+move mask, and each node's weight into each group.
 
 The starts of one search run in lockstep, their states stacked slot by slot:
 each round scores one relabel window of every start still relabelling in one
@@ -206,11 +205,13 @@ def _pair_counts(h: np.ndarray) -> np.ndarray:
     return pc
 
 
-def _block_weight_sums(w: np.ndarray, z0: np.ndarray, k: int) -> np.ndarray:
-    """k x k matrix of weight sums per unordered pair block; z0 is 0-based."""
-    onehot = np.zeros((z0.size, k))
-    onehot[np.arange(z0.size), z0] = 1.0
-    m = onehot.T @ w @ onehot
+def _group_sums(w: np.ndarray, z0: np.ndarray, k: int) -> np.ndarray:
+    """k x k matrix of weight sums per unordered pair block; z0 is 0-based.
+    Two bincounts (node into group, then group into group) sum in a fixed
+    order, so no bit depends on BLAS or its thread count."""
+    n = z0.size
+    into = np.bincount((np.arange(n)[:, None] * k + z0).ravel(), w.ravel(), n * k)
+    m = np.bincount((z0[:, None] * k + np.arange(k)).ravel(), into, k * k).reshape(k, k)
     m = (m + m.T) / 2.0
     np.fill_diagonal(m, np.diag(m) / 2.0)
     return m
@@ -226,9 +227,8 @@ def xlogy(x, y):
 
 
 def _terms(s: np.ndarray, pc: np.ndarray) -> np.ndarray:
-    """s log s + (pc - s) log(pc - s) - pc log pc with s clipped to [0, pc],
-    by xlogy: the terms of every reported value."""
-    s = np.clip(s, 0.0, pc)
+    """s log s + (pc - s) log(pc - s) - pc log pc, by xlogy: the terms of
+    every reported value.  Sums of weights in [0, 1] lie in [0, pc]."""
     d = pc - s
     t = xlogy(s, s)
     t += xlogy(d, d)
@@ -293,8 +293,7 @@ def block_stats(a: AdjacencyMatrix, z: CommunityAssignment) -> BlockStats:
     z0 = z.z - 1
     h = z.group_sizes()
     pc = _pair_counts(h)
-    sums = _block_weight_sums(a.a.astype(np.float64), z0, z.k)
-    return BlockStats.from_sums(np.rint(sums), pc)  # exact integers for binary adjacency
+    return BlockStats.from_sums(_group_sums(a.a, z0, z.k), pc)  # exact integer sums
 
 
 def _kl_terms(p, q) -> np.ndarray:
@@ -369,25 +368,37 @@ def _gather(stack: np.ndarray, slots, index: np.ndarray) -> np.ndarray:
     return stack[slots][index] if isinstance(slots, int) else stack[slots, index]
 
 
+def _fixed_point_bits(n: int) -> int:
+    """b = 52 - ceil(log2 n^2), so n^2 weights of at most 2^b sum to at most
+    2^52: 38 at n = 100, 34 at n = 400 (a step of 5.8e-11 per weight)."""
+    return 52 - (n * n - 1).bit_length()
+
+
+def _fixed_point(p: np.ndarray) -> np.ndarray:
+    """rint(p * 2^b) for n x n weights p in [0, 1]: integers kept as float64,
+    whose every sum is an exact integer below 2^53."""
+    return np.rint(np.multiply(p, 2.0 ** _fixed_point_bits(p.shape[0])))
+
+
 class _Stacks:
     """The arrays of the search states of one search over the weights w,
     stacked along a leading slot axis: each _ProfileState views one slot,
-    and every window reads them at its slots.  Integer weights are the 0/1
-    weights (binary), for which block sums, neighbour counts and pair counts
-    are integers (intp); real weights keep float pair counts, which their
-    float block sums meet without a cast."""
+    and every window reads them at its slots.  Block sums and neighbour
+    sums have w's dtype: intp for the 0/1 weights (binary), float64 for
+    fixed-point ones (see _fixed_point); both hold exact integers.  Pair
+    counts are intp."""
 
     def __init__(self, w: np.ndarray, slots: int, k: int):
         n = w.shape[0]
-        self.binary = binary = w.dtype.kind == "i"
+        self.binary = w.dtype.kind == "i"
         self.z = np.empty((slots, n), np.int64)
         self.h = np.empty((slots, k), np.int64)
-        self.e = np.empty((slots, k, k), np.intp if binary else np.float64)
-        self.nbr = np.empty((slots, n, k), np.intp) if binary else None
+        self.e = np.empty((slots, k, k), w.dtype)
+        self.nbr = np.empty((slots, n, k), w.dtype)
         self.t = np.empty((slots, k, k))
         self.row_sums = np.empty((slots, k))
         # [pairs, leave, join, fix] pair counts and their pc log pc
-        self.pieces = np.empty((slots, 4, k, k), np.intp if binary else np.float64)
+        self.pieces = np.empty((slots, 4, k, k), np.intp)
         self.piece_logs = np.empty((slots, 4, k, k))
         self.mask = np.empty((slots, k, k))
 
@@ -395,14 +406,15 @@ class _Stacks:
 class _ProfileState:
     """Mutable search state maximizing the block-pair term sum over labelings.
 
-    Works for any symmetric nonnegative weight matrix with zero diagonal:
-    binary adjacency gives the profile log-likelihood, true probabilities give
-    the (negated, shifted) oracle divergence objective; integer weights are
-    the 0/1 weights (binary, see _Stacks).  An x*log(x) table xlx
-    (_xlogx_table, covering the largest group) gives pc log pc by lookup,
-    and for 0/1 weights the other two terms as well, with _terms' bits.
-    Real weights take those two from _xlogx, whose last bit may differ from
-    _terms'.
+    Works for any symmetric integer weight matrix with zero diagonal and
+    entries in [0, 1] in weight units: binary adjacency (intp) gives the
+    profile log-likelihood, fixed-point probabilities (float64,
+    _fixed_point) the (negated, shifted) oracle divergence objective.  An
+    x*log(x) table xlx (_xlogx_table, covering the largest group) gives pc
+    log pc by lookup, and for 0/1 weights the other two terms as well, with
+    _terms' bits.  Fixed-point sums s take those two from _xlogx at
+    s * unit, unit = 2^-b (5.8e-11 at n = 400), whose last bit may differ
+    from _terms'.
 
     A move between groups a and b changes only rows and columns a and b of
     the block sums e, the pair counts and the terms t.  A builder per move
@@ -421,13 +433,11 @@ class _ProfileState:
     sums of t (every move); the size pieces, pair-count rows that depend
     only on the group sizes h, with their pc log pc (piece_logs), and the
     move mask, with pinned, whether some group sits at h_min so that its
-    nodes cannot relabel (every relabel; a swap keeps h); and, for 0/1
-    weights, each node's weight into each group, nbr, by +-w[i] for every
-    node that moves.
-    Exact integer counts keep their bits however they are summed; real
-    weights are summed afresh per window.  Each cache holds the bits a
-    window would compute from the current state, so scores do not depend
-    on what is cached.
+    nodes cannot relabel (every relabel; a swap keeps h); and each node's
+    weight into each group, nbr, by +-w[i] for every node that moves.
+    Exact integer sums keep their bits however they are summed, so each
+    cache holds the bits a window would compute from the current state, and
+    scores do not depend on what is cached.
     """
 
     def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray,
@@ -440,26 +450,23 @@ class _ProfileState:
         self.slot = slot
         self.stacks = _Stacks(w, 1, k) if stacks is None else stacks
         self.binary = self.stacks.binary
-        for name in ("z", "h", "e", "t", "row_sums", "pieces", "piece_logs", "mask"):
+        self.unit = 1.0 if self.binary else 2.0 ** -_fixed_point_bits(self.n)
+        for name in ("z", "h", "e", "nbr", "t", "row_sums", "pieces", "piece_logs", "mask"):
             setattr(self, name, getattr(self.stacks, name)[slot])
         self.z[...] = z0
         self.h[...] = np.bincount(z0, minlength=k)
         # Bounds for the move mask; a search sets its own (see limit).
         self.h_min, self.h_max = 1, self.n
         self._within = np.arange(self.n + 2) * np.arange(-1, self.n + 1) // 2  # x (x - 1) / 2
-        # _refresh_sizes' row and column factors, its integer pieces and their diagonals
+        # _refresh_sizes' row and column factors and the pieces' diagonals
         self._factors = np.empty((2, 4, k), np.int64)
-        self._counts = self.pieces if self.binary else np.empty((4, k, k), np.intp)
-        self._diagonals = self._counts.reshape(4, k * k)[:3, :: k + 1]
+        self._diagonals = self.pieces.reshape(4, k * k)[:3, :: k + 1]
         self._refresh_sizes()
-        self.nbr = self.stacks.nbr[slot] if self.binary else None
-        if self.binary:  # float products of 0/1 weights: exact counts, w cast once
-            onehot = np.eye(k)[z0]
-            self.nbr[...] = w @ onehot
-            self.e[...] = onehot.T @ self.nbr
-            self.e.reshape(-1)[:: k + 1] //= 2  # a pair within a group is counted twice
-        else:
-            self.e[...] = _block_weight_sums(w, z0, k)
+        # float products of integers below 2^53: exact in any order
+        onehot = np.eye(k)[z0]
+        self.nbr[...] = w @ onehot
+        self.e[...] = onehot.T @ self.nbr
+        self.e.reshape(-1)[:: k + 1] //= 2  # a pair within a group is counted twice
         self._terms(self.e, self.pieces[0], self.t, self.piece_logs[0])
         self.t.sum(axis=1, out=self.row_sums)
         self.total = _total_from_terms(self.t)
@@ -483,12 +490,10 @@ class _ProfileState:
         group a to b (row a, column b) stays put or breaks the bounds, else
         0.
         """
-        h, k, counts = self.h, self.k, self._counts
+        h, k, counts = self.h, self.k, self.pieces
         rows, cols = np.add(h, _PIECE_SHIFTS, out=self._factors)
         np.multiply(rows[:, :, None], cols[:, None, :], out=counts)
         self._within.take(rows[:3], out=self._diagonals)
-        if not self.binary:
-            self.pieces[...] = counts
         self.xlx.take(counts, out=self.piece_logs, mode="clip")  # unbuffered; all in range
         if mask:
             self.pinned = not _can_relabel(h, self.h_min).all()
@@ -499,13 +504,11 @@ class _ProfileState:
 
     def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray,
                pcl: np.ndarray) -> np.ndarray:
-        """The terms of _terms, written into out; pc holds integer values and
-        pcl pc log pc.  0/1 weights (s and pc intp) give _terms' bits, real
-        weights _xlogx's.
-
-        0/1 block sums count node pairs, so every s a search stacks already
-        lies in [0, pc] and is not clipped.  Real weights are clipped: their
-        float sums can round below 0."""
+        """The terms of _terms for block sums s in weight units, written into
+        out; pc holds pair counts (intp) and pcl pc log pc.  0/1 weights give
+        _terms' bits, fixed-point ones _xlogx's at s * unit (pc - s * unit is
+        exact).  Every weight lies in [0, 1] (in units), so every s a search
+        stacks lies in [0, pc] and is not clipped."""
         tmp = self.work("tmp", s.shape)
         xlx = self.xlx
         if self.binary:
@@ -515,24 +518,13 @@ class _ProfileState:
             d = np.subtract(pc, s, out=self.work("gaps", s.shape, np.intp))
             t += xlx.take(d, out=tmp, mode="clip")
         else:
-            s = np.clip(s, 0.0, pc, out=out)
-            d = np.subtract(pc, s, out=tmp)
+            x = np.multiply(s, self.unit, out=out)
+            d = np.subtract(pc, x, out=tmp)
             logs = self.work("logs", s.shape)
-            t = _xlogx(s, logs)
+            t = _xlogx(x, logs)
             t += _xlogx(d, logs)
         t -= pcl
         return t
-
-    def _neighbor_weights(self, nodes: np.ndarray, slots) -> np.ndarray:
-        """Weight of each node into each current group of its state, of slot
-        slots or, for row r, slots[r]; shape (len(nodes), k)."""
-        if self.nbr is not None:
-            return self.stacks.nbr[slots, nodes]
-        m = nodes.size
-        rows = self.work("rows", (m, self.n), np.intp)
-        np.add(np.arange(m)[:, None] * self.k, self.stacks.z[slots], out=rows)
-        wn = self.w.take(nodes, axis=0, out=self.work("wrows", (m, self.n)), mode="clip")
-        return np.bincount(rows.ravel(), wn.ravel(), m * self.k).reshape(m, self.k)
 
     def relabel_rows(self, nodes: np.ndarray, cnt: np.ndarray, slots) -> tuple:
         """Stack (s, pc, pc log pc) for moving each node, with neighbour
@@ -566,7 +558,7 @@ class _ProfileState:
         """
         r = np.arange(ii.size)
         a, b = self.z[ii], self.z[jj]
-        ci, cj = np.split(self._neighbor_weights(np.concatenate([ii, jj]), self.slot), 2)
+        ci, cj = np.split(self.nbr[np.concatenate([ii, jj])], 2)
         wij = self.w[ii, jj]
         cj[r, a] -= wij
         ci[r, b] -= wij
@@ -639,9 +631,8 @@ class _ProfileState:
         else:
             self.z[j] = a
             moved = moved - self.w[j]
-        if self.nbr is not None:
-            self.nbr[:, a] -= moved
-            self.nbr[:, b] += moved
+        self.nbr[:, a] -= moved
+        self.nbr[:, b] += moved
 
     def verify(self) -> None:
         fresh = _ProfileState(self.w, self.z, self.k, self.xlx, self.work)
@@ -655,10 +646,10 @@ class _ProfileState:
         exact = np.array_equal
         checks = {
             "group sizes": exact(fresh.h, self.h),
-            "block sums": np.allclose(fresh.e, self.e, rtol=0, atol=1e-6),
+            "block sums": exact(fresh.e, self.e),
             "block terms": np.allclose(fresh.t, self.t, rtol=1e-10, atol=1e-8),
             "term row sums": exact(self.t.sum(axis=1), self.row_sums),
-            "neighbour counts": self.nbr is None or exact(fresh.nbr, self.nbr),
+            "neighbour counts": exact(fresh.nbr, self.nbr),
             "size pieces": exact(fresh.pieces, self.pieces)
             and exact(fresh.piece_logs, self.piece_logs),
             "move mask": exact(fresh.mask, self.mask) and fresh.pinned == self.pinned,
@@ -759,9 +750,7 @@ def _first_improvement(count: int, cap: int, take_first, width: int = 1,
     so a window ramp from one pair would score the same pairs in more
     rounds.  graphon_mse's descents repeat here, opening at width 1: they
     take moves often enough that a window opened at the cap scores many
-    candidates past its taker.  Each rescan opens at the width the scan
-    before it ended with, and the one that ends a descent stops right after
-    the last take (see _lockstep).
+    candidates past its taker.  Rescans keep _lockstep's widths and stops.
     """
 
     def scans():
@@ -783,15 +772,13 @@ def _search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generat
     returns its accepted swap count.
 
     A relabel scan that took a move is followed at once by a rescan of the
-    same state, which _lockstep stops right after that scan's last take
-    unless it takes a move first; the moves, and the scans counted against
-    _MAX_SWEEPS, are those of full rescans.  A swap sweep runs only after a
-    relabel scan that took nothing, and opens at its full window cap (see
-    _first_improvement)."""
+    same state, which stops early by _lockstep's rescan rule; the moves, and
+    the scans counted against _MAX_SWEEPS, are those of full rescans.  A
+    swap sweep runs only after a relabel scan that took nothing, and opens
+    at its full window cap (see _first_improvement)."""
     n, k = state.n, state.k
-    # Window cap from the cells one candidate stacks: a swap's two rows of k
-    # plus, for real weights, its two neighbour rows of n.
-    swap_cap = max(1, _BATCH_CELLS // (2 * k + (0 if state.binary else 2 * n)))
+    # Window cap from the cells one candidate stacks: a swap's two rows of k.
+    swap_cap = max(1, _BATCH_CELLS // (2 * k))
     swaps = 0
     state.limit(h_min, h_max)
 
@@ -875,7 +862,7 @@ def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generat
             nodes, a = nodes[keep], a[keep]
             slots = slots if np.isscalar(slots) else slots[keep]
             ends = np.searchsorted(keep, list(ends))
-        s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes, slots), slots)
+        s, pc, pcl = state.relabel_rows(nodes, stacks.nbr[slots, nodes], slots)
         deltas, terms = state.score(s, pc, pcl, slots, a)
         deltas += stacks.mask[slots, a]
         hits = np.flatnonzero(deltas.max(axis=1) > _SEARCH_TOL).tolist()
@@ -905,8 +892,8 @@ def _maximize_profile(
     seed: int,
     extra_inits: list | None = None,
 ):
-    """Multi-restart local search, for 0/1 weights if w is of integers;
-    returns (z0, total, swaps, ties, searches run).
+    """Multi-restart local search over 0/1 or fixed-point weights (see
+    _ProfileState); returns (z0, total, swaps, ties, searches run).
 
     The starts run in lockstep (_local_searches): a round scores one relabel
     window of each, and a swap sweep that draws its pairs from rng (n > 80)
@@ -1041,7 +1028,7 @@ def _exhaustive_profile(w: np.ndarray, k: int, h_min: int, h_max: int):
     for z0 in _enumerate_canonical(n, k, h_min, h_max):
         seen += 1
         total = _total_from_terms(
-            _terms(_block_weight_sums(w, z0, k), _pair_counts(np.bincount(z0, minlength=k)))
+            _terms(_group_sums(w, z0, k), _pair_counts(np.bincount(z0, minlength=k)))
         )
         if total > best_total + _TIE_TOL:
             best_total, best_z, ties = total, z0, False
@@ -1177,7 +1164,7 @@ def oracle_block_means(p: EdgeProbabilityMatrix, z: CommunityAssignment) -> np.n
     """Block averages of the true edge probabilities under z."""
     if z.n != p.n:
         raise DomainError(f"assignment covers {z.n} nodes, matrix has {p.n}")
-    sums = _block_weight_sums(p.p, z.z - 1, z.k)
+    sums = _group_sums(p.p, z.z - 1, z.k)
     return sums / _pair_counts(z.group_sizes())
 
 
@@ -1211,12 +1198,13 @@ def oracle_mple(
 ) -> OracleFit:
     """Assignment minimizing the divergence of p from its block averages.
 
-    Uses the same search engine as mple_search with the probabilities as
-    weights; the two objectives differ by a z-independent constant.
+    Uses the same search engine as mple_search with the fixed-point
+    probabilities (_fixed_point) as weights; the two objectives differ by a
+    z-independent constant.  The divergence reported is that of p itself.
     """
     h_max = p.n if h_max is None else h_max
     z0, _, _, ties, restarts_used = _maximize_profile(
-        p.p, k, h_min, h_max, restarts, seed, extra_inits=extra_inits
+        _fixed_point(p.p), k, h_min, h_max, restarts, seed, extra_inits=extra_inits
     )
     assignment = CommunityAssignment(z=z0 + 1, k=k)
     return OracleFit(

@@ -392,10 +392,8 @@ def graphon_mse(
     descent from the identity and degree-sorted orders.  A descent scans the
     pairs a < b row-major with blockmodel._first_improvement, takes the first
     swap that lowers the MSE by more than 1e-15, and rescans until a scan
-    takes none.  Its first window is one pair wide, and each rescan opens at
-    the width the scan before it ended with.  The rescan that takes none
-    stops right after the previous scan's last take: the pairs after it were
-    scored against the same order, and none improved.  Every value returned
+    takes none.  Its first window is one pair wide; rescans keep the widths
+    and stop by the rules of blockmodel._lockstep.  Every value returned
     or compared comes from one kernel, _mse_for_orders, in stacks of at most
     _BATCH_CELLS cells, all written into one workspace per call.  The
     descent's stacks gather their cell sums from one _interval_table per
@@ -435,6 +433,10 @@ def graphon_mse(
         return float(score(np.arange(k)[None])[0])
 
     h = np.asarray(step.partition.h, dtype=float)
+    # A k-vector gemv.  OpenBLAS runs it on one thread below 9,216 cells
+    # (k <= 96), so its bits do not depend on the thread count
+    # (tests/test_blas_threads.py).  A numpy sum would change its last bits,
+    # and with them the order of near-tied blocks and mse_aligned.
     marginal = step.values @ (h / h.sum())
     degree_order = np.argsort(marginal, kind="stable")
     if alignment == "degree_sort":

@@ -44,6 +44,8 @@ from graphonfit.blockmodel import (
     _enumerate_canonical,
     _exhaustive_profile,
     _finish_fit,
+    _fixed_point,
+    _fixed_point_bits,
     _local_searches,
     _terms,
     _xlogx,
@@ -213,15 +215,16 @@ class TestProfileLikelihood:
 _TINY = np.finfo(np.float64).smallest_subnormal
 
 
-def reference_terms(s, pc, binary):
-    """The terms a search state computes: _terms' xlogy for 0/1 weights and,
-    for real weights, _xlogx's formula x log(max(x, smallest subnormal)) in
+def reference_terms(s, pc, unit):
+    """The terms a search state computes from block sums s in weight units:
+    _terms' xlogy for 0/1 weights (unit None) and, for fixed-point sums,
+    _xlogx's formula x log(max(x, smallest subnormal)) at x = s * unit, in
     its order of operations, so that == holds on any CPU."""
-    if binary:
+    if unit is None:
         return _terms(s, pc)
-    s = np.clip(s, 0.0, pc)
-    d = pc - s
-    return s * np.log(np.maximum(s, _TINY)) + d * np.log(np.maximum(d, _TINY)) - xlogy(pc, pc)
+    x = s * unit
+    d = pc - x
+    return x * np.log(np.maximum(x, _TINY)) + d * np.log(np.maximum(d, _TINY)) - xlogy(pc, pc)
 
 
 class _ScalarProfileState(_ProfileState):
@@ -231,18 +234,19 @@ class _ScalarProfileState(_ProfileState):
     once, and a swap by trial-applying half of it and rolling back.  It
     applies every move with its own in-place row and column updates, so none
     of the batched state's builders, scorer or writer runs in it.  Its terms
-    are reference_terms for the kind of its weights.
+    are reference_terms for the kind of its weights, which a search state
+    takes: 0/1 (intp) or fixed-point (float64, from _fixed_point).
     """
 
     def __init__(self, w, z0, k):
-        super().__init__(w.astype(np.float64), z0, k, _xlx_for(w.shape[0]), _Workspace())
-        self.zero_one = bool(np.all((w == 0.0) | (w == 1.0)))
+        super().__init__(w, z0, k, _xlx_for(w.shape[0]), _Workspace())
 
     def terms(self, s, pc):
-        return reference_terms(s, pc, self.zero_one)
+        return reference_terms(s, pc, None if self.binary else self.unit)
 
     def neighbor_weights(self, i):
-        return np.bincount(self.z, weights=self.w[i], minlength=self.k)
+        # exact: integer weights, summed below 2^53
+        return np.bincount(self.z, weights=self.w[i], minlength=self.k).astype(self.w.dtype)
 
     def relabel_delta(self, i, b, cnt):
         a = self.z[i]
@@ -373,7 +377,9 @@ def _scalar_local_search(state, h_min, h_max, rng, max_sweeps=200, tol=1e-10):
 
 
 def _search_instance(n, k, binary, seed):
-    """Weights from a noisy planted partition, and a balanced random start."""
+    """Weights from a noisy planted partition, 0/1 ones drawn from its
+    probabilities or those probabilities in fixed point, as oracle_mple
+    passes them, and a balanced random start."""
     rng = np.random.default_rng(seed)
     xs = rng.random(n)
     p = 0.15 + 0.6 * np.exp(-8.0 * np.subtract.outer(xs, xs) ** 2)
@@ -382,7 +388,7 @@ def _search_instance(n, k, binary, seed):
     w = w.astype(np.intp if binary else np.float64)
     w = w + w.T
     z0 = _contiguous_labels(rng.permutation(n), np.asarray(balanced_partition(n, k).h))
-    return w, z0
+    return (w if binary else _fixed_point(w)), z0
 
 
 def _xlx_for(n):
@@ -392,14 +398,14 @@ def _xlx_for(n):
 
 def new_state(w, z0, k):
     """A search state with a table for groups of up to n nodes and its own
-    workspace; integer weights are 0/1 weights."""
+    workspace; integer weights are 0/1 weights, float64 ones fixed-point."""
     return _ProfileState(w, z0, k, _xlx_for(w.shape[0]), _Workspace())
 
 
 def relabel_window(state, nodes):
     """(cnt, deltas) of a relabel window as a search scores it, with
     each node's own group, which the search masks, at 0 as in the reference."""
-    cnt = state._neighbor_weights(nodes, state.slot)
+    cnt = state.nbr[nodes]
     a = state.z[nodes]
     deltas, _ = state.score(*state.relabel_rows(nodes, cnt, state.slot), state.slot, a)
     deltas[np.arange(nodes.size), a] = 0.0
@@ -416,7 +422,7 @@ def relabel_move(state, nodes, t, b):
     """Score a relabel window of nodes, then move nodes[t] into group b as
     a search does.  Returns copies of the candidate's rows (s, pc) taken
     before scoring, and its delta."""
-    s, pc, pcl = state.relabel_rows(nodes, state._neighbor_weights(nodes, state.slot), state.slot)
+    s, pc, pcl = state.relabel_rows(nodes, state.nbr[nodes], state.slot)
     rows = [0, 1 + b]
     scored = s[t, rows], pc[t, rows]
     deltas, terms = state.score(s, pc, pcl, state.slot, state.z[nodes])
@@ -445,8 +451,8 @@ class TestIncrementalEngine:
             w = rng.random((n, n))
             w = np.triu(w, 1)
             w = w + w.T
-            if binary:
-                w = (w > 0.5).astype(np.intp)
+            w = (w > 0.5).astype(np.intp) if binary else _fixed_point(w)
+            fixed = _fixed_point(w) if binary else w  # the same weights in fixed point
             z0 = np.repeat(np.arange(k), [6, 5, 5])
             state = new_state(w, z0, k)
             swapped = 0
@@ -462,8 +468,8 @@ class TestIncrementalEngine:
                     swapped += 1
             assert swapped > 20
             state.verify()
-            fresh = new_state(w.astype(np.float64), state.z, k)  # the real-weight path
-            assert np.allclose(state.e, fresh.e, atol=1e-9)
+            fresh = new_state(fixed, state.z, k)  # the fixed-point path
+            assert np.allclose(state.e * state.unit, fresh.e * fresh.unit, atol=1e-9)
             assert np.allclose(state.t, fresh.t, atol=1e-9)
             assert state.total == pytest.approx(fresh.total, abs=1e-8)
 
@@ -474,8 +480,8 @@ class TestIncrementalEngine:
             w = rng.random((n, n))
             w = np.triu(w, 1)
             w = w + w.T
-            if binary:
-                w = (w > 0.5).astype(np.intp)
+            w = (w > 0.5).astype(np.intp) if binary else _fixed_point(w)
+            fixed = _fixed_point(w) if binary else w  # the same weights in fixed point
             z0 = np.repeat(np.arange(k), [4, 4, 3, 3])
             state = new_state(w, z0, k)
             _, deltas = relabel_window(state, np.arange(n))
@@ -485,7 +491,7 @@ class TestIncrementalEngine:
                         continue
                     z = state.z.copy()
                     z[i] = b
-                    moved = new_state(w.astype(np.float64), z, k).total - state.total
+                    moved = new_state(fixed, z, k).total - state.total
                     assert deltas[i, b] == pytest.approx(moved, abs=1e-9)
             iu, ju = np.triu_indices(n, k=1)
             live = state.z[iu] != state.z[ju]
@@ -494,7 +500,7 @@ class TestIncrementalEngine:
             for p in range(ii.size):
                 z = state.z.copy()
                 z[ii[p]], z[jj[p]] = z[jj[p]], z[ii[p]]
-                swapped = new_state(w.astype(np.float64), z, k).total - state.total
+                swapped = new_state(fixed, z, k).total - state.total
                 assert sd[p] == pytest.approx(swapped, abs=1e-9)
 
     @pytest.mark.parametrize("binary", [True, False])
@@ -525,7 +531,7 @@ class TestIncrementalEngine:
             s[0, b], pc[0, b] = s[1, a], pc[1, a]
             g = [a, b]
             assert np.array_equal(state.e[g], s) and np.array_equal(state.e[:, g], s.T)
-            terms = reference_terms(s, pc, binary)
+            terms = reference_terms(s, pc, None if binary else state.unit)
             assert np.array_equal(state.t[g], terms) and np.array_equal(state.t[:, g], terms.T)
             assert state.total == before + delta
             state.verify()
@@ -557,22 +563,23 @@ class TestIncrementalEngine:
             assert np.array_equal(pcl, xlogy(pc, pc))
 
     def test_real_window_terms_near_xlogy_terms(self):
-        # numpy's log, which real weights use, may differ from xlogy's in the
-        # last bit; the masked own-group rows of a relabel stack stay finite
+        # numpy's log, which fixed-point weights use, may differ from xlogy's
+        # in the last bit; the masked own-group rows of a relabel stack stay
+        # finite
         n, k = 60, 7
         w, z0 = _search_instance(n, k, False, seed=28)
         state = new_state(w, z0, k)
         nodes = np.arange(n)
-        cnt = state._neighbor_weights(nodes, state.slot)
+        cnt = state.nbr[nodes]
         s, pc, pcl = state.relabel_rows(nodes, cnt, state.slot)
         got = state._terms(s, pc, np.empty_like(s), pcl)
         assert np.all(np.isfinite(got[nodes, 1 + state.z]))
-        assert np.allclose(got, _terms(s, pc), rtol=1e-12, atol=0.0)
+        assert np.allclose(got, _terms(s * state.unit, pc), rtol=1e-12, atol=0.0)
         iu, ju = np.triu_indices(n, k=1)
         live = state.z[iu] != state.z[ju]
         s, pc, pcl = state.swap_rows(iu[live], ju[live])
         got = state._terms(s, pc, np.empty_like(s), pcl)
-        assert np.allclose(got, _terms(s, pc), rtol=1e-12, atol=0.0)
+        assert np.allclose(got, _terms(s * state.unit, pc), rtol=1e-12, atol=0.0)
 
     def test_real_window_terms_vanish_where_saturated(self):
         # s log s is exactly 0 at s = 0, and (pc - s) log(pc - s) at s = pc;
@@ -582,11 +589,11 @@ class TestIncrementalEngine:
         w, z0 = _search_instance(n, k, False, seed=29)
         state = new_state(w, z0, k)
         nodes = np.arange(n)
-        cnt = state._neighbor_weights(nodes, state.slot)
+        cnt = state.nbr[nodes]
         s, pc, pcl = state.relabel_rows(nodes, cnt, state.slot)
         pick = np.random.default_rng(30).integers(0, 3, size=s.shape)
         s[pick == 0] = 0.0
-        s[pick == 1] = pc[pick == 1]
+        s[pick == 1] = pc[pick == 1] / state.unit  # pc in weight units
         got = state._terms(s, pc, np.empty_like(s), pcl)
         assert np.all(got[pick < 2] == 0.0)
         x = np.array([0.0, 0.5, 3.0])
@@ -605,25 +612,26 @@ class TestIncrementalEngine:
                 assert np.array_equal(deltas[i], d1)
 
     def test_verify_checks_every_cache(self):
-        # one cell of each cache, or the total, off by one; the neighbour
-        # counts exist for 0/1 (integer) weights only
-        w, z0 = _search_instance(20, 3, True, seed=22)
-        for cache, cell, named in (
-            ("total", None, "objective"), ("t", (0, 1), "block terms"),
-            ("h", 0, "group sizes"), ("e", (0, 1), "block sums"),
-            ("nbr", (5, 1), "neighbour counts"), ("row_sums", 2, "term row sums"),
-            ("pieces", (2, 0, 1), "size pieces"), ("piece_logs", (2, 0, 1), "size pieces"),
-            ("mask", (0, 1), "move mask"),
-        ):
-            state = new_state(w, z0, 3)
-            state.limit(2, 10)
-            state.verify()
-            if cell is None:
-                state.total += 1.0
-            else:
-                getattr(state, cache)[cell] += 1
-            with pytest.raises(InternalError, match=f"incremental {named}.* drifted"):
+        # one cell of each cache, or the total, off by one (one weight unit),
+        # for either kind of weight
+        for binary in (True, False):
+            w, z0 = _search_instance(20, 3, binary, seed=22)
+            for cache, cell, named in (
+                ("total", None, "objective"), ("t", (0, 1), "block terms"),
+                ("h", 0, "group sizes"), ("e", (0, 1), "block sums"),
+                ("nbr", (5, 1), "neighbour counts"), ("row_sums", 2, "term row sums"),
+                ("pieces", (2, 0, 1), "size pieces"), ("piece_logs", (2, 0, 1), "size pieces"),
+                ("mask", (0, 1), "move mask"),
+            ):
+                state = new_state(w, z0, 3)
+                state.limit(2, 10)
                 state.verify()
+                if cell is None:
+                    state.total += 1.0
+                else:
+                    getattr(state, cache)[cell] += 1
+                with pytest.raises(InternalError, match=f"incremental {named}.* drifted"):
+                    state.verify()
 
     def test_finish_fit_refuses_a_wrong_total(self):
         z0 = Z4.z - 1
@@ -912,7 +920,7 @@ class TestLockstep:
                     stopped += 1
         assert stopped == len(arrays) and ran_on > len(arrays)
 
-    @pytest.mark.parametrize("n, k, binary", [(60, 6, False), (70, 30, True)])
+    @pytest.mark.parametrize("n, k, binary", [(60, 12, False), (70, 30, True)])
     def test_swap_sweeps_open_at_their_cap(self, monkeypatch, n, k, binary):
         # a seeded search with all-pair sweeps (n <= 80) ends with a sweep that
         # takes nothing; it scores one window per cap-full of pairs
@@ -934,7 +942,7 @@ class TestLockstep:
         _local_searches([new_state(w, z0, k)], 2, n, np.random.default_rng(0))
         count, cap, windows, taken = sweeps[-1]
         assert count == n * (n - 1) // 2 and not taken
-        assert cap == _BATCH_CELLS // (2 * k + (0 if binary else 2 * n)) < count
+        assert cap == _BATCH_CELLS // (2 * k) < count
         assert windows == [(lo, min(lo + cap, count)) for lo in range(0, count, cap)]
 
 
@@ -993,20 +1001,22 @@ class TestFrozenRows:
 
 
 class TestUnclippedTerms:
-    """The 0/1 path of _ProfileState._terms does not clip its block sums: every
-    sum a search starts from or stacks, and so every sum it writes, lies in
-    [0, pc].  Checked over the 0/1 searches of the scalar-reference, lockstep
-    and frozen-row cases: relabel and swap windows, one start and several,
-    groups pinned at h_min, and h_min == h_max."""
+    """_ProfileState._terms does not clip its block sums: every sum a search
+    starts from or stacks, and so every sum it writes, lies in [0, pc] in
+    weight units, for 0/1 and for fixed-point weights.  Checked over the
+    searches of each kind of the scalar-reference, lockstep and frozen-row
+    cases: relabel and swap windows, one start and several, groups pinned at
+    h_min, and h_min == h_max."""
 
-    def test_binary_sums_lie_in_pair_counts(self, monkeypatch):
+    @staticmethod
+    def check(monkeypatch, binary):
         terms = _ProfileState._terms
         cells, stacked = [0], set()
 
         def checked(self, s, pc, out, pcl):
-            if self.binary:
-                assert s.dtype == pc.dtype == np.intp
-                assert np.all((0 <= s) & (s <= pc))
+            if self.binary == binary:
+                assert s.dtype == (np.intp if binary else np.float64) and pc.dtype == np.intp
+                assert np.all((0 <= s) & (s <= pc / self.unit))
                 cells[0] += s.size
                 if s.ndim == 3:  # a window: k + 1 rows per relabel, 2 per swap
                     stacked.add("relabel" if s.shape[1] == self.k + 1 else "swap")
@@ -1014,15 +1024,39 @@ class TestUnclippedTerms:
 
         monkeypatch.setattr(_ProfileState, "_terms", checked)
         for t, (n, k, h_min, h_max) in enumerate(TestIncrementalEngine.CASES):
-            w, z0 = _search_instance(n, k, True, seed=100 + t)
+            w, z0 = _search_instance(n, k, binary, seed=100 + t)
             state = new_state(w, z0, k)
             _local_searches([state], h_min, h_max, np.random.default_rng(t))
         for case in TestLockstep.CASES + TestFrozenRows.CASES:
-            n, k, h_min, h_max, binary, seed, restarts = case[:7]
-            if binary:
-                w, _ = _search_instance(n, k, True, seed)
+            n, k, h_min, h_max, kind, seed, restarts = case[:7]
+            if kind == binary:
+                w, _ = _search_instance(n, k, binary, seed)
                 blockmodel._maximize_profile(w, k, h_min, h_max, restarts, seed)
         assert stacked == {"relabel", "swap"} and cells[0] > 10**6
+
+    def test_binary_sums_lie_in_pair_counts(self, monkeypatch):
+        self.check(monkeypatch, True)
+
+    def test_fixed_point_sums_lie_in_pair_counts(self, monkeypatch):
+        self.check(monkeypatch, False)
+
+
+class TestFixedPoint:
+    """oracle_mple searches the weights rint(p * 2^b), b = _fixed_point_bits(n):
+    their sums, block sums and neighbour sums included, stay below 2^52, so
+    every one is an exact float64 integer."""
+
+    def test_total_weight_stays_below_2_to_52(self):
+        # every n the tests and sweeps use (up to 400), at the largest
+        # probability below 1, which rounds to 2^b
+        top = np.nextafter(1.0, 0.0)
+        for n in range(2, 401):
+            b = _fixed_point_bits(n)
+            w = _fixed_point(np.full((n, n), top) - top * np.eye(n))
+            assert w.max() == 2.0**b and np.array_equal(w, np.rint(w))
+            assert (n * n - n) * 2**b == int(w.sum()) < 2**52
+            assert n * n * 2 ** (b + 1) > 2**52  # and b is the largest such
+        assert (_fixed_point_bits(100), _fixed_point_bits(400)) == (38, 34)
 
 
 class TestMpleSearch:

@@ -294,9 +294,9 @@ class TestSweepGoldenOutput:
     greedy alignment), and every replicate runs the oracle search.  Their
     tight size bounds make the searches accept swaps: together, in the fit and
     the oracle search at both sizes.  BLAS is pinned to one thread, as in
-    bench/run.py, because real-weight block sums change bits with the thread
-    count.  A change that means to alter outputs regenerates these files with
-    the same command and says why in CHANGES.md.
+    bench/run.py; no bit depends on it, which tests/test_blas_threads.py
+    checks.  A change that means to alter outputs regenerates these files
+    with the same command and says why in CHANGES.md.
     """
 
     @pytest.mark.parametrize("name", ["tight", "loose"])

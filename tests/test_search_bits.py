@@ -7,9 +7,10 @@ result's assignment, search metadata, and its log-likelihood and divergence
 as float.hex(), so a change that means to keep the search's moves is checked
 to the last bit; the golden sweep files keep 12 digits and cannot see that.
 
-The searches run in a subprocess with BLAS pinned to one thread, because
-real-weight block sums change bits with the thread count.  To regenerate the
-record (only for a change that means to alter fits, and say why):
+The searches run in a subprocess with BLAS pinned to one thread, as in
+bench/run.py; no bit depends on it, which tests/test_blas_threads.py checks.
+To regenerate the record (only for a change that means to alter fits, and
+say why):
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/test_search_bits.py \\
         > tests/data/search_bits.json

@@ -27,6 +27,12 @@ ROOT = Path(__file__).resolve().parents[1]
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
+def report_fields(report) -> str:
+    """Every field of a RiskReport but runtime_ms, floats as float.hex."""
+    return " ".join(f"{f.name}={_field(getattr(report, f.name))}"
+                    for f in fields(report) if f.name != "runtime_ms")
+
+
 def _field(value) -> str:
     return value.hex() if isinstance(value, float) else str(value)
 
@@ -34,18 +40,15 @@ def _field(value) -> str:
 def replicate_lines(seeds, workloads=None):
     """One line per replicate of the named workloads (all by default)."""
     from graphonfit.harness import run_replicate
-    from graphonfit.risk import RiskReport
     from sweepbench import WORKLOADS
 
-    names = [f.name for f in fields(RiskReport) if f.name != "runtime_ms"]
     for seed in seeds:
         for name in workloads or WORKLOADS:
             cfg = WORKLOADS[name].sweep_config(seed)
             for n in cfg.n_list:
                 for rep in range(cfg.replicates):
                     report = run_replicate(cfg, n, rep)
-                    values = " ".join(f"{f}={_field(getattr(report, f))}" for f in names)
-                    yield f"{name} root_seed={seed} rep={rep} {values}"
+                    yield f"{name} root_seed={seed} rep={rep} {report_fields(report)}"
 
 
 def main(argv=None) -> int:

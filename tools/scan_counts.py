@@ -12,18 +12,19 @@ time with one BLAS thread, and prints one line per kind of scan:
 
 - ``fit.relabel`` and ``fit.swap``: the relabel scans and swap sweeps of
   ``mple_search`` (0/1 weights);
-- ``oracle.relabel`` and ``oracle.swap``: those of ``oracle_mple`` (real
-  weights);
+- ``oracle.relabel`` and ``oracle.swap``: those of ``oracle_mple``
+  (fixed-point weights);
 - ``mse.descent``: the block-order descents of the aligned ``graphon_mse``
   (k > 8 only; k <= 8 scores every order and runs none).
 
 Each line gives the scans run, the windows scored and the moves those
 windows covered (nodes for a relabel, pairs for a swap or a descent).  A
 scan's first window starts at move 0 and no later window does, so scans
-count the windows that start there.  The counts come from wrapping the
-library's scan drivers (``_maximize_profile``, ``_local_searches``,
-``_first_improvement`` and ``_lockstep``) from outside; no library code is
-changed.  They depend only on the moves the searches score, not on timing,
+count the windows that start there.  The counts come from wrapping, from
+outside, the two searches as the harness calls them (``mple_search`` and
+``oracle_mple``, which label the scans) and the library's scan drivers
+(``_local_searches``, ``_first_improvement`` and ``_lockstep``); no library
+code is changed.  They depend only on the moves the searches score, not on timing,
 so a rerun prints the same lines.
 """
 
@@ -41,9 +42,10 @@ from replicate_bits import BLAS_ENV, ROOT, replicate_lines
 KINDS = ("fit.relabel", "fit.swap", "oracle.relabel", "oracle.swap", "mse.descent")
 
 
-def count_scans(blockmodel, risk, counts: Counter) -> None:
-    """Wrap the scan drivers of the imported modules so that every window
-    scored adds to counts[kind, "scans" | "windows" | "moves"]."""
+def count_scans(blockmodel, risk, harness, counts: Counter) -> None:
+    """Wrap the harness's searches and the scan drivers of the imported
+    modules so that every window scored adds to
+    counts[kind, "scans" | "windows" | "moves"]."""
     context = []  # the search, then the kind of scan, innermost last
 
     @contextmanager
@@ -58,7 +60,7 @@ def count_scans(blockmodel, risk, counts: Counter) -> None:
         inner = getattr(module, name)
 
         def wrapped(*args, **kwargs):
-            with within([label(*args) if callable(label) else label for label in labels]):
+            with within(labels):
                 return inner(*args, **kwargs)
 
         setattr(module, name, wrapped)
@@ -78,7 +80,8 @@ def count_scans(blockmodel, risk, counts: Counter) -> None:
         return lockstep(searches, cap, take, *args, **kwargs)
 
     blockmodel._lockstep = counted_lockstep
-    wrap(blockmodel, "_maximize_profile", lambda w, *_: "fit" if w.dtype.kind == "i" else "oracle")
+    wrap(harness, "mple_search", "fit")
+    wrap(harness, "oracle_mple", "oracle")
     wrap(blockmodel, "_local_searches", "relabel")
     wrap(blockmodel, "_first_improvement", "swap")
     wrap(risk, "_first_improvement", "mse", "descent")  # outside any search
@@ -86,11 +89,11 @@ def count_scans(blockmodel, risk, counts: Counter) -> None:
 
 def count_lines(seeds, workloads=None):
     """One line per seed, workload and kind of scan."""
-    from graphonfit import blockmodel, risk
+    from graphonfit import blockmodel, harness, risk
     from sweepbench import WORKLOADS
 
     counts = Counter()
-    count_scans(blockmodel, risk, counts)
+    count_scans(blockmodel, risk, harness, counts)
     for seed in seeds:
         for name in workloads or WORKLOADS:
             counts.clear()
