@@ -27,8 +27,8 @@ uses it: _terms, profile_log_likelihood, oracle_divergence and the KL terms
 keep xlogy, which imports scipy.special at its first call, so importing
 this module loads no scipy.  What only a move changes is cached and
 refreshed where a move is applied: the terms' row sums, the pair-count
-pieces that depend only on the group sizes (with their pc*log(pc)), the
-move mask, and each node's weight into each group.
+pieces that depend only on the group sizes, the move mask, and each node's
+weight into each group.
 
 The starts of one search run in lockstep, their states stacked slot by slot:
 each round scores one relabel window of every start still relabelling in one
@@ -397,9 +397,7 @@ class _Stacks:
         self.nbr = np.empty((slots, n, k), w.dtype)
         self.t = np.empty((slots, k, k))
         self.row_sums = np.empty((slots, k))
-        # [pairs, leave, join, fix] pair counts and their pc log pc
-        self.pieces = np.empty((slots, 4, k, k), np.intp)
-        self.piece_logs = np.empty((slots, 4, k, k))
+        self.pieces = np.empty((slots, 4, k, k), np.intp)  # [pairs, leave, join, fix]
         self.mask = np.empty((slots, k, k))
 
 
@@ -431,17 +429,19 @@ class _ProfileState:
 
     What only a move changes is cached, and write refreshes it: the row
     sums of t (every move); the size pieces, pair-count rows that depend
-    only on the group sizes h, with their pc log pc (piece_logs), and the
-    move mask, with pinned, whether some group sits at h_min so that its
-    nodes cannot relabel (every relabel; a swap keeps h); and each node's
-    weight into each group, nbr, by +-w[i] for every node that moves.
+    only on the group sizes h, and the move mask, which keeps group sizes
+    in [h_min, h_max], with pinned, whether some group sits at h_min so
+    that its nodes cannot relabel (every relabel; a swap keeps h); and each
+    node's weight into each group, nbr, by +-w[i] for every node that
+    moves.
     Exact integer sums keep their bits however they are summed, so each
     cache holds the bits a window would compute from the current state, and
     scores do not depend on what is cached.
     """
 
     def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray,
-                 work: _Workspace, stacks: _Stacks | None = None, slot: int = 0):
+                 work: _Workspace, h_min: int, h_max: int, stacks: _Stacks | None = None,
+                 slot: int = 0):
         self.w = w
         self.n = w.shape[0]
         self.k = k
@@ -451,12 +451,11 @@ class _ProfileState:
         self.stacks = _Stacks(w, 1, k) if stacks is None else stacks
         self.binary = self.stacks.binary
         self.unit = 1.0 if self.binary else 2.0 ** -_fixed_point_bits(self.n)
-        for name in ("z", "h", "e", "nbr", "t", "row_sums", "pieces", "piece_logs", "mask"):
+        for name in ("z", "h", "e", "nbr", "t", "row_sums", "pieces", "mask"):
             setattr(self, name, getattr(self.stacks, name)[slot])
         self.z[...] = z0
         self.h[...] = np.bincount(z0, minlength=k)
-        # Bounds for the move mask; a search sets its own (see limit).
-        self.h_min, self.h_max = 1, self.n
+        self.h_min, self.h_max = h_min, h_max  # the move mask's size bounds
         self._within = np.arange(self.n + 2) * np.arange(-1, self.n + 1) // 2  # x (x - 1) / 2
         # _refresh_sizes' row and column factors and the pieces' diagonals
         self._factors = np.empty((2, 4, k), np.int64)
@@ -467,14 +466,9 @@ class _ProfileState:
         self.nbr[...] = w @ onehot
         self.e[...] = onehot.T @ self.nbr
         self.e.reshape(-1)[:: k + 1] //= 2  # a pair within a group is counted twice
-        self._terms(self.e, self.pieces[0], self.t, self.piece_logs[0])
+        self._terms(self.e, self.pieces[0], self.t)
         self.t.sum(axis=1, out=self.row_sums)
         self.total = _total_from_terms(self.t)
-
-    def limit(self, h_min: int, h_max: int) -> None:
-        """Mask relabels that leave a group below h_min or above h_max."""
-        self.h_min, self.h_max = h_min, h_max
-        self._refresh_sizes()
 
     def _refresh_sizes(self, mask: bool = True) -> None:
         """Rebuild the size pieces and, if mask, the move mask from h.
@@ -494,7 +488,6 @@ class _ProfileState:
         rows, cols = np.add(h, _PIECE_SHIFTS, out=self._factors)
         np.multiply(rows[:, :, None], cols[:, None, :], out=counts)
         self._within.take(rows[:3], out=self._diagonals)
-        self.xlx.take(counts, out=self.piece_logs, mode="clip")  # unbuffered; all in range
         if mask:
             self.pinned = not _can_relabel(h, self.h_min).all()
             # a bool index takes _EXCLUDED[0] or [1]
@@ -502,11 +495,11 @@ class _ProfileState:
                          out=self.mask)
             self.mask.reshape(k * k)[:: k + 1] = -np.inf
 
-    def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray,
-               pcl: np.ndarray) -> np.ndarray:
-        """The terms of _terms for block sums s in weight units, written into
-        out; pc holds pair counts (intp) and pcl pc log pc.  0/1 weights give
-        _terms' bits, fixed-point ones _xlogx's at s * unit (pc - s * unit is
+    def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The terms of _terms for block sums s in weight units and pair
+        counts pc (intp), written into out.  pc log pc comes from the table,
+        and so do 0/1 weights' other two terms, with _terms' bits;
+        fixed-point sums take _xlogx's at s * unit (pc - s * unit is
         exact).  Every weight lies in [0, 1] (in units), so every s a search
         stacks lies in [0, pc] and is not clipped."""
         tmp = self.work("tmp", s.shape)
@@ -523,33 +516,30 @@ class _ProfileState:
             logs = self.work("logs", s.shape)
             t = _xlogx(x, logs)
             t += _xlogx(d, logs)
-        t -= pcl
+        t -= xlx.take(pc, out=tmp, mode="clip")
         return t
 
-    def relabel_rows(self, nodes: np.ndarray, cnt: np.ndarray, slots) -> tuple:
-        """Stack (s, pc, pc log pc) for moving each node, with neighbour
-        weights cnt, out of its group a: row 0 is group a after the node
-        leaves and row 1 + b group b after it joins (meaningless for b = a).
-        Row 0's cell b still counts the node in a; write fixes it.  Rows do
-        not depend on the rest of the stack.  The nodes belong to the state
-        of slot slots or, node r, of slot slots[r]."""
-        k, m, stacks = self.k, nodes.size, self.stacks
+    def relabel_rows(self, a: np.ndarray, cnt: np.ndarray, slots) -> tuple:
+        """Stack (s, pc) for moving each node, with neighbour weights cnt,
+        out of its group a: row 0 is group a after the node leaves and row
+        1 + b group b after it joins (meaningless for b = a).  Row 0's cell b
+        still counts the node in a; write fixes it.  Rows do not depend on
+        the rest of the stack.  The nodes belong to the state of slot slots
+        or, node r, of slot slots[r]."""
+        k, m, stacks = self.k, a.size, self.stacks
         r = np.arange(m)
-        a = _gather(stacks.z, slots, nodes)
         s = self.work("sums", (m, k + 1, k), stacks.e.dtype)
         np.subtract(stacks.e[slots, a], cnt, out=s[:, 0])
         np.add(stacks.e[slots], cnt[:, None, :], out=s[:, 1:])
         s[r, 1:, a] -= cnt
         pc = self.work("counts", (m, k + 1, k), stacks.pieces.dtype)
-        pcl = self.work("count_logs", (m, k + 1, k))
-        for out, pieces in ((pc, stacks.pieces), (pcl, stacks.piece_logs)):
-            out[:, 1:] = pieces[slots, 2]
-            out[:, 0] = pieces[slots, 1, a]
-            out[r, 1:, a] = pieces[slots, 3, a]
-        return s, pc, pcl
+        pc[:, 1:] = stacks.pieces[slots, 2]
+        pc[:, 0] = stacks.pieces[slots, 1, a]
+        pc[r, 1:, a] = stacks.pieces[slots, 3, a]
+        return s, pc
 
     def swap_rows(self, ii: np.ndarray, jj: np.ndarray) -> tuple:
-        """Stack (s, pc, pc log pc) for exchanging the labels of each pair
+        """Stack (s, pc) for exchanging the labels of each pair
         i = ii[p] (group a) and j = jj[p] (group b != a): row 0 is group a's
         row after the swap, e[a] + d, and row 1 group b's, e[b] - d, where d
         is the weight j brings to a row minus the weight i takes from it.
@@ -571,11 +561,9 @@ class _ProfileState:
         s[r, 0, b] = s[r, 1, a] = self.e[a, b] - d[r, a] + d[r, b]
         pc = self.pieces[0].take(ab, axis=0, out=self.work("counts", shape, self.pieces.dtype),
                                  mode="clip")
-        pcl = self.piece_logs[0].take(ab, axis=0, out=self.work("count_logs", shape), mode="clip")
-        return s, pc, pcl
+        return s, pc
 
-    def score(self, s: np.ndarray, pc: np.ndarray, pcl: np.ndarray, slots, a: np.ndarray,
-              b=None) -> np.ndarray:
+    def score(self, s: np.ndarray, pc: np.ndarray, slots, a: np.ndarray, b=None) -> np.ndarray:
         """Objective change of each candidate of a stack.
 
         The change is (sum row 0 - row 0[b]) + sum row b - (old row sums of a
@@ -587,7 +575,7 @@ class _ProfileState:
         Returns deltas of shape (N, m - 1) and the stack's terms, whose
         chosen rows write takes.
         """
-        terms = self._terms(s, pc, self.work("terms", s.shape), pcl)
+        terms = self._terms(s, pc, self.work("terms", s.shape))
         sums = terms.sum(axis=2)
         t, row_sums = self.stacks.t, self.stacks.row_sums
         if b is None:
@@ -635,8 +623,7 @@ class _ProfileState:
         self.nbr[:, b] += moved
 
     def verify(self) -> None:
-        fresh = _ProfileState(self.w, self.z, self.k, self.xlx, self.work)
-        fresh.limit(self.h_min, self.h_max)
+        fresh = _ProfileState(self.w, self.z, self.k, self.xlx, self.work, self.h_min, self.h_max)
         scale = max(1.0, abs(fresh.total))
         if abs(fresh.total - self.total) > _VERIFY_RTOL * scale:
             raise InternalError(
@@ -650,8 +637,7 @@ class _ProfileState:
             "block terms": np.allclose(fresh.t, self.t, rtol=1e-10, atol=1e-8),
             "term row sums": exact(self.t.sum(axis=1), self.row_sums),
             "neighbour counts": exact(fresh.nbr, self.nbr),
-            "size pieces": exact(fresh.pieces, self.pieces)
-            and exact(fresh.piece_logs, self.piece_logs),
+            "size pieces": exact(fresh.pieces, self.pieces),
             "move mask": exact(fresh.mask, self.mask) and fresh.pinned == self.pinned,
         }
         for name, ok in checks.items():
@@ -766,7 +752,7 @@ def _first_improvement(count: int, cap: int, take_first, width: int = 1,
     return _lockstep([scans()], cap, take_one, width)[0]
 
 
-def _search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generator):
+def _search(state: _ProfileState, rng: np.random.Generator):
     """One start's greedy ascent with relabel and swap moves, as a _lockstep
     search: it yields its relabel scans and runs its swap sweeps itself, and
     returns its accepted swap count.
@@ -780,7 +766,6 @@ def _search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generat
     # Window cap from the cells one candidate stacks: a swap's two rows of k.
     swap_cap = max(1, _BATCH_CELLS // (2 * k))
     swaps = 0
-    state.limit(h_min, h_max)
 
     def swap_sweep() -> bool:
         if n <= 80:
@@ -795,8 +780,8 @@ def _search(state: _ProfileState, h_min: int, h_max: int, rng: np.random.Generat
             if live.size == 0:
                 return -1
             ii, jj = ii[live], jj[live]
-            s, pc, pcl = state.swap_rows(ii, jj)
-            deltas, terms = state.score(s, pc, pcl, state.slot, state.z[ii], state.z[jj])
+            s, pc = state.swap_rows(ii, jj)
+            deltas, terms = state.score(s, pc, state.slot, state.z[ii], state.z[jj])
             hits = np.flatnonzero(deltas[:, 0] > _SEARCH_TOL)
             if hits.size == 0:
                 return -1
@@ -827,9 +812,9 @@ def _can_relabel(sizes: np.ndarray, h_min: int) -> np.ndarray:
     return sizes > h_min
 
 
-def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generator) -> list:
-    """Greedy ascents of states, slots of one _Stacks, in lockstep; returns
-    each one's accepted swap count.
+def _local_searches(states: list, rng: np.random.Generator) -> list:
+    """Greedy ascents of states, slots of one _Stacks with one set of size
+    bounds, in lockstep; returns each one's accepted swap count.
 
     Each round scores one relabel window of every start still relabelling in
     one stack (cap cells in all) and applies each window's first improving
@@ -856,14 +841,14 @@ def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generat
         # each window's rows, then counts only the rows kept.
         ends = itertools.accumulate(hi - lo for _, lo, hi in windows)
         if any(states[i].pinned for i, _, _ in windows):
-            keep = np.flatnonzero(_can_relabel(_gather(stacks.h, slots, a), h_min))
+            keep = np.flatnonzero(_can_relabel(_gather(stacks.h, slots, a), state.h_min))
             if keep.size == 0:
                 return [-1] * len(windows)
             nodes, a = nodes[keep], a[keep]
             slots = slots if np.isscalar(slots) else slots[keep]
             ends = np.searchsorted(keep, list(ends))
-        s, pc, pcl = state.relabel_rows(nodes, stacks.nbr[slots, nodes], slots)
-        deltas, terms = state.score(s, pc, pcl, slots, a)
+        s, pc = state.relabel_rows(a, stacks.nbr[slots, nodes], slots)
+        deltas, terms = state.score(s, pc, slots, a)
         deltas += stacks.mask[slots, a]
         hits = np.flatnonzero(deltas.max(axis=1) > _SEARCH_TOL).tolist()
         taken, start = [], 0
@@ -880,7 +865,7 @@ def _local_searches(states: list, h_min: int, h_max: int, rng: np.random.Generat
             start = end
         return taken
 
-    return _lockstep([_search(st, h_min, h_max, rng) for st in states], cap, take_relabels)
+    return _lockstep([_search(st, rng) for st in states], cap, take_relabels)
 
 
 def _maximize_profile(
@@ -925,9 +910,9 @@ def _maximize_profile(
     ties = False
     work = _Workspace()
     stacks = _Stacks(w, len(inits), k)
-    states = [_ProfileState(w, z0, k, xlx, work, stacks, slot)
+    states = [_ProfileState(w, z0, k, xlx, work, h_min, h_max, stacks, slot)
               for slot, z0 in enumerate(inits)]
-    for state, swaps in zip(states, _local_searches(states, h_min, h_max, rng)):
+    for state, swaps in zip(states, _local_searches(states, rng)):
         state.verify()
         canon = _canonical_labels(state.z)
         if state.total > best_total + _TIE_TOL:

@@ -32,7 +32,7 @@ from .errors import (
     parse_json_object,
 )
 from .graphons import graphon_by_name, random_partition
-from .harness import ExperimentConfig, run_sweep, score_replicate
+from .harness import _SUMMARY_METRICS, ExperimentConfig, run_sweep, score_replicate
 from .risk import build_estimator, kl_taylor_check
 from .sampling import (
     AdjacencyMatrix,
@@ -50,8 +50,20 @@ EXIT_MODEL = 3
 EXIT_INTERNAL = 4
 
 
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
+def _os_call(verb: str, path, call):
+    """call(), with an OSError raised as a ConfigError: cannot <verb> <path>."""
+    try:
+        return call()
+    except OSError as e:
+        raise ConfigError(f"cannot {verb} {path}: {e}") from None
+
+
+def _read(path) -> str:
+    return _os_call("read", path, Path(path).read_text)
+
+
+def _write(path, text: str) -> None:
+    _os_call("write", path, lambda: Path(path).write_text(text))
 
 
 def cmd_sample(args) -> int:
@@ -73,13 +85,6 @@ def cmd_sample(args) -> int:
     _write(args.out + ".json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     print(f"wrote {args.out}: n={args.n} m={a.edge_count} density={edge_density(a):.6g}")
     return EXIT_OK
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from None
 
 
 def cmd_fit(args) -> int:
@@ -135,13 +140,16 @@ def cmd_risk(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = ExperimentConfig.from_json(_read(args.config))
-    result = run_sweep(cfg, jobs=args.jobs)
+    if args.dat_metric is not None and args.dat_metric not in _SUMMARY_METRICS:
+        raise ConfigError(f"--dat-metric {args.dat_metric!r} is not one of "
+                          f"{', '.join(_SUMMARY_METRICS)}")
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "results.csv").write_text(result.to_csv())
-    (out / "summary.json").write_text(result.summary_json() + "\n")
-    if args.dat_metric:
-        (out / f"{args.dat_metric}.dat").write_text(result.to_dat(args.dat_metric))
+    _os_call("create", out, lambda: out.mkdir(parents=True, exist_ok=True))
+    result = run_sweep(cfg, jobs=args.jobs)
+    _write(out / "results.csv", result.to_csv())
+    _write(out / "summary.json", result.summary_json() + "\n")
+    if args.dat_metric is not None:
+        _write(out / f"{args.dat_metric}.dat", result.to_dat(args.dat_metric))
     failures = sum(1 for r in result.rows if r.status != "ok")
     print(f"wrote {out}/results.csv: {len(result.rows)} rows, {failures} failures")
     return EXIT_OK

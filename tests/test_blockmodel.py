@@ -239,7 +239,8 @@ class _ScalarProfileState(_ProfileState):
     """
 
     def __init__(self, w, z0, k):
-        super().__init__(w, z0, k, _xlx_for(w.shape[0]), _Workspace())
+        # _scalar_local_search applies the bounds itself
+        super().__init__(w, z0, k, _xlx_for(w.shape[0]), _Workspace(), 1, w.shape[0])
 
     def terms(self, s, pc):
         return reference_terms(s, pc, None if self.binary else self.unit)
@@ -396,10 +397,12 @@ def _xlx_for(n):
     return xlogy(m, m)
 
 
-def new_state(w, z0, k):
-    """A search state with a table for groups of up to n nodes and its own
-    workspace; integer weights are 0/1 weights, float64 ones fixed-point."""
-    return _ProfileState(w, z0, k, _xlx_for(w.shape[0]), _Workspace())
+def new_state(w, z0, k, h_min=1, h_max=None):
+    """A search state with a table for groups of up to n nodes, its own
+    workspace and group sizes in [h_min, h_max] (default [1, n]); integer
+    weights are 0/1 weights, float64 ones fixed-point."""
+    n = w.shape[0]
+    return _ProfileState(w, z0, k, _xlx_for(n), _Workspace(), h_min, n if h_max is None else h_max)
 
 
 def relabel_window(state, nodes):
@@ -407,25 +410,26 @@ def relabel_window(state, nodes):
     each node's own group, which the search masks, at 0 as in the reference."""
     cnt = state.nbr[nodes]
     a = state.z[nodes]
-    deltas, _ = state.score(*state.relabel_rows(nodes, cnt, state.slot), state.slot, a)
+    deltas, _ = state.score(*state.relabel_rows(a, cnt, state.slot), state.slot, a)
     deltas[np.arange(nodes.size), a] = 0.0
     return cnt, deltas
 
 
 def swap_window(state, ii, jj):
     """(rows, deltas) of a swap window: the built rows and their changes."""
-    s, pc, pcl = state.swap_rows(ii, jj)
-    return s, state.score(s, pc, pcl, state.slot, state.z[ii], state.z[jj])[0][:, 0]
+    s, pc = state.swap_rows(ii, jj)
+    return s, state.score(s, pc, state.slot, state.z[ii], state.z[jj])[0][:, 0]
 
 
 def relabel_move(state, nodes, t, b):
     """Score a relabel window of nodes, then move nodes[t] into group b as
     a search does.  Returns copies of the candidate's rows (s, pc) taken
     before scoring, and its delta."""
-    s, pc, pcl = state.relabel_rows(nodes, state.nbr[nodes], state.slot)
+    a = state.z[nodes]
+    s, pc = state.relabel_rows(a, state.nbr[nodes], state.slot)
     rows = [0, 1 + b]
     scored = s[t, rows], pc[t, rows]
-    deltas, terms = state.score(s, pc, pcl, state.slot, state.z[nodes])
+    deltas, terms = state.score(s, pc, state.slot, a)
     delta = float(deltas[t, b])
     state.write(nodes[t], b, s[t, rows], terms[t, rows], delta)
     return scored, delta
@@ -435,9 +439,9 @@ def swap_move(state, ii, jj, t):
     """Score a swap window of pairs (ii, jj), then exchange the labels of
     pair t as a search does; returns what relabel_move returns."""
     i, j = ii[t], jj[t]
-    s, pc, pcl = state.swap_rows(ii, jj)
+    s, pc = state.swap_rows(ii, jj)
     scored = s[t].copy(), pc[t].copy()
-    deltas, terms = state.score(s, pc, pcl, state.slot, state.z[ii], state.z[jj])
+    deltas, terms = state.score(s, pc, state.slot, state.z[ii], state.z[jj])
     delta = float(deltas[t, 0])
     state.write(i, state.z[j], s[t], terms[t], delta, j)
     return scored, delta
@@ -545,22 +549,21 @@ class TestIncrementalEngine:
         pc = rng.integers(0, 31**2, size=2000)
         s = np.floor(pc * rng.uniform(0.0, 1.0, size=pc.size)).astype(np.intp)
         s[:100], s[100:200] = 0, pc[100:200]
-        got = state._terms(s, pc, np.empty(s.shape), state.xlx[pc])
+        got = state._terms(s, pc, np.empty(s.shape))
         assert np.array_equal(got, _terms(s, pc))
         # pc log pc of every size piece, after relabels, comes from the one
         # table with xlogy's bits, for either kind of weight
         for binary in (True, False):
             w, z0 = _search_instance(40, 5, binary, seed=27)
-            state = new_state(w, z0, 5)
-            state.limit(2, 40)
+            state = new_state(w, z0, 5, 2, 40)
             moved = 0
             for i, b in rng.integers(0, [40, 5], size=(40, 2)):
                 if b != state.z[i] and state.h[state.z[i]] > 2:
                     relabel_move(state, np.array([i]), 0, b)
                     moved += 1
             assert moved > 10
-            pc, pcl = state.pieces, state.piece_logs
-            assert np.array_equal(pcl, xlogy(pc, pc))
+            pieces = state.pieces
+            assert np.array_equal(state.xlx[pieces], xlogy(pieces, pieces))
 
     def test_real_window_terms_near_xlogy_terms(self):
         # numpy's log, which fixed-point weights use, may differ from xlogy's
@@ -571,14 +574,14 @@ class TestIncrementalEngine:
         state = new_state(w, z0, k)
         nodes = np.arange(n)
         cnt = state.nbr[nodes]
-        s, pc, pcl = state.relabel_rows(nodes, cnt, state.slot)
-        got = state._terms(s, pc, np.empty_like(s), pcl)
+        s, pc = state.relabel_rows(state.z[nodes], cnt, state.slot)
+        got = state._terms(s, pc, np.empty_like(s))
         assert np.all(np.isfinite(got[nodes, 1 + state.z]))
         assert np.allclose(got, _terms(s * state.unit, pc), rtol=1e-12, atol=0.0)
         iu, ju = np.triu_indices(n, k=1)
         live = state.z[iu] != state.z[ju]
-        s, pc, pcl = state.swap_rows(iu[live], ju[live])
-        got = state._terms(s, pc, np.empty_like(s), pcl)
+        s, pc = state.swap_rows(iu[live], ju[live])
+        got = state._terms(s, pc, np.empty_like(s))
         assert np.allclose(got, _terms(s * state.unit, pc), rtol=1e-12, atol=0.0)
 
     def test_real_window_terms_vanish_where_saturated(self):
@@ -590,11 +593,11 @@ class TestIncrementalEngine:
         state = new_state(w, z0, k)
         nodes = np.arange(n)
         cnt = state.nbr[nodes]
-        s, pc, pcl = state.relabel_rows(nodes, cnt, state.slot)
+        s, pc = state.relabel_rows(state.z[nodes], cnt, state.slot)
         pick = np.random.default_rng(30).integers(0, 3, size=s.shape)
         s[pick == 0] = 0.0
         s[pick == 1] = pc[pick == 1] / state.unit  # pc in weight units
-        got = state._terms(s, pc, np.empty_like(s), pcl)
+        got = state._terms(s, pc, np.empty_like(s))
         assert np.all(got[pick < 2] == 0.0)
         x = np.array([0.0, 0.5, 3.0])
         assert np.array_equal(_xlogx(x.copy(), np.empty(3)), [0.0, 0.5 * np.log(0.5), 3.0 * np.log(3.0)])
@@ -620,11 +623,9 @@ class TestIncrementalEngine:
                 ("total", None, "objective"), ("t", (0, 1), "block terms"),
                 ("h", 0, "group sizes"), ("e", (0, 1), "block sums"),
                 ("nbr", (5, 1), "neighbour counts"), ("row_sums", 2, "term row sums"),
-                ("pieces", (2, 0, 1), "size pieces"), ("piece_logs", (2, 0, 1), "size pieces"),
-                ("mask", (0, 1), "move mask"),
+                ("pieces", (2, 0, 1), "size pieces"), ("mask", (0, 1), "move mask"),
             ):
-                state = new_state(w, z0, 3)
-                state.limit(2, 10)
+                state = new_state(w, z0, 3, 2, 10)
                 state.verify()
                 if cell is None:
                     state.total += 1.0
@@ -670,8 +671,8 @@ class TestIncrementalEngine:
             w, z0 = _search_instance(n, k, binary, seed=100 + t)
             ref = _ScalarProfileState(w, z0, k)
             ref_swaps = _scalar_local_search(ref, h_min, h_max, np.random.default_rng(t))
-            state = new_state(w, z0, k)
-            swaps = _local_searches([state], h_min, h_max, np.random.default_rng(t))[0]
+            state = new_state(w, z0, k, h_min, h_max)
+            swaps = _local_searches([state], np.random.default_rng(t))[0]
             state.verify()
             assert np.array_equal(state.z, ref.z), (n, k, h_min, h_max)
             assert swaps == ref_swaps
@@ -767,11 +768,11 @@ class TestLockstep:
         lockstep, searched = blockmodel._lockstep, blockmodel._local_searches
         starts, rounds, last_round = [], [0], {}
 
-        def each_start(states, h_min, h_max, rng):
+        def each_start(states, rng):
             if alone:  # one start after another
-                swaps = [searched([state], h_min, h_max, rng)[0] for state in states]
+                swaps = [searched([state], rng)[0] for state in states]
             else:
-                swaps = searched(states, h_min, h_max, rng)
+                swaps = searched(states, rng)
             starts.extend((state.z.copy(), state.total.hex(), s) for state, s in zip(states, swaps))
             return swaps
 
@@ -939,7 +940,7 @@ class TestLockstep:
 
         monkeypatch.setattr(blockmodel, "_first_improvement", recorded)
         w, z0 = _search_instance(n, k, binary, seed=12)
-        _local_searches([new_state(w, z0, k)], 2, n, np.random.default_rng(0))
+        _local_searches([new_state(w, z0, k, 2, n)], np.random.default_rng(0))
         count, cap, windows, taken = sweeps[-1]
         assert count == n * (n - 1) // 2 and not taken
         assert cap == _BATCH_CELLS // (2 * k) < count
@@ -969,11 +970,11 @@ class TestFrozenRows:
         relabel_rows, verify = _ProfileState.relabel_rows, _ProfileState.verify
         rows, frozen, starts = [0], [0], []
 
-        def recorded_rows(self, nodes, cnt, slots):
-            sizes = self.stacks.h[slots, self.stacks.z[slots, nodes]]
-            rows[0] += nodes.size
+        def recorded_rows(self, a, cnt, slots):
+            sizes = self.stacks.h[slots, a]
+            rows[0] += a.size
             frozen[0] += int((sizes <= h_min).sum())
-            return relabel_rows(self, nodes, cnt, slots)
+            return relabel_rows(self, a, cnt, slots)
 
         def recorded_verify(self):
             starts.append((self.z.tolist(), self.total.hex()))
@@ -1013,20 +1014,19 @@ class TestUnclippedTerms:
         terms = _ProfileState._terms
         cells, stacked = [0], set()
 
-        def checked(self, s, pc, out, pcl):
+        def checked(self, s, pc, out):
             if self.binary == binary:
                 assert s.dtype == (np.intp if binary else np.float64) and pc.dtype == np.intp
                 assert np.all((0 <= s) & (s <= pc / self.unit))
                 cells[0] += s.size
                 if s.ndim == 3:  # a window: k + 1 rows per relabel, 2 per swap
                     stacked.add("relabel" if s.shape[1] == self.k + 1 else "swap")
-            return terms(self, s, pc, out, pcl)
+            return terms(self, s, pc, out)
 
         monkeypatch.setattr(_ProfileState, "_terms", checked)
         for t, (n, k, h_min, h_max) in enumerate(TestIncrementalEngine.CASES):
             w, z0 = _search_instance(n, k, binary, seed=100 + t)
-            state = new_state(w, z0, k)
-            _local_searches([state], h_min, h_max, np.random.default_rng(t))
+            _local_searches([new_state(w, z0, k, h_min, h_max)], np.random.default_rng(t))
         for case in TestLockstep.CASES + TestFrozenRows.CASES:
             n, k, h_min, h_max, kind, seed, restarts = case[:7]
             if kind == binary:

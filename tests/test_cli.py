@@ -172,6 +172,11 @@ class TestMalformedInput:
         "sweep-alignment-bogus": ([("cfg.json", "alignment", "bogus")], _sweep_argv),
         "sweep-seed-negative": ([("cfg.json", "seed", -1)], _sweep_argv),
         "sweep-jobs-0": ([], lambda d: _sweep_argv(d) + ["--jobs", 0]),
+        "sweep-dat-metric-unknown": ([], lambda d: _sweep_argv(d) + ["--dat-metric", "bogus"]),
+        "sweep-out-dir-is-a-file": (
+            [], lambda d: ["sweep", "--config", d / "cfg.json", "--out-dir", d / "net.txt"],
+        ),
+        "sample-out-missing-dir": ([], lambda d: sample_args(d / "missing" / "x.txt")),
         "sample-seed-negative": ([], lambda d: sample_args(d / "neg.txt", seed=-1)),
         "fit-seed-negative": (
             [], lambda d: ["fit", "--edges", d / "net.txt", "--k", 3, "--seed", -1,
@@ -212,6 +217,8 @@ class TestMalformedInput:
             assert "disagree on n" in err
         if case == "fit-edges-duplicate":
             assert "edge (0,1) is listed more than once" in err
+        if case == "sweep-dat-metric-unknown":  # refused before the sweep runs
+            assert "fitted_risk" in err and not (tmp_path / "o").exists()
 
 
 class TestRiskMatchesSweep:

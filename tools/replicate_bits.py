@@ -51,10 +51,14 @@ def replicate_lines(seeds, workloads=None):
                     yield f"{name} root_seed={seed} rep={rep} {report_fields(report)}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def parse_checkout_args(doc: str, default_seeds: list, argv=None) -> argparse.Namespace:
+    """Parse --root, --seeds and --workloads, pin one BLAS thread, and put
+    the library and the workloads of the checkout at --root first on the
+    path.  An unknown workload name, or a library imported from elsewhere,
+    is a usage error."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--root", type=Path, default=ROOT)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--seeds", type=int, nargs="+", default=default_seeds)
     parser.add_argument("--workloads", nargs="+", default=None)
     args = parser.parse_args(argv)
 
@@ -62,9 +66,18 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import graphonfit
+    from sweepbench import WORKLOADS
 
     if Path(graphonfit.__file__).resolve().parents[1] != root / "src":
         parser.error(f"graphonfit was imported from {graphonfit.__file__}, not {root / 'src'}")
+    unknown = [name for name in args.workloads or () if name not in WORKLOADS]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; known: {', '.join(WORKLOADS)}")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_checkout_args(__doc__, [1, 2, 3], argv)
     for line in replicate_lines(args.seeds, args.workloads):
         print(line, flush=True)
     return 0

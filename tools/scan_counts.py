@@ -30,14 +30,11 @@ so a rerun prints the same lines.
 
 from __future__ import annotations
 
-import argparse
-import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from pathlib import Path
 
-from replicate_bits import BLAS_ENV, ROOT, replicate_lines
+from replicate_bits import parse_checkout_args, replicate_lines
 
 KINDS = ("fit.relabel", "fit.swap", "oracle.relabel", "oracle.swap", "mse.descent")
 
@@ -106,19 +103,7 @@ def count_lines(seeds, workloads=None):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=ROOT)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--workloads", nargs="+", default=None)
-    args = parser.parse_args(argv)
-
-    os.environ.update(BLAS_ENV)
-    root = args.root.resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    import graphonfit
-
-    if Path(graphonfit.__file__).resolve().parents[1] != root / "src":
-        parser.error(f"graphonfit was imported from {graphonfit.__file__}, not {root / 'src'}")
+    args = parse_checkout_args(__doc__, [1], argv)
     for line in count_lines(args.seeds, args.workloads):
         print(line, flush=True)
     return 0
