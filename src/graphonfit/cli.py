@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graphons import graphon_by_name, random_partition
 from .harness import _SUMMARY_METRICS, ExperimentConfig, run_sweep, score_replicate
-from .risk import build_estimator, kl_taylor_check
+from .risk import _check_mse_options, build_estimator, kl_taylor_check
 from .sampling import (
     AdjacencyMatrix,
     LatentSample,
@@ -120,6 +120,7 @@ _SIDECAR_SCHEMA = dict(graphon=str, rho=float, seed=int, xi=[float])
 
 
 def cmd_risk(args) -> int:
+    _check_mse_options(args.grid, args.alignment)  # before the searches, as for a sweep
     sidecar = parse_json_object(_read(args.sidecar), args.sidecar, _SIDECAR_SCHEMA,
                                 hints={"xi": "re-run sample with --emit-latents"})
     a = AdjacencyMatrix.from_edge_list(_read(args.edges))

@@ -55,6 +55,8 @@ class Graphon:
     upper_bound: float = math.inf
     mean_one: bool = False
     name: str = ""
+    # grid -> prefix_sums(grid), built at the first call for that grid
+    _sums: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, x, y):
         return self.eval_fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -63,6 +65,23 @@ class Graphon:
         """f evaluated on the m x m midpoint lattice."""
         g = midpoint_grid(m)
         return self(g[:, None], g[None, :])
+
+    def prefix_sums(self, m: int) -> tuple[np.ndarray, float]:
+        """(s1, s2_total) of the m x m grid values, built once per grid.
+
+        s1 is the read-only, zero-padded (m+1) x (m+1) 2-d prefix sum of
+        grid_values(m) and s2_total the sum of its squares.  The graphon
+        keeps them for later calls, so they live and die with it.
+        """
+        if m not in self._sums:
+            tg = self.grid_values(m)
+            s1 = np.zeros((m + 1, m + 1))
+            s1[1:, 1:] = tg.cumsum(axis=0).cumsum(axis=1)
+            s1.setflags(write=False)
+            # Column sums, then their running sum: the additions, in order, of
+            # the corner of a 2-d cumulative sum, without its two m x m arrays.
+            self._sums[m] = s1, float(np.cumsum((tg**2).sum(axis=0))[-1])
+        return self._sums[m]
 
     def mean_estimate(self, m: int = 256) -> float:
         """Midpoint Riemann-sum estimate of the double integral of f."""
@@ -268,89 +287,43 @@ def holder_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _constant() -> Graphon:
-    return Graphon(
-        eval_fn=lambda x, y: np.ones(np.broadcast(x, y).shape),
-        holder_alpha=1.0,
-        holder_M=0.0,
-        lower_bound=1.0,
-        upper_bound=1.0,
-        mean_one=True,
-        name="constant",
-    )
-
-
-def _bilinear() -> Graphon:
-    # (x + y) / 2 rescaled to integrate to one, i.e. f(x, y) = x + y.
-    return Graphon(
-        eval_fn=lambda x, y: x + y,
-        holder_alpha=1.0,
-        holder_M=math.sqrt(2.0),
-        lower_bound=0.0,
-        upper_bound=2.0,
-        mean_one=True,
-        name="bilinear",
-    )
-
-
-def _product() -> Graphon:
-    return Graphon(
-        eval_fn=lambda x, y: 4.0 * x * y,
-        holder_alpha=1.0,
-        holder_M=4.0 * math.sqrt(2.0),
-        lower_bound=0.0,
-        upper_bound=4.0,
-        mean_one=True,
-        name="product",
-    )
-
-
-def _cosine() -> Graphon:
-    return Graphon(
-        eval_fn=lambda x, y: 1.0 + 0.5 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y),
-        holder_alpha=1.0,
-        holder_M=math.pi,
-        lower_bound=0.5,
-        upper_bound=1.5,
-        mean_one=True,
-        name="cosine",
-    )
-
-
-def _step_truth() -> Graphon:
+def _step_eval(x, y):
     # Two equal blocks with assortative heights; integrates to one.
-    def _eval(x, y):
-        same = (x < 0.5) == (y < 0.5)
-        return np.where(same, 1.4, 0.6)
-
-    return Graphon(
-        eval_fn=_eval,
-        holder_alpha=1.0,
-        holder_M=math.inf,
-        lower_bound=0.6,
-        upper_bound=1.4,
-        mean_one=True,
-        name="step",
-    )
+    return np.where((x < 0.5) == (y < 0.5), 1.4, 0.6)
 
 
 _CATALOG = {
-    "constant": _constant,
-    "bilinear": _bilinear,
-    "product": _product,
-    "cosine": _cosine,
-    "step": _step_truth,
+    g.name: g
+    for g in (
+        Graphon(lambda x, y: np.ones(np.broadcast(x, y).shape), holder_M=0.0,
+                lower_bound=1.0, upper_bound=1.0, mean_one=True, name="constant"),
+        # (x + y) / 2 rescaled to integrate to one, i.e. f(x, y) = x + y.
+        Graphon(lambda x, y: x + y, holder_M=math.sqrt(2.0), upper_bound=2.0,
+                mean_one=True, name="bilinear"),
+        Graphon(lambda x, y: 4.0 * x * y, holder_M=4.0 * math.sqrt(2.0), upper_bound=4.0,
+                mean_one=True, name="product"),
+        Graphon(lambda x, y: 1.0 + 0.5 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y),
+                holder_M=math.pi, lower_bound=0.5, upper_bound=1.5, mean_one=True,
+                name="cosine"),
+        Graphon(_step_eval, lower_bound=0.6, upper_bound=1.4, mean_one=True, name="step"),
+    )
 }
 
 
 def graphon_catalog() -> dict:
-    """Fresh instances of every built-in graphon, keyed by name."""
-    return {name: make() for name, make in _CATALOG.items()}
+    """Every built-in graphon, keyed by name, in a new dict.
+
+    The graphons themselves are the catalog's one instance each: frozen, with
+    pure eval functions, so they are shared, and each keeps the grid prefix
+    sums it has built (Graphon.prefix_sums) for the life of the process.
+    """
+    return dict(_CATALOG)
 
 
 def graphon_by_name(name: str) -> Graphon:
+    """The catalog's one instance of the named graphon."""
     try:
-        return _CATALOG[name]()
+        return _CATALOG[name]
     except KeyError:
         raise DomainError(
             f"unknown graphon {name!r}; available: {sorted(_CATALOG)}"

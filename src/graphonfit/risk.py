@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -361,10 +360,6 @@ def _best_order_mse(
                for i in range(0, len(orders), batch))
 
 
-# (id(truth), grid) -> (s1, s2_total) while the truth lives (see graphon_mse)
-_TRUTH_SUMS: dict = {}
-
-
 _ALIGNMENTS = ("identity", "degree_sort", "block_permutation_search")
 
 
@@ -401,24 +396,14 @@ def graphon_mse(
     otherwise from prefix-sum corners, as for dense fits on grid 256.  The
     input alone picks the path, and both give the same bits.  The table, the
     corners and the k <= 8 screen all cut the grid's midpoints at one array
-    per call, cut[s] for a block edge after s of the n nodes.  A truth's
-    read-only prefix sums are built once per grid, into _TRUTH_SUMS, and a
-    replicate's two calls share them until the truth is collected.
+    per call, cut[s] for a block edge after s of the n nodes.  The truth's
+    read-only prefix sums come from truth.prefix_sums(grid), which builds
+    them once per grid and keeps them on the truth, so a replicate's two
+    calls, and every replicate of one catalog graphon, share them.
     """
     _check_mse_options(grid, alignment)
     k = step.partition.k
-    key = (id(truth), grid)
-    if key not in _TRUTH_SUMS:
-        tg = truth.grid_values(grid)
-        s1 = np.zeros((grid + 1, grid + 1))
-        s1[1:, 1:] = tg.cumsum(axis=0).cumsum(axis=1)
-        s1.setflags(write=False)
-        # Column sums, then their running sum: the additions, in order, of the
-        # corner of a 2-d cumulative sum, without its two grid x grid arrays.
-        weakref.finalize(truth, _TRUTH_SUMS.pop, key, None)
-        _TRUTH_SUMS[key] = s1, float(np.cumsum((tg**2).sum(axis=0))[-1])
-        del tg  # the search needs only the prefix sums; free the grid before it
-    s1, s2_total = _TRUTH_SUMS[key]
+    s1, s2_total = truth.prefix_sums(grid)
     n = sum(step.partition.h)
     # side='right' sends a midpoint sitting exactly on a block edge to the
     # lower block, matching the step-graphon quantile convention.

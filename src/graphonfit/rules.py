@@ -31,7 +31,7 @@ _FUNCS = {
     "log": math.log,
     "log10": math.log10,
     "sqrt": math.sqrt,
-    "ceil": math.ceil,
+    "ceil": lambda x: float(math.ceil(x)),
 }
 
 
@@ -48,6 +48,9 @@ def _compile(expr: str) -> str:
             raise ConfigError(f"invalid token at {expr[pos:]!r} in rule {expr!r}")
         if m.group("op") == "^":
             out.append("**")
+        elif m.group("num") is not None and m.group("num").isdigit():
+            # as a float, so a huge power overflows instead of growing a big integer
+            out.append(m.group("num") + ".0")
         else:
             out.append(m.group(0).strip())
         pos = m.end()

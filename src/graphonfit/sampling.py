@@ -161,7 +161,10 @@ class AdjacencyMatrix:
             raise DomainError(f"edge list header needs n >= 2 nodes, got n={n}")
         if len(nums) != 2 + 2 * m:
             raise DomainError(f"expected {m} edges, found {(len(nums) - 2) // 2}")
-        a = np.zeros((n, n), dtype=np.uint8)
+        try:
+            a = np.zeros((n, n), dtype=np.uint8)
+        except (MemoryError, ValueError):  # numpy refuses before touching a page
+            raise DomainError(f"edge list header n={n} is too large for an n x n matrix") from None
         for t in range(m):
             i, j = nums[2 + 2 * t], nums[3 + 2 * t]
             if not (0 <= i < j < n):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import graphonfit.cli as cli
+import graphonfit.harness as harness
 from graphonfit import AdjacencyMatrix, Partition
 from graphonfit.cli import main
 from graphonfit.risk import kl_taylor_check
@@ -116,6 +117,22 @@ class TestFitEstimateRisk:
         assert run(["risk", "--edges", net, "--sidecar", f"{net}.json",
                     "--fit", fit, "--out", tmp_path / "r.json"]) == 2
 
+    @pytest.mark.parametrize("option", [["--grid", 32], ["--alignment", "bogus"]],
+                             ids=["grid-32", "alignment-bogus"])
+    def test_mse_options_checked_before_the_searches(self, tmp_path, monkeypatch, option):
+        net, fit = tmp_path / "net.txt", tmp_path / "fit.json"
+        run(sample_args(net, n=30, seed=5))
+        run(["fit", "--edges", net, "--k", 3, "--out", fit])
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the oracle search ran before the options were checked")
+
+        monkeypatch.setattr(harness, "oracle_mple", unreachable)
+        argv = ["risk", "--edges", net, "--sidecar", f"{net}.json", "--fit", fit,
+                "--out", tmp_path / "r.json"]
+        assert run(argv + option) == 2
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["fit", "--edges", tmp_path / "absent.txt", "--k", 2,
                     "--out", tmp_path / "f.json"]) == 2
@@ -171,6 +188,7 @@ class TestMalformedInput:
         "sweep-restarts-0": ([("cfg.json", "restarts", 0)], _sweep_argv),
         "sweep-alignment-bogus": ([("cfg.json", "alignment", "bogus")], _sweep_argv),
         "sweep-seed-negative": ([("cfg.json", "seed", -1)], _sweep_argv),
+        "sweep-k-rule-overflow": ([("cfg.json", "k_rule", "2^2^2^2^2")], _sweep_argv),
         "sweep-jobs-0": ([], lambda d: _sweep_argv(d) + ["--jobs", 0]),
         "sweep-dat-metric-unknown": ([], lambda d: _sweep_argv(d) + ["--dat-metric", "bogus"]),
         "sweep-out-dir-is-a-file": (
@@ -185,6 +203,10 @@ class TestMalformedInput:
         "risk-fit-seed-negative": ([("fit.json", "seed", -1)], _risk_argv),
         "fit-edges-negative-n": ([("bad.txt", None, "-1 0\n")], _fit_bad_argv),
         "fit-edges-duplicate": ([("bad.txt", None, "3 2\n0 1\n0 1\n")], _fit_bad_argv),
+        # numpy refuses both n x n matrices before touching a page: one is too
+        # large to allocate, the other too large to index
+        "fit-edges-n-3e9": ([("bad.txt", None, "3000000000 0\n")], _fit_bad_argv),
+        "fit-edges-n-2to32": ([("bad.txt", None, "4294967296 0\n")], _fit_bad_argv),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -217,6 +239,8 @@ class TestMalformedInput:
             assert "disagree on n" in err
         if case == "fit-edges-duplicate":
             assert "edge (0,1) is listed more than once" in err
+        if case.startswith("fit-edges-n-"):
+            assert "n=" in err and "too large" in err
         if case == "sweep-dat-metric-unknown":  # refused before the sweep runs
             assert "fitted_risk" in err and not (tmp_path / "o").exists()
 

@@ -199,6 +199,12 @@ class TestCatalog:
     def test_names(self):
         assert set(graphon_catalog()) == {"constant", "bilinear", "product", "cosine", "step"}
 
+    def test_one_instance_per_name(self):
+        catalog = graphon_catalog()
+        assert catalog is not graphon_catalog()
+        for name, f in catalog.items():
+            assert graphon_by_name(name) is f
+
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             graphon_by_name("mystery")

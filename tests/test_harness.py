@@ -4,13 +4,13 @@ import dataclasses
 import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphonfit.harness as harness
-import graphonfit.risk as risk
 from graphonfit import (
     CommunityAssignment,
     ConfigError,
@@ -267,8 +267,8 @@ class TestRunSweep:
 
 
 class TestSharedTruthSums:
-    """A replicate's identity and aligned graphon_mse calls share one set of
-    truth prefix sums, which are read-only and go with the truth."""
+    """Replicates of one truth share one set of its prefix sums per grid:
+    they are read-only and go with the truth."""
 
     def test_one_grid_per_replicate(self, monkeypatch):
         grids = []
@@ -279,19 +279,23 @@ class TestSharedTruthSums:
             return grid_values(self, m)
 
         monkeypatch.setattr(Graphon, "grid_values", counting)
-        before = set(risk._TRUTH_SUMS)
-        truth, xi = graphon_by_name("cosine"), sample_latents(40, 5)
-        p = edge_probabilities(truth, xi, 0.3)
-        fit = mple_search(sample_adjacency(p, 5), 3, restarts=1, seed=5)
-        report = harness.score_replicate(truth, xi, p, fit, 64, "block_permutation_search")
-        assert report.mse_aligned <= report.mse_identity
+        # a copy of the catalog's cosine, so no earlier call has built its sums
+        truth = dataclasses.replace(graphon_by_name("cosine"))
+        for seed in (5, 6):
+            xi = sample_latents(40, seed)
+            p = edge_probabilities(truth, xi, 0.3)
+            fit = mple_search(sample_adjacency(p, seed), 3, restarts=1, seed=seed)
+            report = harness.score_replicate(truth, xi, p, fit, 64, "block_permutation_search")
+            assert report.mse_aligned <= report.mse_identity
         assert grids == [64]
-        s1, _ = risk._TRUTH_SUMS[id(truth), 64]
+        s1, _ = truth.prefix_sums(64)
+        assert grids == [64]
         with pytest.raises(ValueError, match="read-only"):
             s1[1, 1] = 0.0
+        freed = weakref.ref(s1)
         del truth, p, s1
         gc.collect()
-        assert set(risk._TRUTH_SUMS) <= before
+        assert freed() is None
 
 
 class TestSlopeEstimate:

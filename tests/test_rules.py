@@ -53,6 +53,14 @@ class TestEvaluateRule:
         with pytest.raises(ConfigError):
             evaluate_rule("1/(n-10)", 10)  # divide by zero
 
+    @pytest.mark.parametrize("rule", ["2^2^2^2^2", "ceil(n)*ceil(n)*ceil(n)*ceil(n)"])
+    def test_overflow_is_a_config_error(self, rule):
+        # computed in floats: the power overflows, the product is infinite
+        with pytest.raises(ConfigError):
+            evaluate_rule(rule, 1e100)
+        with pytest.raises(ConfigError):
+            validate_k_rule(rule)
+
     @given(st.floats(0.1, 10), st.floats(-1, 1))
     @settings(max_examples=30, deadline=None)
     def test_power_rule_matches_math(self, c, e):
