@@ -13,31 +13,13 @@ sum_{i<j} D(p_ij || pbar) only by a z-independent constant, so a single search
 engine handles both the data fit and the oracle fit.
 
 The local search uses single-node relabels plus pairwise label swaps
-(Kernighan-Lin style), multi-restart.  Each move has one builder of the block
-rows it would change, one scorer prices a window of either move from cached
-block sums (swaps in closed form, no trial and rollback), and one writer
-applies the chosen move; each sweep takes the first improving move in scan
-order.  Every weight it sees is an integer (0/1 as intp, the oracle's
-probabilities in fixed point, see _fixed_point), so every sum is exact in
-any order, BLAS products included.  pc*log(pc) comes from one x*log(x) table
-per search, as do 0/1 weights' other two terms; fixed-point sums read theirs
-through numpy's log, about four times faster than scipy's xlogy.  numpy's
-log may differ from xlogy's in the last bit, and by CPU; no reported value
-uses it: _terms, profile_log_likelihood, oracle_divergence and the KL terms
-keep xlogy, which imports scipy.special at its first call, so importing
-this module loads no scipy.  What only a move changes is cached and
-refreshed where a move is applied: the terms' row sums, the pair-count
-pieces that depend only on the group sizes, the move mask, and each node's
-weight into each group.
-
-The starts of one search run in lockstep, their states stacked slot by slot:
-each round scores one relabel window of every start still relabelling in one
-stack and applies each start's first improving move.  Relabels draw no
-random numbers, and a swap sweep that draws its pairs (n > 80) waits until
-every earlier start has finished, so every start's moves, and the result,
-are those of running the starts one after another.  Each start's
-incremental state, caches included, is verified against a from-scratch
-recomputation once it has finished.
+(Kernighan-Lin style), multi-restart, over 0/1 weights or the oracle's
+fixed-point ones (_fixed_point).  One builder per move, one scorer and one
+writer serve both moves.  _ProfileState states its caches and why its sums
+are exact, _lockstep the window widths and rescans, and _local_searches how
+the starts run in lockstep and draw in start order.  Reported values use
+xlogy (_terms), which imports scipy.special at its first call, so importing
+this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -82,6 +64,9 @@ _SEARCH_STREAM = 3
 _TIE_TOL = 1e-10
 _SEARCH_TOL = 1e-10  # least gain a search move must make
 _MAX_SWEEPS = 200  # relabel-then-swap sweeps per local search
+# A swap sweep scans every pair up to this n and draws nothing; above it, it
+# draws 4n pairs from the search's rng.
+_ALL_PAIRS_MAX_N = 80
 _VERIFY_RTOL = 1e-8  # incremental objective against a recomputation
 # Cells per batched stack, here and in risk.graphon_mse.  A stack's arrays
 # then take about 256 KiB each, near glibc's mmap threshold: allocated afresh
@@ -241,12 +226,11 @@ def _terms(s: np.ndarray, pc: np.ndarray) -> np.ndarray:
 _TINY = np.finfo(np.float64).smallest_subnormal
 
 
-def _xlogx(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """x log x for x >= 0 by numpy's log, in place in x; buf, of x's shape,
-    takes the logs.  Exactly 0 (as -0.0) where x is 0."""
+def _xlogx(x: np.ndarray, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x log x for x >= 0 by numpy's log, written into out; buf, of x's
+    shape, takes the logs.  Exactly 0 (as -0.0) where x is 0."""
     np.maximum(x, _TINY, out=buf)
-    x *= np.log(buf, out=buf)
-    return x
+    return np.multiply(x, np.log(buf, out=buf), out=out)
 
 
 def _xlogx_table(top: int) -> np.ndarray:
@@ -369,28 +353,25 @@ def _gather(stack: np.ndarray, slots, index: np.ndarray) -> np.ndarray:
 
 
 def _fixed_point_bits(n: int) -> int:
-    """b = 52 - ceil(log2 n^2), so n^2 weights of at most 2^b sum to at most
-    2^52: 38 at n = 100, 34 at n = 400 (a step of 5.8e-11 per weight)."""
+    """b = 52 - ceil(log2 n^2): 38 at n = 100, 34 at n = 400."""
     return 52 - (n * n - 1).bit_length()
 
 
 def _fixed_point(p: np.ndarray) -> np.ndarray:
-    """rint(p * 2^b) for n x n weights p in [0, 1]: integers kept as float64,
-    whose every sum is an exact integer below 2^53."""
-    return np.rint(np.multiply(p, 2.0 ** _fixed_point_bits(p.shape[0])))
+    """n x n weights p in [0, 1] rounded to multiples of 2^-b, b =
+    _fixed_point_bits(n), a step of 5.8e-11 at n = 400: all of them sum to
+    at most 2^(52 - b), so every sum of them is exact in any order."""
+    b = _fixed_point_bits(p.shape[0])
+    return np.ldexp(np.rint(np.ldexp(p, b)), -b)
 
 
 class _Stacks:
     """The arrays of the search states of one search over the weights w,
-    stacked along a leading slot axis: each _ProfileState views one slot,
-    and every window reads them at its slots.  Block sums and neighbour
-    sums have w's dtype: intp for the 0/1 weights (binary), float64 for
-    fixed-point ones (see _fixed_point); both hold exact integers.  Pair
-    counts are intp."""
+    stacked along a leading slot axis: each _ProfileState views one slot.
+    Block and neighbour sums have w's dtype, pair counts intp."""
 
     def __init__(self, w: np.ndarray, slots: int, k: int):
         n = w.shape[0]
-        self.binary = w.dtype.kind == "i"
         self.z = np.empty((slots, n), np.int64)
         self.h = np.empty((slots, k), np.int64)
         self.e = np.empty((slots, k, k), w.dtype)
@@ -404,39 +385,30 @@ class _Stacks:
 class _ProfileState:
     """Mutable search state maximizing the block-pair term sum over labelings.
 
-    Works for any symmetric integer weight matrix with zero diagonal and
-    entries in [0, 1] in weight units: binary adjacency (intp) gives the
-    profile log-likelihood, fixed-point probabilities (float64,
-    _fixed_point) the (negated, shifted) oracle divergence objective.  An
-    x*log(x) table xlx (_xlogx_table, covering the largest group) gives pc
-    log pc by lookup, and for 0/1 weights the other two terms as well, with
-    _terms' bits.  Fixed-point sums s take those two from _xlogx at
-    s * unit, unit = 2^-b (5.8e-11 at n = 400), whose last bit may differ
-    from _terms'.
+    The weights w are symmetric, with zero diagonal and entries in [0, 1]:
+    0/1 adjacency (intp) gives the profile log-likelihood, fixed-point
+    probabilities (float64, _fixed_point) the (negated, shifted) oracle
+    divergence objective.  So every block sum, neighbour sum and pair count
+    is exact in any order of summation, BLAS products included.
 
     A move between groups a and b changes only rows and columns a and b of
     the block sums e, the pair counts and the terms t.  A builder per move
     (relabel_rows, swap_rows) stacks its candidate rows, one scorer (score)
     prices them, and one writer (write) makes the chosen candidate's rows
-    and their scored terms the state's and applies the move, so the state
-    holds the rows and terms that were scored.  Stacks go into the
-    _Workspace work, which a caller may share between states (see
+    and their scored terms the state's and applies the move.  Stacks go
+    into the _Workspace work, which a caller may share between states (see
     _BATCH_CELLS).  The state's arrays are views of its slot of a _Stacks,
-    which the states of one search share (without stacks, it has its own).
-    The builders and the scorer read the stacks at slots: an int slot (one
-    state's window, or a swap), whose rows are views, not gathers, or one
-    slot per row, which stacks the windows of several states.
+    which the states of one search share; the builders and the scorer read
+    them at an int slot (one state's window, or a swap), whose rows are
+    views, not gathers, or at one slot per row.
 
     What only a move changes is cached, and write refreshes it: the row
-    sums of t (every move); the size pieces, pair-count rows that depend
-    only on the group sizes h, and the move mask, which keeps group sizes
-    in [h_min, h_max], with pinned, whether some group sits at h_min so
-    that its nodes cannot relabel (every relabel; a swap keeps h); and each
-    node's weight into each group, nbr, by +-w[i] for every node that
-    moves.
-    Exact integer sums keep their bits however they are summed, so each
-    cache holds the bits a window would compute from the current state, and
-    scores do not depend on what is cached.
+    sums of t (every move); the size pieces and the move mask, which keeps
+    group sizes in [h_min, h_max], with pinned, whether some group sits at
+    h_min (every relabel; a swap keeps h); and each node's weight into each
+    group, nbr (every move).  The sums being exact, each cache holds the
+    bits a window would compute from the current state, so scores do not
+    depend on what is cached; verify checks each against a recomputation.
     """
 
     def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray,
@@ -449,8 +421,6 @@ class _ProfileState:
         self.work = work
         self.slot = slot
         self.stacks = _Stacks(w, 1, k) if stacks is None else stacks
-        self.binary = self.stacks.binary
-        self.unit = 1.0 if self.binary else 2.0 ** -_fixed_point_bits(self.n)
         for name in ("z", "h", "e", "nbr", "t", "row_sums", "pieces", "mask"):
             setattr(self, name, getattr(self.stacks, name)[slot])
         self.z[...] = z0
@@ -461,11 +431,10 @@ class _ProfileState:
         self._factors = np.empty((2, 4, k), np.int64)
         self._diagonals = self.pieces.reshape(4, k * k)[:3, :: k + 1]
         self._refresh_sizes()
-        # float products of integers below 2^53: exact in any order
         onehot = np.eye(k)[z0]
         self.nbr[...] = w @ onehot
-        self.e[...] = onehot.T @ self.nbr
-        self.e.reshape(-1)[:: k + 1] //= 2  # a pair within a group is counted twice
+        # a pair within a group is counted twice; halving is exact
+        self.e[...] = onehot.T @ self.nbr / (1 + np.eye(k))
         self._terms(self.e, self.pieces[0], self.t)
         self.t.sum(axis=1, out=self.row_sums)
         self.total = _total_from_terms(self.t)
@@ -479,10 +448,8 @@ class _ProfileState:
         stacks); leave[a], the pair counts of group a's row after a node
         leaves it; join[b], those of group b's row after a node joins it;
         and fix[a, b], the cross cell (b, a) of that join row when the node
-        comes from a.  All are exact integers, so every way of computing
-        them gives the same bits.  The mask is -inf where a relabel from
-        group a to b (row a, column b) stays put or breaks the bounds, else
-        0.
+        comes from a.  The mask is -inf where a relabel from group a to b
+        (row a, column b) stays put or breaks the bounds, else 0.
         """
         h, k, counts = self.h, self.k, self.pieces
         rows, cols = np.add(h, _PIECE_SHIFTS, out=self._factors)
@@ -496,26 +463,24 @@ class _ProfileState:
             self.mask.reshape(k * k)[:: k + 1] = -np.inf
 
     def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The terms of _terms for block sums s in weight units and pair
-        counts pc (intp), written into out.  pc log pc comes from the table,
-        and so do 0/1 weights' other two terms, with _terms' bits;
-        fixed-point sums take _xlogx's at s * unit (pc - s * unit is
-        exact).  Every weight lies in [0, 1] (in units), so every s a search
-        stacks lies in [0, pc] and is not clipped."""
+        """_terms of block sums s and pair counts pc (intp), written into
+        out.  pc log pc comes from the table xlx (_xlogx_table), and so do
+        the other two terms of 0/1 sums (intp), with _terms' bits.
+        Fixed-point sums take theirs from _xlogx: numpy's log, about four
+        times faster than xlogy, may differ from it in the last bit, and by
+        CPU.  Every s a search stacks lies in [0, pc], so none is clipped."""
         tmp = self.work("tmp", s.shape)
         xlx = self.xlx
-        if self.binary:
+        if s.dtype.kind == "i":
             # mode="clip" writes into out directly (the default mode buffers
             # it); every index is in range, so the values are the same.
             t = xlx.take(s, out=out, mode="clip")
             d = np.subtract(pc, s, out=self.work("gaps", s.shape, np.intp))
             t += xlx.take(d, out=tmp, mode="clip")
         else:
-            x = np.multiply(s, self.unit, out=out)
-            d = np.subtract(pc, x, out=tmp)
             logs = self.work("logs", s.shape)
-            t = _xlogx(x, logs)
-            t += _xlogx(d, logs)
+            t = _xlogx(s, logs, out)
+            t += _xlogx(np.subtract(pc, s, out=tmp), logs, tmp)
         t -= xlx.take(pc, out=tmp, mode="clip")
         return t
 
@@ -665,7 +630,10 @@ def _lockstep(searches: list, cap: int, take_first, width: int = 1) -> list:
     exactly the moves of a one-at-a-time scan.  A scan's window doubles
     after a window with no taker and halves after a taker; a search's first
     scan opens at the given width and each later one at the width its
-    previous scan ended with.  Returns what each search returns.
+    previous scan ended with.  A window scores every candidate past its
+    taker, so scans that take moves often open at width 1, and scans that
+    seldom take one (swap sweeps) at the cap, which scores the same moves
+    in fewer rounds.  Returns what each search returns.
 
     A search sent True yields, as its next scan, a rescan of the same moves
     and changes nothing between: its state is the one the last scan's last
@@ -729,14 +697,6 @@ def _first_improvement(count: int, cap: int, take_first, width: int = 1,
     _lockstep, opening at the given width.  take_first(lo, hi) scores moves
     lo..hi-1 against the current state, applies the first improving one and
     returns its index, or returns -1.  Returns whether any move was taken.
-
-    A search's starts run their relabel scans together through _lockstep
-    (see _local_searches).  Each start's swap sweeps run one scan at a time
-    through this form, opening at their cap: a sweep seldom takes a swap,
-    so a window ramp from one pair would score the same pairs in more
-    rounds.  graphon_mse's descents repeat here, opening at width 1: they
-    take moves often enough that a window opened at the cap scores many
-    candidates past its taker.  Rescans keep _lockstep's widths and stops.
     """
 
     def scans():
@@ -754,21 +714,17 @@ def _first_improvement(count: int, cap: int, take_first, width: int = 1,
 
 def _search(state: _ProfileState, rng: np.random.Generator):
     """One start's greedy ascent with relabel and swap moves, as a _lockstep
-    search: it yields its relabel scans and runs its swap sweeps itself, and
-    returns its accepted swap count.
-
-    A relabel scan that took a move is followed at once by a rescan of the
-    same state, which stops early by _lockstep's rescan rule; the moves, and
-    the scans counted against _MAX_SWEEPS, are those of full rescans.  A
-    swap sweep runs only after a relabel scan that took nothing, and opens
-    at its full window cap (see _first_improvement)."""
+    search: it yields its relabel scans, runs each swap sweep itself as one
+    scan, and returns its accepted swap count.  Relabel moves are cheap, so
+    they run to a fixed point; a swap sweep, the escape from size-constrained
+    configurations, runs only once a relabel scan takes nothing."""
     n, k = state.n, state.k
     # Window cap from the cells one candidate stacks: a swap's two rows of k.
     swap_cap = max(1, _BATCH_CELLS // (2 * k))
     swaps = 0
 
     def swap_sweep() -> bool:
-        if n <= 80:
+        if n <= _ALL_PAIRS_MAX_N:
             pairs = np.column_stack(np.triu_indices(n, k=1))
         else:
             pairs = rng.integers(0, n, size=(4 * n, 2))
@@ -793,13 +749,10 @@ def _search(state: _ProfileState, rng: np.random.Generator):
 
         return _first_improvement(len(pairs), swap_cap, take_swap, width=swap_cap)
 
-    # Relabel moves are cheap, so iterate them to a fixed point; swap sweeps
-    # are the escape hatch for size-constrained configurations and only run
-    # once relabeling is stuck.
     for _ in range(_MAX_SWEEPS):
         if (yield n):
             continue
-        if n > 80:
+        if n > _ALL_PAIRS_MAX_N:
             yield None  # its pair draws follow every earlier start's
         if not swap_sweep():
             break
@@ -818,10 +771,10 @@ def _local_searches(states: list, rng: np.random.Generator) -> list:
 
     Each round scores one relabel window of every start still relabelling in
     one stack (cap cells in all) and applies each window's first improving
-    move.  The starts' moves, swap draws and results are those of searching
-    them one after another with one rng: a start's relabels never draw, and
-    a swap sweep that draws (n > 80) waits until every earlier start has
-    finished.
+    move.  A start's relabels never draw random numbers, and a swap sweep
+    that draws its pairs (n > _ALL_PAIRS_MAX_N) waits until every earlier
+    start has finished, so every start's moves, swap draws and result are
+    those of searching the starts one after another with one rng.
     """
     state = states[0]  # any state: all read the shared stacks
     n, k, stacks = state.n, state.k, state.stacks
@@ -878,15 +831,9 @@ def _maximize_profile(
     extra_inits: list | None = None,
 ):
     """Multi-restart local search over 0/1 or fixed-point weights (see
-    _ProfileState); returns (z0, total, swaps, ties, searches run).
-
-    The starts run in lockstep (_local_searches): a round scores one relabel
-    window of each, and a swap sweep that draws its pairs from rng (n > 80)
-    waits until every earlier start has finished, so the draws come in start
-    order.  Each start is verified once all have finished, and the best is
-    picked in start order, so the result is, to the last bit, that of
-    searching the starts one after another.
-    """
+    _ProfileState); returns (z0, total, swaps, ties, searches run).  The
+    starts run in lockstep (_local_searches); each is verified once all have
+    finished, and the best is picked in start order."""
     n = w.shape[0]
     _check_constraints(n, k, h_min, h_max)
     _check_restarts(restarts)
@@ -1183,9 +1130,9 @@ def oracle_mple(
 ) -> OracleFit:
     """Assignment minimizing the divergence of p from its block averages.
 
-    Uses the same search engine as mple_search with the fixed-point
-    probabilities (_fixed_point) as weights; the two objectives differ by a
-    z-independent constant.  The divergence reported is that of p itself.
+    Uses mple_search's engine with the fixed-point probabilities
+    (_fixed_point) as weights; the two objectives differ by a z-independent
+    constant.  The divergence reported is that of p itself.
     """
     h_max = p.n if h_max is None else h_max
     z0, _, _, ties, restarts_used = _maximize_profile(

@@ -189,12 +189,12 @@ def _mse_for_orders(
 
     An order's k x k cell sums come from s1, the zero-padded 2-d prefix sum
     of the truth grid, as (k+1)^2 corners at its block edges' cuts (see
-    graphon_mse) and three difference passes, or, given the call's table
-    (see _interval_table), as one gather from it.
-    Both paths take each cell sum from the same s1 values with the association
-    ((a - b) - c) + d, so they give the same bits.  Each order's products
-    are summed along a contiguous last axis, so a value has the same bits
-    alone or in any stack.
+    graphon_mse) and three difference passes, or as one gather from the
+    call's _interval_table, which exists when the input's intervals fit its
+    budget.  Both paths take each cell sum from the same s1 values with the
+    association ((a - b) - c) + d, so they give the same bits.  Each order's
+    products are summed along a contiguous last axis, so a value has the
+    same bits alone or in any stack.
 
     Its stack-sized arrays go into work, which the caller keeps for all its
     stacks, not fresh arrays (see blockmodel._BATCH_CELLS).
@@ -387,19 +387,12 @@ def graphon_mse(
     descent from the identity and degree-sorted orders.  A descent scans the
     pairs a < b row-major with blockmodel._first_improvement, takes the first
     swap that lowers the MSE by more than 1e-15, and rescans until a scan
-    takes none.  Its first window is one pair wide; rescans keep the widths
-    and stop by the rules of blockmodel._lockstep.  Every value returned
-    or compared comes from one kernel, _mse_for_orders, in stacks of at most
-    _BATCH_CELLS cells, all written into one workspace per call.  The
-    descent's stacks gather their cell sums from one _interval_table per
-    call when its m^2 cells fit _TABLE_CELLS, as at n 100 on grid 64, and
-    otherwise from prefix-sum corners, as for dense fits on grid 256.  The
-    input alone picks the path, and both give the same bits.  The table, the
-    corners and the k <= 8 screen all cut the grid's midpoints at one array
-    per call, cut[s] for a block edge after s of the n nodes.  The truth's
-    read-only prefix sums come from truth.prefix_sums(grid), which builds
-    them once per grid and keeps them on the truth, so a replicate's two
-    calls, and every replicate of one catalog graphon, share them.
+    takes none.  Every value returned or compared comes from one kernel,
+    _mse_for_orders, in stacks of at most _BATCH_CELLS cells, all written
+    into one workspace per call.  Its two cell-sum paths, the descent's
+    interval table and the k <= 8 screen all cut the grid's midpoints at one
+    array per call, cut[s] for a block edge after s of the n nodes.  The
+    truth's prefix sums come from truth.prefix_sums(grid).
     """
     _check_mse_options(grid, alignment)
     k = step.partition.k

@@ -41,6 +41,7 @@ def _check_seed(seed: int) -> None:
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic Philox generator for (seed, stream)."""
+    _check_seed(seed)
     ss = np.random.SeedSequence([int(seed), int(stream)])
     return np.random.Generator(np.random.Philox(ss))
 
@@ -190,8 +191,8 @@ def sample_latents(n: int, seed: int) -> LatentSample:
 
 def edge_probabilities(f: Graphon, xi: LatentSample, rho_n: float) -> EdgeProbabilityMatrix:
     """p_ij = rho_n * f(xi_i, xi_j) for i != j, zero diagonal."""
-    if rho_n <= 0.0:
-        raise DomainError(f"rho_n={rho_n} must be positive")
+    if not (np.isfinite(rho_n) and rho_n > 0.0):
+        raise DomainError(f"rho_n={rho_n} must be a finite positive number")
     if rho_n * f.upper_bound >= 1.0:
         raise ModelError(
             f"rho_n * sup f = {rho_n * f.upper_bound:.6g} >= 1; "

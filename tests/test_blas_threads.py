@@ -17,7 +17,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -215,16 +215,15 @@ class TestProfileLikelihood:
 _TINY = np.finfo(np.float64).smallest_subnormal
 
 
-def reference_terms(s, pc, unit):
-    """The terms a search state computes from block sums s in weight units:
-    _terms' xlogy for 0/1 weights (unit None) and, for fixed-point sums,
-    _xlogx's formula x log(max(x, smallest subnormal)) at x = s * unit, in
-    its order of operations, so that == holds on any CPU."""
-    if unit is None:
+def reference_terms(s, pc):
+    """The terms a search state computes from block sums s: _terms' xlogy
+    for 0/1 (integer) sums and, for fixed-point (float) sums, _xlogx's
+    formula x log(max(x, smallest subnormal)), in its order of operations,
+    so that == holds on any CPU."""
+    if s.dtype.kind == "i":
         return _terms(s, pc)
-    x = s * unit
-    d = pc - x
-    return x * np.log(np.maximum(x, _TINY)) + d * np.log(np.maximum(d, _TINY)) - xlogy(pc, pc)
+    d = pc - s
+    return s * np.log(np.maximum(s, _TINY)) + d * np.log(np.maximum(d, _TINY)) - xlogy(pc, pc)
 
 
 class _ScalarProfileState(_ProfileState):
@@ -243,10 +242,10 @@ class _ScalarProfileState(_ProfileState):
         super().__init__(w, z0, k, _xlx_for(w.shape[0]), _Workspace(), 1, w.shape[0])
 
     def terms(self, s, pc):
-        return reference_terms(s, pc, None if self.binary else self.unit)
+        return reference_terms(s, pc)
 
     def neighbor_weights(self, i):
-        # exact: integer weights, summed below 2^53
+        # exact: 0/1 or fixed-point weights (see _fixed_point)
         return np.bincount(self.z, weights=self.w[i], minlength=self.k).astype(self.w.dtype)
 
     def relabel_delta(self, i, b, cnt):
@@ -473,7 +472,7 @@ class TestIncrementalEngine:
             assert swapped > 20
             state.verify()
             fresh = new_state(fixed, state.z, k)  # the fixed-point path
-            assert np.allclose(state.e * state.unit, fresh.e * fresh.unit, atol=1e-9)
+            assert np.allclose(state.e, fresh.e, atol=1e-9)
             assert np.allclose(state.t, fresh.t, atol=1e-9)
             assert state.total == pytest.approx(fresh.total, abs=1e-8)
 
@@ -535,7 +534,7 @@ class TestIncrementalEngine:
             s[0, b], pc[0, b] = s[1, a], pc[1, a]
             g = [a, b]
             assert np.array_equal(state.e[g], s) and np.array_equal(state.e[:, g], s.T)
-            terms = reference_terms(s, pc, None if binary else state.unit)
+            terms = reference_terms(s, pc)
             assert np.array_equal(state.t[g], terms) and np.array_equal(state.t[:, g], terms.T)
             assert state.total == before + delta
             state.verify()
@@ -577,12 +576,12 @@ class TestIncrementalEngine:
         s, pc = state.relabel_rows(state.z[nodes], cnt, state.slot)
         got = state._terms(s, pc, np.empty_like(s))
         assert np.all(np.isfinite(got[nodes, 1 + state.z]))
-        assert np.allclose(got, _terms(s * state.unit, pc), rtol=1e-12, atol=0.0)
+        assert np.allclose(got, _terms(s, pc), rtol=1e-12, atol=0.0)
         iu, ju = np.triu_indices(n, k=1)
         live = state.z[iu] != state.z[ju]
         s, pc = state.swap_rows(iu[live], ju[live])
         got = state._terms(s, pc, np.empty_like(s))
-        assert np.allclose(got, _terms(s * state.unit, pc), rtol=1e-12, atol=0.0)
+        assert np.allclose(got, _terms(s, pc), rtol=1e-12, atol=0.0)
 
     def test_real_window_terms_vanish_where_saturated(self):
         # s log s is exactly 0 at s = 0, and (pc - s) log(pc - s) at s = pc;
@@ -596,11 +595,12 @@ class TestIncrementalEngine:
         s, pc = state.relabel_rows(state.z[nodes], cnt, state.slot)
         pick = np.random.default_rng(30).integers(0, 3, size=s.shape)
         s[pick == 0] = 0.0
-        s[pick == 1] = pc[pick == 1] / state.unit  # pc in weight units
+        s[pick == 1] = pc[pick == 1]
         got = state._terms(s, pc, np.empty_like(s))
         assert np.all(got[pick < 2] == 0.0)
         x = np.array([0.0, 0.5, 3.0])
-        assert np.array_equal(_xlogx(x.copy(), np.empty(3)), [0.0, 0.5 * np.log(0.5), 3.0 * np.log(3.0)])
+        got = _xlogx(x, np.empty(3), np.empty(3))
+        assert np.array_equal(got, [0.0, 0.5 * np.log(0.5), 3.0 * np.log(3.0)])
 
     def test_batched_relabel_deltas_equal_one_node_deltas(self):
         # bitwise, so argmax ties resolve as they do one node at a time
@@ -615,8 +615,8 @@ class TestIncrementalEngine:
                 assert np.array_equal(deltas[i], d1)
 
     def test_verify_checks_every_cache(self):
-        # one cell of each cache, or the total, off by one (one weight unit),
-        # for either kind of weight
+        # one cell of each cache, or the total, off by one, for either kind
+        # of weight
         for binary in (True, False):
             w, z0 = _search_instance(20, 3, binary, seed=22)
             for cache, cell, named in (
@@ -1003,11 +1003,11 @@ class TestFrozenRows:
 
 class TestUnclippedTerms:
     """_ProfileState._terms does not clip its block sums: every sum a search
-    starts from or stacks, and so every sum it writes, lies in [0, pc] in
-    weight units, for 0/1 and for fixed-point weights.  Checked over the
-    searches of each kind of the scalar-reference, lockstep and frozen-row
-    cases: relabel and swap windows, one start and several, groups pinned at
-    h_min, and h_min == h_max."""
+    starts from or stacks, and so every sum it writes, lies in [0, pc], for
+    0/1 and for fixed-point weights.  Checked over the searches of each kind
+    of the scalar-reference, lockstep and frozen-row cases: relabel and swap
+    windows, one start and several, groups pinned at h_min, and h_min ==
+    h_max."""
 
     @staticmethod
     def check(monkeypatch, binary):
@@ -1015,9 +1015,9 @@ class TestUnclippedTerms:
         cells, stacked = [0], set()
 
         def checked(self, s, pc, out):
-            if self.binary == binary:
+            if (self.w.dtype.kind == "i") == binary:
                 assert s.dtype == (np.intp if binary else np.float64) and pc.dtype == np.intp
-                assert np.all((0 <= s) & (s <= pc / self.unit))
+                assert np.all((0 <= s) & (s <= pc))
                 cells[0] += s.size
                 if s.ndim == 3:  # a window: k + 1 rows per relabel, 2 per swap
                     stacked.add("relabel" if s.shape[1] == self.k + 1 else "swap")
@@ -1042,21 +1042,29 @@ class TestUnclippedTerms:
 
 
 class TestFixedPoint:
-    """oracle_mple searches the weights rint(p * 2^b), b = _fixed_point_bits(n):
-    their sums, block sums and neighbour sums included, stay below 2^52, so
-    every one is an exact float64 integer."""
+    """oracle_mple searches the weights rint(p * 2^b) * 2^-b, b =
+    _fixed_point_bits(n): multiples of 2^-b whose sums, block sums and
+    neighbour sums included, stay below 2^(52 - b), so every one is exact."""
 
     def test_total_weight_stays_below_2_to_52(self):
         # every n the tests and sweeps use (up to 400), at the largest
-        # probability below 1, which rounds to 2^b
+        # probability below 1, which rounds to 1
         top = np.nextafter(1.0, 0.0)
         for n in range(2, 401):
             b = _fixed_point_bits(n)
             w = _fixed_point(np.full((n, n), top) - top * np.eye(n))
-            assert w.max() == 2.0**b and np.array_equal(w, np.rint(w))
-            assert (n * n - n) * 2**b == int(w.sum()) < 2**52
-            assert n * n * 2 ** (b + 1) > 2**52  # and b is the largest such
+            units = np.ldexp(w, b)
+            assert w.max() == 1.0 and np.array_equal(units, np.rint(units))
+            assert n * n - n == w.sum() < 2.0 ** (52 - b)
+            assert n * n > 2.0 ** (52 - (b + 1))  # and b is the largest such
         assert (_fixed_point_bits(100), _fixed_point_bits(400)) == (38, 34)
+
+    def test_idempotent(self):
+        # weights already in fixed point come back bit for bit
+        for n in (7, 100, 400):
+            p = np.random.default_rng(n).random((n, n))
+            once = _fixed_point(p)
+            assert np.array_equal(_fixed_point(once).view(np.int64), once.view(np.int64))
 
 
 class TestMpleSearch:

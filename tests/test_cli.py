@@ -196,6 +196,8 @@ class TestMalformedInput:
         ),
         "sample-out-missing-dir": ([], lambda d: sample_args(d / "missing" / "x.txt")),
         "sample-seed-negative": ([], lambda d: sample_args(d / "neg.txt", seed=-1)),
+        "sample-rho-nan": ([], lambda d: sample_args(d / "nan.txt", rho="nan")),
+        "sample-rho-inf": ([], lambda d: sample_args(d / "inf.txt", rho="inf")),
         "fit-seed-negative": (
             [], lambda d: ["fit", "--edges", d / "net.txt", "--k", 3, "--seed", -1,
                            "--out", d / "neg.json"],
@@ -235,6 +237,8 @@ class TestMalformedInput:
         assert err.startswith("error: ")
         if case == "risk-fit-predates-bounds":
             assert "re-run fit" in err
+        if case.startswith("sample-rho"):
+            assert "rho_n" in err
         if case == "risk-sidecar-xi-short":  # normalized_kl_risk's DomainError
             assert "disagree on n" in err
         if case == "fit-edges-duplicate":

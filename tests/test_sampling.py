@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphonfit import (
     AdjacencyMatrix,
+    ConfigError,
     DomainError,
     EdgeProbabilityMatrix,
     LatentSample,
@@ -14,6 +15,8 @@ from graphonfit import (
     edge_density,
     edge_probabilities,
     graphon_by_name,
+    mple_search,
+    oracle_mple,
     sample_adjacency,
     sample_latents,
 )
@@ -91,9 +94,12 @@ class TestEdgeProbabilities:
             edge_probabilities(graphon_by_name("cosine"), xi, 0.7)
 
     def test_nonpositive_rho(self):
+        # nan passed a rho_n <= 0 check and made every p nan; inf read as a
+        # model violation
         xi = sample_latents(4, seed=2)
-        with pytest.raises(DomainError):
-            edge_probabilities(graphon_by_name("constant"), xi, 0.0)
+        for rho in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="rho_n=.* finite positive"):
+                edge_probabilities(graphon_by_name("constant"), xi, rho)
 
     def test_matrix_validation(self):
         with pytest.raises(ModelError):
@@ -214,3 +220,19 @@ class TestDensityMoments:
             s2.append(a[20:30, 20:30].sum())
         r = np.corrcoef(s1, s2)[0, 1]
         assert abs(r) < 4.0 / math.sqrt(reps)
+
+
+@pytest.mark.parametrize("entry", ["sample_latents", "sample_adjacency", "mple_search",
+                                   "oracle_mple"])
+def test_negative_seed_raises_config_error(entry):
+    # each entry point that draws refuses the seed as the CLI and sweep
+    # configs do, not with numpy's ValueError
+    p = edge_probabilities(graphon_by_name("cosine"), sample_latents(8, seed=1), 0.3)
+    call = {
+        "sample_latents": lambda: sample_latents(8, -1),
+        "sample_adjacency": lambda: sample_adjacency(p, -1),
+        "mple_search": lambda: mple_search(sample_adjacency(p, 1), 2, seed=-1),
+        "oracle_mple": lambda: oracle_mple(p, 2, seed=-1),
+    }[entry]
+    with pytest.raises(ConfigError, match="seed=-1 must be >= 0"):
+        call()
