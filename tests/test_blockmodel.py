@@ -615,10 +615,12 @@ class TestIncrementalEngine:
                 assert np.array_equal(deltas[i], d1)
 
     def test_verify_checks_every_cache(self):
-        # one cell of each cache, or the total, off by one, for either kind
-        # of weight
+        # one cell of each cache, or the total, off by one; block sums and
+        # neighbour counts off by one weight unit (1 for 0/1 weights, 2^-b
+        # for fixed-point ones), the least an exact sum can drift
         for binary in (True, False):
             w, z0 = _search_instance(20, 3, binary, seed=22)
+            unit = 1 if binary else 2.0 ** -_fixed_point_bits(20)
             for cache, cell, named in (
                 ("total", None, "objective"), ("t", (0, 1), "block terms"),
                 ("h", 0, "group sizes"), ("e", (0, 1), "block sums"),
@@ -630,7 +632,11 @@ class TestIncrementalEngine:
                 if cell is None:
                     state.total += 1.0
                 else:
-                    getattr(state, cache)[cell] += 1
+                    step = unit if cache in ("e", "nbr") else 1
+                    cached = getattr(state, cache)
+                    before = cached[cell]
+                    cached[cell] += step
+                    assert cached[cell] != before
                 with pytest.raises(InternalError, match=f"incremental {named}.* drifted"):
                     state.verify()
 
@@ -656,8 +662,9 @@ class TestIncrementalEngine:
         fit = mple_search(a, 2, restarts=4, seed=3)
         assert fit.restarts_used == 4 and len(made) == 1
 
-    # (n, k, h_min, h_max): n <= 80 scans all pairs, n > 80 draws 4n pairs
-    # per swap sweep; h_min == h_max leaves swaps as the only moves.
+    # (n, k, h_min, h_max): n <= _ALL_PAIRS_MAX_N scans all pairs, a larger n
+    # draws 4n pairs per swap sweep; h_min == h_max leaves swaps as the only
+    # moves.
     CASES = [
         (12, 2, 6, 6), (12, 3, 2, 12), (40, 4, 10, 10), (40, 8, 2, 40),
         (80, 2, 2, 80), (80, 10, 7, 9), (81, 40, 2, 3), (81, 9, 9, 9),
@@ -679,6 +686,8 @@ class TestIncrementalEngine:
             assert state.total == pytest.approx(ref.total, rel=1e-9)
             swaps_seen += swaps
         assert swaps_seen > 0
+        # both pair rules are covered
+        assert {n <= blockmodel._ALL_PAIRS_MAX_N for n, *_ in self.CASES} == {True, False}
 
 
 class TestWindowBuffers:
@@ -751,8 +760,8 @@ class TestLockstep:
     each per round; its result, and every start's, equal those of searching
     each start alone, in start order, with one rng."""
 
-    # (n, k, h_min, h_max, binary, seed, restarts, extra start): n > 80 draws
-    # its swap pairs, n <= 80 scans all pairs
+    # (n, k, h_min, h_max, binary, seed, restarts, extra start): n >
+    # _ALL_PAIRS_MAX_N draws its swap pairs, a smaller n scans all pairs
     CASES = [
         (150, 12, 12, 13, True, 4, 3, False), (150, 12, 12, 13, False, 5, 2, True),
         (100, 10, 2, 100, True, 8, 4, False), (60, 6, 10, 10, True, 6, 3, False),
@@ -803,11 +812,12 @@ class TestLockstep:
             assert None not in finished  # every start ran in the lockstep
             apart = max(apart, max(finished) - min(finished))
             n, binary = case[0], case[4]
-            if n > 80 and sum(swaps for _, _, swaps in starts[:-1]) > 0:
+            if n > blockmodel._ALL_PAIRS_MAX_N and sum(swaps for _, _, swaps in starts[:-1]) > 0:
                 drawn_swaps.add(binary)  # an earlier start took swaps of drawn pairs
-        # both kinds of weight and both pair rules are covered (n <= 80 scans
-        # all pairs, n > 80 draws them), and some starts finished far apart
-        assert {(n > 80, binary) for n, _, _, _, binary, *_ in self.CASES} == {
+        # both kinds of weight and both pair rules are covered, and some
+        # starts finished far apart
+        drawn = blockmodel._ALL_PAIRS_MAX_N
+        assert {(n > drawn, binary) for n, _, _, _, binary, *_ in self.CASES} == {
             (True, True), (True, False), (False, True), (False, False)}
         assert drawn_swaps == {True, False}
         assert apart > 100
@@ -923,8 +933,9 @@ class TestLockstep:
 
     @pytest.mark.parametrize("n, k, binary", [(60, 12, False), (70, 30, True)])
     def test_swap_sweeps_open_at_their_cap(self, monkeypatch, n, k, binary):
-        # a seeded search with all-pair sweeps (n <= 80) ends with a sweep that
-        # takes nothing; it scores one window per cap-full of pairs
+        # a seeded search with all-pair sweeps (n <= _ALL_PAIRS_MAX_N) ends
+        # with a sweep that takes nothing; it scores one window per cap-full
+        # of pairs
         first_improvement, sweeps = blockmodel._first_improvement, []
 
         def recorded(count, cap, take_first, *args, **kwargs):
@@ -1149,9 +1160,9 @@ class TestMpleSearch:
 
 
     def test_small_k_timing_gate(self):
-        # The small-k benchmark cell (n=64 <= 80, so swap sweeps scan all
-        # pairs). Scoring moves one at a time with trial-and-rollback swaps
-        # took about 1.9 s.
+        # The small-k benchmark cell (n=64 <= _ALL_PAIRS_MAX_N, so swap sweeps
+        # scan all pairs). Scoring moves one at a time with trial-and-rollback
+        # swaps took about 1.9 s.
         xi = sample_latents(64, seed=1)
         p = edge_probabilities(graphon_by_name("cosine"), xi, 0.3)
         a = sample_adjacency(p, seed=1)
