@@ -1022,6 +1022,10 @@ class FitResult:
         # dtype kind "i" rules out an empty list and labels past int64
         if z.dtype.kind != "i" or len(averages) != k or any(len(r) != k for r in averages):
             raise ConfigError(f"fit needs integer labels and {k}x{k} block averages")
+        for key in ("block_averages", "rho_hat"):
+            values = np.asarray(obj[key], dtype=np.float64)
+            if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails both
+                raise ConfigError(f"fit key {key!r} must hold finite values in [0, 1]")
         _check_seed(obj["seed"])
         assignment = CommunityAssignment(z=z, k=k)
         pc = _pair_counts(assignment.group_sizes())

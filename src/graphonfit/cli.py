@@ -1,7 +1,8 @@
 """Command-line front end: sample / fit / estimate / risk / sweep / selftest.
 
-Exit codes: 0 success, 2 validation error, 3 runtime model error,
-4 internal invariant failure.  All randomness flows through --seed flags.
+Exit codes: 0 success, else the exit_code of the error raised (see errors.py):
+2 validation error, 3 runtime model error, 4 internal invariant failure.  All
+randomness flows through --seed flags.
 """
 
 from __future__ import annotations
@@ -22,15 +23,7 @@ from .blockmodel import (
     per_edge_log_likelihood,
     profile_log_likelihood,
 )
-from .errors import (
-    BudgetError,
-    ConfigError,
-    DomainError,
-    GraphonFitError,
-    InternalError,
-    ModelError,
-    parse_json_object,
-)
+from .errors import ConfigError, GraphonFitError, InternalError, parse_json_object
 from .graphons import graphon_by_name, random_partition
 from .harness import _SUMMARY_METRICS, ExperimentConfig, run_sweep, score_replicate
 from .risk import _check_mse_options, build_estimator, kl_taylor_check
@@ -43,11 +36,6 @@ from .sampling import (
     sample_adjacency,
     sample_latents,
 )
-
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_MODEL = 3
-EXIT_INTERNAL = 4
 
 
 def _os_call(verb: str, path, call):
@@ -66,7 +54,7 @@ def _write(path, text: str) -> None:
     _os_call("write", path, lambda: Path(path).write_text(text))
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> None:
     _check_seed(args.seed)
     f = graphon_by_name(args.graphon)
     xi = sample_latents(args.n, args.seed)
@@ -84,10 +72,9 @@ def cmd_sample(args) -> int:
         sidecar["xi"] = xi.xi.tolist()
     _write(args.out + ".json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     print(f"wrote {args.out}: n={args.n} m={a.edge_count} density={edge_density(a):.6g}")
-    return EXIT_OK
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     _check_seed(args.seed)
     a = AdjacencyMatrix.from_edge_list(_read(args.edges))
     if args.exhaustive:
@@ -102,27 +89,26 @@ def cmd_fit(args) -> int:
         f"loglik={fit.profile_loglik:.12g} "
         f"saturated_fraction={fit.stats.saturated_pair_fraction():.6g}"
     )
-    return EXIT_OK
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> None:
     fit = FitResult.from_json(_read(args.fit))
     est = build_estimator(fit)
     out = json.loads(est.to_json())
     out["rho_hat"] = fit.rho_hat
     _write(args.out, json.dumps(out, sort_keys=True) + "\n")
     print(f"wrote {args.out}: k={est.partition.k} rho_hat={fit.rho_hat:.6g}")
-    return EXIT_OK
 
 
 # Sidecar keys risk reads, with their JSON types (see errors.parse_json_object).
 _SIDECAR_SCHEMA = dict(graphon=str, rho=float, seed=int, xi=[float])
 
 
-def cmd_risk(args) -> int:
+def cmd_risk(args) -> None:
     _check_mse_options(args.grid, args.alignment)  # before the searches, as for a sweep
     sidecar = parse_json_object(_read(args.sidecar), args.sidecar, _SIDECAR_SCHEMA,
                                 hints={"xi": "re-run sample with --emit-latents"})
+    _check_seed(sidecar["seed"])
     a = AdjacencyMatrix.from_edge_list(_read(args.edges))
     fit = FitResult.from_json(_read(args.fit))
     if not np.array_equal(block_stats(a, fit.assignment).edge_sums, fit.stats.edge_sums):
@@ -136,10 +122,9 @@ def cmd_risk(args) -> int:
         f"fitted_risk={report.fitted_risk:.6g} oracle_risk={report.oracle_risk:.6g} "
         f"excess_risk={report.excess_risk:.6g}"
     )
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     cfg = ExperimentConfig.from_json(_read(args.config))
     if args.dat_metric is not None and args.dat_metric not in _SUMMARY_METRICS:
         raise ConfigError(f"--dat-metric {args.dat_metric!r} is not one of "
@@ -153,7 +138,6 @@ def cmd_sweep(args) -> int:
         _write(out / f"{args.dat_metric}.dat", result.to_dat(args.dat_metric))
     failures = sum(1 for r in result.rows if r.status != "ok")
     print(f"wrote {out}/results.csv: {len(result.rows)} rows, {failures} failures")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +202,7 @@ def _check_likelihood_identity(seed: int) -> bool:
     return True
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> None:
     _check_seed(args.seed)
     checks = [
         ("bernoulli-kl-taylor-grid", _check_kl_taylor),
@@ -234,10 +218,8 @@ def cmd_selftest(args) -> int:
         if not ok:
             failed.append(name)
     if failed:
-        print(f"selftest failed: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise InternalError(f"selftest failed: {', '.join(failed)}")
     print("selftest passed")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (DomainError, ConfigError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ModelError, BudgetError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MODEL
-    except InternalError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except GraphonFitError as e:  # pragma: no cover - safety net
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MODEL
+        args.func(args)
+    except GraphonFitError as e:
+        kind = "internal error" if isinstance(e, InternalError) else "error"
+        print(f"{kind}: {e}", file=sys.stderr)
+        return e.exit_code
+    return 0
 
 
 if __name__ == "__main__":

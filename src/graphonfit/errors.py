@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, and the JSON reader that
-turns malformed input into a ConfigError."""
+turns malformed input into a ConfigError.  Each error class carries the exit
+status the command line reports for it."""
 
 import json
 
@@ -7,9 +8,13 @@ import json
 class GraphonFitError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 3
+
 
 class DomainError(GraphonFitError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+    exit_code = 2
 
 
 class ModelError(GraphonFitError):
@@ -23,6 +28,8 @@ class SaturatedBlockError(ModelError):
 class ConfigError(GraphonFitError):
     """An infeasible or invalid configuration (constraints, rules, files)."""
 
+    exit_code = 2
+
 
 class BudgetError(GraphonFitError):
     """A combinatorial enumeration would exceed its enforced budget."""
@@ -30,6 +37,8 @@ class BudgetError(GraphonFitError):
 
 class InternalError(GraphonFitError):
     """An internal consistency invariant failed; indicates a bug."""
+
+    exit_code = 4
 
 
 def _matches(value, kind) -> bool:

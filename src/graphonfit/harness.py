@@ -3,7 +3,8 @@
 Each replicate samples a network from the scaled graphon model, fits the
 constrained profile-likelihood blockmodel, builds the rescaled step-graphon
 estimate, and records a risk report row.  Failure rows (e.g. fully saturated
-fits in very sparse cells) are kept with a status column rather than dropped.
+fits in very sparse cells) are kept with a status column rather than dropped;
+an InternalError, which means a bug, stops the sweep instead.
 All randomness derives from the config seed through per-replicate
 SeedSequence children, so output files are byte-identical across reruns.
 """
@@ -24,7 +25,7 @@ from .blockmodel import (
     mple_search,
     oracle_mple,
 )
-from .errors import ConfigError, GraphonFitError, parse_json_object
+from .errors import ConfigError, GraphonFitError, InternalError, parse_json_object
 from .graphons import Partition, balanced_partition, graphon_by_name
 from .risk import (
     CSV_COLUMNS,
@@ -193,7 +194,8 @@ def score_replicate(truth, xi, p, fit, grid, alignment) -> RiskReport:
 
 
 def run_replicate(cfg: ExperimentConfig, n: int, rep: int) -> RiskReport:
-    """Sample, fit, and score one replicate; failures become status rows."""
+    """Sample, fit, and score one replicate; failures other than an
+    InternalError become status rows."""
     k, rho, h_max = cfg.instantiate(n)
     seed = _replicate_seed(cfg.seed, n, rep)
     t0 = time.perf_counter()
@@ -206,6 +208,8 @@ def run_replicate(cfg: ExperimentConfig, n: int, rep: int) -> RiskReport:
                           restarts=cfg.restarts, seed=seed)
         report = score_replicate(truth, xi, p, fit, cfg.grid, cfg.alignment)
         return replace(report, runtime_ms=(time.perf_counter() - t0) * 1000.0)
+    except InternalError:
+        raise
     except GraphonFitError as e:
         return _nan_report(n, k, rho, seed, status=type(e).__name__)
 

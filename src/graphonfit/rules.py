@@ -99,19 +99,20 @@ def classify_rho_rule(expr: str) -> str:
     """Map a sparsity rule to its regime: dense, sparse, or ultra_sparse.
 
     dense: rho essentially constant; sparse: polynomial decay slower than 1/n;
-    ultra_sparse: decay within log factors of 1/n.  The nearly-1/n regime with
-    no log slack is rejected (degree stops growing).
+    ultra_sparse: decay within log factors of 1/n.  An exponent at or below
+    -1 + 1e-4 (1/n with no log slack, or faster) is rejected: degree stops
+    growing.  log(log(n))/n, at -0.99909, is still ultra_sparse.
     """
     e = growth_exponent(expr)
     if abs(e) <= 0.02:
         return "dense"
     if -0.93 < e < 0.0:
         return "sparse"
-    if -1.02 <= e <= -0.93:
+    if -1.0 + 1e-4 < e <= -0.93:
         return "ultra_sparse"
     raise ConfigError(
-        f"rho rule {expr!r} has growth exponent {e:.3f}; expected a constant, "
-        "polynomial-decay, or polylog-over-n schedule"
+        f"rho rule {expr!r} has growth exponent {e:.5f}; expected a constant, "
+        "polynomial-decay, or polylog-over-n schedule (1/n needs log slack)"
     )
 
 

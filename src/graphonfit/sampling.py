@@ -142,10 +142,9 @@ class AdjacencyMatrix:
 
     def to_edge_list(self) -> str:
         """Text form: header 'n m' then one '%d %d' line per edge, i < j, 0-based."""
-        iu, ju = np.triu_indices(self.n, k=1)
-        mask = self.a[iu, ju] == 1
-        lines = [f"{self.n} {int(mask.sum())}"]
-        lines.extend(f"{i} {j}" for i, j in zip(iu[mask], ju[mask]))
+        iu, ju = np.nonzero(np.triu(self.a, k=1))  # row-major, as triu_indices
+        lines = [f"{self.n} {iu.size}"]
+        lines.extend(f"{i} {j}" for i, j in zip(iu, ju))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -207,15 +206,9 @@ def edge_probabilities(f: Graphon, xi: LatentSample, rho_n: float) -> EdgeProbab
 
 def sample_adjacency(p: EdgeProbabilityMatrix, seed: int) -> AdjacencyMatrix:
     """Independent Bernoulli(p_ij) draws on i < j, mirrored below the diagonal."""
-    n = p.n
     rng = make_rng(seed, _ADJACENCY_STREAM)
-    u = rng.uniform(size=(n, n))
-    a = np.zeros((n, n), dtype=np.uint8)
-    iu, ju = np.triu_indices(n, k=1)
-    hits = u[iu, ju] < p.p[iu, ju]
-    a[iu[hits], ju[hits]] = 1
-    a[ju[hits], iu[hits]] = 1
-    return AdjacencyMatrix(a=a)
+    upper = np.triu(rng.uniform(size=(p.n, p.n)) < p.p, k=1)
+    return AdjacencyMatrix(a=upper | upper.T)
 
 
 def edge_density(a: AdjacencyMatrix) -> float:

@@ -85,6 +85,15 @@ class TestAssignment:
         with pytest.raises(DomainError):
             CommunityAssignment(z=np.array([1, 1, 1, 2]), k=2)  # size-1 group
 
+    @pytest.mark.parametrize("z", [[1], [[1, 1], [2, 2]]])
+    def test_rejects_bad_shape(self, z):
+        with pytest.raises(DomainError, match="1-d label vector of length >= 2"):
+            CommunityAssignment(z=np.array(z), k=2)
+
+    def test_rejects_k_below_1(self):
+        with pytest.raises(DomainError, match="k=0 must be >= 1"):
+            CommunityAssignment(z=np.array([1, 1]), k=0)
+
     def test_canonical_form(self):
         z = CommunityAssignment(z=np.array([3, 3, 1, 1, 2, 2]), k=3)
         assert z.canonical_form().z.tolist() == [1, 1, 2, 2, 3, 3]
@@ -119,6 +128,11 @@ class TestBlockStats:
         assert np.all(st_.averages == 1.0)
         assert np.all(st_.saturated)
         assert st_.saturated_pair_fraction() == 1.0
+
+    def test_size_mismatch(self):
+        z5 = CommunityAssignment(z=np.array([1, 1, 2, 2, 2]), k=2)
+        with pytest.raises(DomainError, match="assignment covers 5 nodes, adjacency has 4"):
+            block_stats(PLANTED4, z5)
 
 
 class TestBernoulliKL:
@@ -195,6 +209,13 @@ class TestProfileLikelihood:
                         continue
                     theta[aa, bb] = theta[bb, aa] = t
                     assert blockmodel_log_likelihood(a, z, theta) <= base + 1e-12
+
+    def test_theta_checked(self):
+        with pytest.raises(DomainError, match="theta must be 2x2"):
+            blockmodel_log_likelihood(PLANTED4, Z4, np.full((3, 3), 0.5))
+        for bad in (-0.1, 1.1):
+            with pytest.raises(DomainError, match=r"theta entries must lie in \[0,1\]"):
+                blockmodel_log_likelihood(PLANTED4, Z4, np.array([[0.5, bad], [bad, 0.5]]))
 
     def test_divergence_equals_negated_profile(self):
         # the per-pair divergence sum from the data is exactly -loglik

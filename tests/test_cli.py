@@ -12,6 +12,15 @@ import graphonfit.cli as cli
 import graphonfit.harness as harness
 from graphonfit import AdjacencyMatrix, Partition
 from graphonfit.cli import main
+from graphonfit.errors import (
+    BudgetError,
+    ConfigError,
+    DomainError,
+    GraphonFitError,
+    InternalError,
+    ModelError,
+    SaturatedBlockError,
+)
 from graphonfit.risk import kl_taylor_check
 from graphonfit.harness import ExperimentConfig, run_replicate
 
@@ -154,6 +163,10 @@ def _fit_bad_argv(d):
     return ["fit", "--edges", d / "bad.txt", "--k", 2, "--out", d / "bad.json"]
 
 
+def _estimate_argv(d):
+    return ["estimate", "--fit", d / "fit.json", "--out", d / "e.json"]
+
+
 class TestMalformedInput:
     # (edits (file, key, new value or _DROP) made before the run, command line);
     # an edit with key None writes the value as the file's whole text
@@ -209,6 +222,39 @@ class TestMalformedInput:
         # large to allocate, the other too large to index
         "fit-edges-n-3e9": ([("bad.txt", None, "3000000000 0\n")], _fit_bad_argv),
         "fit-edges-n-2to32": ([("bad.txt", None, "4294967296 0\n")], _fit_bad_argv),
+        "fit-edges-empty": ([("bad.txt", None, "")], _fit_bad_argv),
+        "fit-h_max-below-h_min": (
+            [], lambda d: ["fit", "--edges", d / "net.txt", "--k", 3, "--h-min", 5,
+                           "--h-max", 3, "--out", d / "hm.json"],
+        ),
+        "risk-fit-of-other-size": (
+            [("small.txt", None, "4 1\n0 1\n")], lambda d: _risk_argv(d, edges="small.txt"),
+        ),
+        "estimate-fit-not-an-object": ([("fit.json", None, "[]")], _estimate_argv),
+        "sweep-replicates-0": ([("cfg.json", "replicates", 0)], _sweep_argv),
+        "sweep-n_list-empty": ([("cfg.json", "n_list", [])], _sweep_argv),
+        "sweep-rho-rule-1-over-n": ([("cfg.json", "rho_rule", "1/n")], _sweep_argv),
+        "estimate-fit-average-7.5": (
+            [("fit.json", "block_averages", [[7.5, 0.3, 0.3], [0.3] * 3, [0.3] * 3])],
+            _estimate_argv,
+        ),
+        "estimate-fit-rho_hat-negative": ([("fit.json", "rho_hat", -1)], _estimate_argv),
+        "estimate-fit-rho_hat-nan": ([("fit.json", "rho_hat", float("nan"))], _estimate_argv),
+        "risk-sidecar-seed-negative": ([("net.txt.json", "seed", -3)], _risk_argv),
+    }
+    # text stderr must contain, past the "error: " prefix
+    ERR_NAMES = {
+        "fit-edges-empty": "'n m' header",
+        "fit-h_max-below-h_min": "h_max=3 < h_min=5",
+        "risk-fit-of-other-size": "covers 30 nodes, adjacency has 4",
+        "estimate-fit-not-an-object": "must be a JSON object",
+        "sweep-replicates-0": "replicates",
+        "sweep-n_list-empty": "n_list",
+        "sweep-rho-rule-1-over-n": "growth exponent -1.00000",
+        "estimate-fit-average-7.5": "'block_averages'",
+        "estimate-fit-rho_hat-negative": "'rho_hat'",
+        "estimate-fit-rho_hat-nan": "'rho_hat'",
+        "risk-sidecar-seed-negative": "seed=-3",
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -247,6 +293,7 @@ class TestMalformedInput:
             assert "n=" in err and "too large" in err
         if case == "sweep-dat-metric-unknown":  # refused before the sweep runs
             assert "fitted_risk" in err and not (tmp_path / "o").exists()
+        assert self.ERR_NAMES.get(case, "") in err
 
 
 class TestRiskMatchesSweep:
@@ -301,6 +348,23 @@ class TestSweep:
         cfg_path.write_text('{"graphon_name": "constant"}')
         assert run(["sweep", "--config", cfg_path,
                     "--out-dir", tmp_path / "out"]) == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_invariant_exits_4(self, tmp_path, monkeypatch, capsys, jobs):
+        # a bug inside a replicate stops the sweep; the pool re-raises a worker's error
+        def broken(*args, **kwargs):
+            raise InternalError("injected invariant failure")
+
+        monkeypatch.setattr(harness, "mple_search", broken)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"graphon_name": "constant", "n_list": [20],
+                                        "k_rule": "2", "rho_rule": "0.3",
+                                        "replicates": 2, "restarts": 1, "grid": 64}))
+        assert run(["sweep", "--config", cfg_path, "--out-dir", tmp_path / "out",
+                    "--jobs", jobs]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: injected invariant failure\n"
+        assert not (tmp_path / "out" / "results.csv").exists()
 
 
 GOLDEN = Path(__file__).parent / "data" / "sweep_golden"
@@ -391,6 +455,39 @@ class TestImportPath:
         assert loaded == ""
         assert fitted == "True"
         assert est.is_file()
+
+
+class TestExitCodes:
+    # README's table: each error kind carries the exit status main reports for it
+    @pytest.mark.parametrize("error, code, prefix", [
+        (GraphonFitError, 3, "error: "),
+        (DomainError, 2, "error: "),
+        (ConfigError, 2, "error: "),
+        (ModelError, 3, "error: "),
+        (SaturatedBlockError, 3, "error: "),
+        (BudgetError, 3, "error: "),
+        (InternalError, 4, "internal error: "),
+    ])
+    def test_error_kind_sets_exit_status(self, tmp_path, monkeypatch, capsys,
+                                         error, code, prefix):
+        def raising(name):
+            raise error("raised inside sample")
+
+        monkeypatch.setattr(cli, "graphon_by_name", raising)
+        assert error.exit_code == code
+        assert run(sample_args(tmp_path / "x.txt")) == code
+        assert capsys.readouterr().err == f"{prefix}raised inside sample\n"
+        assert not (tmp_path / "x.txt").exists()
+
+    def test_empty_graph_estimate_exits_3(self, tmp_path, capsys):
+        # rho_hat = 0 is a valid fit, but the rescaled estimate is undefined
+        (tmp_path / "empty.txt").write_text("6 0\n")
+        assert run(["fit", "--edges", tmp_path / "empty.txt", "--k", 2,
+                    "--out", tmp_path / "fit.json"]) == 0
+        assert json.loads((tmp_path / "fit.json").read_text())["rho_hat"] == 0.0
+        capsys.readouterr()
+        assert run(_estimate_argv(tmp_path)) == 3
+        assert "empty graph" in capsys.readouterr().err
 
 
 class TestSelftest:

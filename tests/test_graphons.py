@@ -64,6 +64,11 @@ class TestPartition:
         with pytest.raises(DomainError):
             Partition(())
 
+    @pytest.mark.parametrize("ranks", [[0, 1], [7], [-3, 2]])
+    def test_quantile_of_ranks_range(self, ranks):
+        with pytest.raises(DomainError, match="ranks must lie in 1..n"):
+            Partition((2, 4)).quantile_of_ranks(ranks)
+
     @given(partitions())
     @settings(max_examples=60, deadline=None)
     def test_quantile_cdf_consistency(self, p):
@@ -159,6 +164,13 @@ class TestStepfunctionError:
         with pytest.raises(DomainError):
             stepfunction_error(f, fbar, norm="L1")
 
+    def test_grid_checked(self):
+        f = graphon_by_name("constant")
+        fbar = block_average_graphon(f, Partition((2, 2)))
+        assert stepfunction_error(f, fbar, grid=8) == 0.0
+        with pytest.raises(DomainError, match="grid must be >= 8"):
+            stepfunction_error(f, fbar, grid=7)
+
     def test_envelope_holds_for_smooth_catalog(self):
         rng = np.random.default_rng(11)
         smooth = [g for g in graphon_catalog().values() if math.isfinite(g.holder_M)]
@@ -188,6 +200,11 @@ class TestHolderCertificate:
         ok, worst = holder_certificate(f, M=1.0)
         assert not ok
         assert worst == pytest.approx(math.sqrt(2.0), rel=1e-6)
+
+    def test_grid_checked(self):
+        assert holder_certificate(graphon_by_name("constant"), grid=16)[0]
+        with pytest.raises(DomainError, match="grid must be >= 16"):
+            holder_certificate(graphon_by_name("constant"), grid=15)
 
     def test_catalog_declared_constants(self):
         for name in ("constant", "bilinear", "product", "cosine"):

@@ -16,6 +16,8 @@ from graphonfit import (
     ConfigError,
     DomainError,
     Graphon,
+    InternalError,
+    ModelError,
     Partition,
     edge_probabilities,
     graphon_by_name,
@@ -25,6 +27,7 @@ from graphonfit import (
 )
 from graphonfit.harness import (
     ExperimentConfig,
+    SweepResult,
     balanced_partition,
     oracle_rank_assignment,
     run_replicate,
@@ -196,6 +199,28 @@ class TestRunSweep:
         assert bad, "expected at least one failure row at this density"
         assert all(math.isnan(r.fitted_risk) for r in bad)
         assert res.summary["6"]["failures"] == len(bad)
+
+    @pytest.mark.parametrize("error, kept", [(ModelError, True), (InternalError, False)])
+    def test_only_model_and_input_failures_become_rows(self, monkeypatch, error, kept):
+        # an InternalError means a bug, so it stops the sweep instead of becoming a row
+        def failing(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(harness, "mple_search", failing)
+        if kept:
+            assert run_replicate(small_config(), 50, 0).status == error.__name__
+        else:
+            with pytest.raises(error, match="injected"):
+                run_sweep(small_config())
+
+    def test_dat_skips_a_cell_without_the_metric(self):
+        cfg = small_config(n_list=(30, 50))
+        stats = {"median": 2.0, "q1": 1.0, "q3": 3.0}
+        res = SweepResult(config=cfg, summary={
+            "30": {"replicates": 1, "failures": 1},
+            "50": {"replicates": 1, "failures": 0, "fitted_risk": stats},
+        })
+        assert res.to_dat("fitted_risk") == "# n median_fitted_risk q1 q3\n50 2 1 3\n"
 
     def test_process_pool_matches_serial(self):
         cfg = small_config(replicates=3)

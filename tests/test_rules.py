@@ -103,6 +103,21 @@ class TestRegimes:
         with pytest.raises(ConfigError):
             classify_rho_rule("n")  # growing density is not a sparsity schedule
 
+    @pytest.mark.parametrize("rule, exponent", [
+        ("1/n", "-1.00000"), ("0.5/n", "-1.00000"), ("n^(-1.01)", "-1.01000"),
+    ])
+    def test_classify_rejects_1_over_n_without_log_slack(self, rule, exponent):
+        # degree stops growing, so 1/n needs a log factor to be ultra-sparse
+        with pytest.raises(ConfigError, match=f"growth exponent {exponent}"):
+            classify_rho_rule(rule)
+
+    @pytest.mark.parametrize("rule, exponent", [
+        ("log(log(n))/n", -0.99909), ("log(n)/n", -0.99515), ("2*log10(n)^4/n", -0.98062),
+    ])
+    def test_classify_keeps_log_slack_ultra_sparse(self, rule, exponent):
+        assert growth_exponent(rule) == pytest.approx(exponent, abs=1e-5)
+        assert classify_rho_rule(rule) == "ultra_sparse"
+
     def test_classify_requires_positive_rule(self):
         with pytest.raises(ConfigError):
             classify_rho_rule("0 - 1")

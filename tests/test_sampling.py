@@ -68,6 +68,11 @@ class TestLatents:
         with pytest.raises(DomainError):
             LatentSample(xi=np.array([0.0, 0.5]), seed=0)
 
+    @pytest.mark.parametrize("xi", [[0.5], [[0.2, 0.4], [0.6, 0.8]]])
+    def test_rejects_bad_shape(self, xi):
+        with pytest.raises(DomainError, match="1-d vector of length >= 2"):
+            LatentSample(xi=np.array(xi), seed=0)
+
 
 class TestEdgeProbabilities:
     def test_constant_graphon(self):
@@ -108,6 +113,16 @@ class TestEdgeProbabilities:
         with pytest.raises(DomainError):
             EdgeProbabilityMatrix(p=np.array([[0.0, 0.5], [0.4, 0.0]]), rho_n=0.5)
 
+    def test_rejects_shape_diagonal_and_rho(self):
+        p = np.array([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(DomainError, match="square"):
+            EdgeProbabilityMatrix(p=np.zeros((2, 3)), rho_n=0.5)
+        with pytest.raises(DomainError, match="zero diagonal"):
+            EdgeProbabilityMatrix(p=p + 0.1 * np.eye(2), rho_n=0.5)
+        for rho in (0.0, 1.0):
+            with pytest.raises(DomainError, match="rho_n"):
+                EdgeProbabilityMatrix(p=p, rho_n=rho)
+
     def test_csv_export(self):
         xi = sample_latents(3, seed=5)
         p = edge_probabilities(graphon_by_name("constant"), xi, 0.25)
@@ -124,6 +139,16 @@ class TestAdjacency:
         assert np.array_equal(a.a, a.a.T)
         assert np.all(np.diag(a.a) == 0)
         assert np.array_equal(a.a, sample_adjacency(p, seed=3).a)
+
+    def test_draws_one_uniform_per_pair_above_the_diagonal(self):
+        # pair i < j is an edge when the stream's (i, j) uniform falls below p_ij
+        xi = sample_latents(25, seed=8)
+        p = edge_probabilities(graphon_by_name("cosine"), xi, 0.4)
+        u = sampling.make_rng(8, sampling._ADJACENCY_STREAM).uniform(size=(25, 25))
+        iu, ju = np.triu_indices(25, k=1)
+        a = sample_adjacency(p, seed=8).a
+        assert np.array_equal(a[iu, ju], u[iu, ju] < p.p[iu, ju])
+        assert np.array_equal(a, a.T)
 
     def test_binomial_edge_count(self):
         n, rho, reps = 50, 0.2, 200
@@ -156,6 +181,14 @@ class TestAdjacency:
         with pytest.raises(DomainError):
             AdjacencyMatrix(a=loop)
 
+    def test_rejects_bad_shape_and_values(self):
+        with pytest.raises(DomainError, match="square"):
+            AdjacencyMatrix(a=np.zeros((2, 3), dtype=np.uint8))
+        two = np.zeros((3, 3), dtype=np.uint8)
+        two[0, 1] = two[1, 0] = 2
+        with pytest.raises(DomainError, match="0/1"):
+            AdjacencyMatrix(a=two)
+
 
 class TestEdgeListIO:
     def test_roundtrip(self):
@@ -181,6 +214,17 @@ class TestEdgeListIO:
             AdjacencyMatrix.from_edge_list("-1 0\n")  # negative node count
         with pytest.raises(DomainError, match=r"edge \(0,1\) is listed more than once"):
             AdjacencyMatrix.from_edge_list("3 2\n0 1\n0 1\n")
+
+    def test_edges_listed_row_major(self):
+        a = np.zeros((4, 4), dtype=np.uint8)
+        for i, j in [(1, 2), (0, 3), (0, 1)]:
+            a[i, j] = a[j, i] = 1
+        assert AdjacencyMatrix(a=a).to_edge_list() == "4 3\n0 1\n0 3\n1 2\n"
+
+    @pytest.mark.parametrize("text", ["", "  \n", "5\n"])
+    def test_no_header(self, text):
+        with pytest.raises(DomainError, match="'n m' header"):
+            AdjacencyMatrix.from_edge_list(text)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
