@@ -13,13 +13,11 @@ sum_{i<j} D(p_ij || pbar) only by a z-independent constant, so a single search
 engine handles both the data fit and the oracle fit.
 
 The local search uses single-node relabels plus pairwise label swaps
-(Kernighan-Lin style), multi-restart, over 0/1 weights or the oracle's
-fixed-point ones (_fixed_point).  One builder per move, one scorer and one
-writer serve both moves.  _ProfileState states its caches and why its sums
-are exact, _lockstep the window widths and rescans, and _local_searches how
-the starts run in lockstep and draw in start order.  Reported values use
-xlogy (_terms), which imports scipy.special at its first call, so importing
-this module loads no scipy.
+(Kernighan-Lin style, as in Karrer & Newman 2011), multi-restart, over 0/1
+weights or the oracle's fixed-point ones (_fixed_point).  Each of its
+mechanisms is stated at the function that implements it; README.md lists
+them.  Reported values use xlogy (_terms), which imports scipy.special at
+its first call, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from .errors import (
     SaturatedBlockError,
     parse_json_object,
 )
-from .graphons import Partition, balanced_partition
+from .graphons import Partition, _as_integers, balanced_partition
 from .sampling import AdjacencyMatrix, EdgeProbabilityMatrix, _check_seed, edge_density, make_rng
 
 __all__ = [
@@ -86,7 +84,9 @@ class _Workspace:
     by the next request for the same name, so a caller uses such a view
     before that request and keeps none.
     Views are kept per name and shape: small windows are called often enough
-    that slicing and reshaping anew costs a measurable share of them.
+    that slicing and reshaping anew costs a measurable share of them.  A take
+    into a work array passes mode="clip", which writes into it directly (the
+    default mode buffers); every index is in range, so the values are equal.
     """
 
     def __init__(self):
@@ -119,7 +119,7 @@ class CommunityAssignment:
     k: int
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=np.int64)
+        z = _as_integers(self.z, "labels")
         if z.ndim != 1 or z.size < 2:
             raise DomainError("assignment needs a 1-d label vector of length >= 2")
         if self.k < 1:
@@ -128,7 +128,7 @@ class CommunityAssignment:
             raise DomainError(f"labels must lie in 1..{self.k}")
         sizes = np.bincount(z, minlength=self.k + 1)[1:]
         if np.any(sizes < 2):
-            raise DomainError(f"every group needs >= 2 members, sizes {tuple(sizes)}")
+            raise DomainError(f"every group needs >= 2 members, sizes {tuple(sizes.tolist())}")
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
 
@@ -389,7 +389,8 @@ class _ProfileState:
     0/1 adjacency (intp) gives the profile log-likelihood, fixed-point
     probabilities (float64, _fixed_point) the (negated, shifted) oracle
     divergence objective.  So every block sum, neighbour sum and pair count
-    is exact in any order of summation, BLAS products included.
+    is exact in any order of summation, including the BLAS products with the
+    one-hot labels that give the state its neighbour sums and block sums.
 
     A move between groups a and b changes only rows and columns a and b of
     the block sums e, the pair counts and the terms t.  A builder per move
@@ -397,10 +398,9 @@ class _ProfileState:
     prices them, and one writer (write) makes the chosen candidate's rows
     and their scored terms the state's and applies the move.  Stacks go
     into the _Workspace work, which a caller may share between states (see
-    _BATCH_CELLS).  The state's arrays are views of its slot of a _Stacks,
-    which the states of one search share; the builders and the scorer read
-    them at an int slot (one state's window, or a swap), whose rows are
-    views, not gathers, or at one slot per row.
+    _BATCH_CELLS).  The state's arrays are views of its slot of a _Stacks;
+    the builders and the scorer read them at an int slot (one state's
+    window, or a swap), whose rows are views, or at one slot per row.
 
     What only a move changes is cached, and write refreshes it: the row
     sums of t (every move); the size pieces and the move mask, which keeps
@@ -472,8 +472,6 @@ class _ProfileState:
         tmp = self.work("tmp", s.shape)
         xlx = self.xlx
         if s.dtype.kind == "i":
-            # mode="clip" writes into out directly (the default mode buffers
-            # it); every index is in range, so the values are the same.
             t = xlx.take(s, out=out, mode="clip")
             d = np.subtract(pc, s, out=self.work("gaps", s.shape, np.intp))
             t += xlx.take(d, out=tmp, mode="clip")
@@ -509,7 +507,6 @@ class _ProfileState:
         row after the swap, e[a] + d, and row 1 group b's, e[b] - d, where d
         is the weight j brings to a row minus the weight i takes from it.
         Both rows hold the new cross cell (a, b); pair counts do not change.
-        The stacks go into the same work buffers as a relabel window's.
         """
         r = np.arange(ii.size)
         a, b = self.z[ii], self.z[jj]
@@ -769,12 +766,11 @@ def _local_searches(states: list, rng: np.random.Generator) -> list:
     """Greedy ascents of states, slots of one _Stacks with one set of size
     bounds, in lockstep; returns each one's accepted swap count.
 
-    Each round scores one relabel window of every start still relabelling in
-    one stack (cap cells in all) and applies each window's first improving
-    move.  A start's relabels never draw random numbers, and a swap sweep
-    that draws its pairs (n > _ALL_PAIRS_MAX_N) waits until every earlier
-    start has finished, so every start's moves, swap draws and result are
-    those of searching the starts one after another with one rng.
+    Each _lockstep round scores one relabel window of every start still
+    relabelling in one stack.  A start's relabels never draw random numbers,
+    and a swap sweep that draws its pairs (n > _ALL_PAIRS_MAX_N) waits until
+    every earlier start has finished, so every start's moves, swap draws and
+    result are those of searching the starts one after another with one rng.
     """
     state = states[0]  # any state: all read the shared stacks
     n, k, stacks = state.n, state.k, state.stacks
@@ -841,9 +837,7 @@ def _maximize_profile(
     sizes = balanced_partition(n, k).h
     degrees = w.sum(axis=1)
 
-    inits = []
-    order = np.argsort(-degrees, kind="stable")
-    inits.append(_contiguous_labels(order, sizes))
+    inits = [_contiguous_labels(np.argsort(-degrees, kind="stable"), sizes)]
     for z0 in extra_inits or []:
         inits.append(np.asarray(z0, dtype=np.int64))
     while len(inits) < restarts:
@@ -851,10 +845,7 @@ def _maximize_profile(
     # a group grows only up to h_max, but a given start may begin above it
     xlx = _xlogx_table(max([min(h_max, n)] + [np.bincount(z0).max() for z0 in inits]))
 
-    best_total = -np.inf
-    best_canon = None
-    best_swaps = 0
-    ties = False
+    best_total, best_canon, best_swaps, ties = -np.inf, None, 0, False
     work = _Workspace()
     stacks = _Stacks(w, len(inits), k)
     states = [_ProfileState(w, z0, k, xlx, work, h_min, h_max, stacks, slot)
@@ -953,10 +944,7 @@ def _exhaustive_profile(w: np.ndarray, k: int, h_min: int, h_max: int):
             f"exhaustive search over ~{count} admissible assignments exceeds "
             f"the {_ENUMERATION_BUDGET} budget"
         )
-    best_total = -np.inf
-    best_z = None
-    ties = False
-    seen = 0
+    best_total, best_z, ties, seen = -np.inf, None, False, 0
     for z0 in _enumerate_canonical(n, k, h_min, h_max):
         seen += 1
         total = _total_from_terms(
@@ -1134,18 +1122,12 @@ def oracle_mple(
 ) -> OracleFit:
     """Assignment minimizing the divergence of p from its block averages.
 
-    Uses mple_search's engine with the fixed-point probabilities
-    (_fixed_point) as weights; the two objectives differ by a z-independent
-    constant.  The divergence reported is that of p itself.
+    Uses mple_search's engine on the fixed-point probabilities (_fixed_point;
+    the objectives differ by a constant); it reports the divergence of p.
     """
     h_max = p.n if h_max is None else h_max
     z0, _, _, ties, restarts_used = _maximize_profile(
         _fixed_point(p.p), k, h_min, h_max, restarts, seed, extra_inits=extra_inits
     )
     assignment = CommunityAssignment(z=z0 + 1, k=k)
-    return OracleFit(
-        assignment=assignment,
-        divergence=oracle_divergence(p, assignment),
-        ties=ties,
-        restarts_used=restarts_used,
-    )
+    return OracleFit(assignment, oracle_divergence(p, assignment), ties, restarts_used)

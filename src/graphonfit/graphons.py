@@ -88,6 +88,16 @@ class Graphon:
         return float(self.grid_values(m).mean())
 
 
+def _as_integers(values, what: str) -> np.ndarray:
+    """values as int64, refusing what a plain cast would truncate (1.5, nan)."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        out = raw.astype(np.int64, copy=False)
+    if not np.array_equal(out, raw):
+        raise DomainError(f"{what} must be integers")
+    return out
+
+
 @dataclass(frozen=True)
 class Partition:
     """Integer partition of n into k groups of size >= 2, in group order."""
@@ -95,7 +105,7 @@ class Partition:
     h: tuple
 
     def __post_init__(self):
-        h = tuple(int(a) for a in self.h)
+        h = tuple(_as_integers(self.h, "group sizes").tolist())
         if len(h) == 0:
             raise DomainError("partition needs at least one group")
         if any(a < 2 for a in h):
@@ -113,10 +123,6 @@ class Partition:
     @property
     def h_max(self) -> int:
         return max(self.h)
-
-    @property
-    def h_min(self) -> int:
-        return min(self.h)
 
     def cum_counts(self) -> np.ndarray:
         """Cumulative group sizes (integers), length k."""
@@ -184,6 +190,8 @@ class StepGraphon:
         k = self.partition.k
         if v.shape != (k, k):
             raise DomainError(f"values must be {k}x{k}, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise DomainError("step graphon heights must be finite")
         if not np.allclose(v, v.T, rtol=0, atol=1e-12):
             raise DomainError("step graphon heights must be symmetric")
         v = (v + v.T) / 2.0
@@ -313,9 +321,8 @@ _CATALOG = {
 def graphon_catalog() -> dict:
     """Every built-in graphon, keyed by name, in a new dict.
 
-    The graphons themselves are the catalog's one instance each: frozen, with
-    pure eval functions, so they are shared, and each keeps the grid prefix
-    sums it has built (Graphon.prefix_sums) for the life of the process.
+    Each graphon is the catalog's one instance, frozen with a pure eval
+    function, so it is shared and keeps its prefix sums for the process.
     """
     return dict(_CATALOG)
 

@@ -23,7 +23,7 @@ from .blockmodel import (
     _pair_divergence,
     _Workspace,
     bernoulli_kl,
-    oracle_divergence,
+    oracle_block_means,
 )
 from .errors import DomainError, ModelError
 from .graphons import Graphon, StepGraphon, midpoint_grid
@@ -66,14 +66,15 @@ def normalized_kl_risk(p: EdgeProbabilityMatrix, fit: FitResult) -> float:
 
 
 def _pair_total(p: EdgeProbabilityMatrix) -> float:
-    """sum of p_ij over the pairs i < j: the oracle risk's denominator."""
+    """sum of p_ij over the pairs i < j, oracle_risk's denominator, for score_replicate."""
     iu = np.triu_indices(p.n, k=1)
     return float(p.p[iu].sum())
 
 
 def oracle_risk(p: EdgeProbabilityMatrix, z: CommunityAssignment) -> float:
     """Normalized divergence of p from its best block-constant fit under z."""
-    return oracle_divergence(p, z) / _pair_total(p)
+    divergence, mass = _pair_divergence(p, z, oracle_block_means(p, z))
+    return divergence / mass
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,9 @@ def _cell_sums(s1: np.ndarray, lo, hi, lo2, hi2) -> np.ndarray:
     return x
 
 
-# Largest _IntervalTable, in cells (m^2 <= 2^18, at most 512 intervals and
-# 2 MiB).  The benchmark's ultra-sparse fits (n 100, k 40, grid 64) reach
-# 181-242 intervals; its dense fits at grid 256 reach 1,497-2,816, whose
-# tables would cost more to build than their search saves.
+# Largest _IntervalTable, in cells: at most 512 intervals, 2 MiB.  Ultra-sparse
+# fits (n 100, k 40, grid 64) have 181-242 intervals; dense fits at grid 256
+# have 1,497-2,816, whose tables would cost more than their search saves.
 _TABLE_CELLS = 1 << 18
 
 
@@ -153,8 +153,7 @@ def _interval_table(step: StepGraphon, s1: np.ndarray, cut: np.ndarray) -> _Inte
     would hold more than _TABLE_CELLS cells.
 
     With N nodes, a block of width w placed after s nodes covers the
-    midpoints from cut[s] to cut[s + w], s = 0..N - w: the cuts
-    _mse_for_orders takes, from the same array (see graphon_mse).
+    midpoints from cut[s] to cut[s + w] (graphon_mse), s = 0..N - w.
     """
     h = np.asarray(step.partition.h, dtype=np.int64)
     total, grid = cut.size - 1, s1.shape[0] - 1
@@ -188,16 +187,13 @@ def _mse_for_orders(
     """MSE of each row of a (B, k) stack of block orders, in O(k^2) per order.
 
     An order's k x k cell sums come from s1, the zero-padded 2-d prefix sum
-    of the truth grid, as (k+1)^2 corners at its block edges' cuts (see
-    graphon_mse) and three difference passes, or as one gather from the
+    of the truth grid, as (k+1)^2 corners at its block edges' cuts
+    (graphon_mse) and three difference passes, or as one gather from the
     call's _interval_table, which exists when the input's intervals fit its
-    budget.  Both paths take each cell sum from the same s1 values with the
-    association ((a - b) - c) + d, so they give the same bits.  Each order's
-    products are summed along a contiguous last axis, so a value has the
-    same bits alone or in any stack.
-
-    Its stack-sized arrays go into work, which the caller keeps for all its
-    stacks, not fresh arrays (see blockmodel._BATCH_CELLS).
+    budget.  Both keep _cell_sums' association, so they give the same bits.
+    Each order's products are summed along a contiguous last axis, so a
+    value has the same bits alone or in any stack.  Stack-sized arrays go
+    into work (_BATCH_CELLS).
     """
     b, k = orders.shape
     grid = s1.shape[0] - 1
@@ -210,8 +206,6 @@ def _mse_for_orders(
         cuts[:, 1:] = cut[np.cumsum(h[orders], axis=1)]
         index = np.add((cuts * (grid + 1))[:, :, None], cuts[:, None, :],
                        out=work("index", (b, k + 1, k + 1), np.intp))
-        # mode="clip" writes into out directly (the default mode buffers it);
-        # every index is in range, so the values are the same.
         p = s1.take(index, out=work("corners", (b, k + 1, k + 1)), mode="clip")
         cell1 = np.subtract(p[:, 1:, 1:], p[:, :-1, 1:], out=work("cross", (b, k, k)))
         cell1 -= p[:, 1:, :-1]
@@ -249,10 +243,10 @@ def _best_order_mse(
     and on their start widths, the summed sizes of the blocks placed before
     them.  So they are computed once, as m = y - 2x, for each pair of (block,
     start) keys, with every subset sum of the other blocks' sizes as a start,
-    by the kernel's own expressions: the same cuts and the association
-    ((a - b) - c) + d.  x and y have the kernel's bits; only the summation
-    order differs.  The table pair = m + m^T is then formed in m's place,
-    one square tile at a time, so that no second K x K array is made.
+    by the kernel's own expressions, cuts and _cell_sums.  x and y have the
+    kernel's bits; only the summation order differs.  The table pair = m +
+    m^T is then formed in m's place, one square tile at a time, so that no
+    second K x K array is made: K^2 numbers, K at most 8 * 2^7 = 1,024.
 
     Screen.  Orders are built as a prefix tree, one subtree per leading block.
     Placing a block adds its diagonal term y - 2x and, for each block placed
@@ -275,7 +269,8 @@ def _best_order_mse(
     has q <= exact min + e <= exact(argmin q) + e <= q* + 2e.  So the least
     _mse_for_orders value over the orders with q <= q* + 2e is, bit for bit,
     the least over all k! orders; the clamp and the division by grid^2 that
-    follow the squared error are monotone.
+    follow the squared error are monotone.  When all heights are equal,
+    every order ties and all k! are rescored.
     """
     k = step.partition.k
     h = np.asarray(step.partition.h, dtype=np.int64)
@@ -310,8 +305,7 @@ def _best_order_mse(
         x += y
         m[i] = x
     diag = m.diagonal().copy()
-    # pair[i, j] = m[i, j] + m[j, i]: the four off-diagonal terms of keys i
-    # and j, formed in m's place one square tile at a time
+    # pair[i, j] = m[i, j] + m[j, i], in m's place, 64 x 64 tiles at a time
     for r in range(0, size, 64):
         for c in range(r, size, 64):
             upper, lower = m[r:r + 64, c:c + 64], m[c:c + 64, r:r + 64]
@@ -379,27 +373,25 @@ def graphon_mse(
 ) -> float:
     """Grid mean-squared error between the truth and a step-graphon estimate.
 
-    The measure-preserving alignment class is restricted to permutations of
-    the estimate's block intervals, so the value upper-bounds the idealized
-    infimum.  'identity' skips alignment; 'degree_sort' orders blocks by
-    their size-weighted marginal mean; 'block_permutation_search' minimizes
-    over block orders: all k! for k <= 8 (see _best_order_mse), else swap
-    descent from the identity and degree-sorted orders.  A descent scans the
-    pairs a < b row-major with blockmodel._first_improvement, takes the first
-    swap that lowers the MSE by more than 1e-15, and rescans until a scan
-    takes none.  Every value returned or compared comes from one kernel,
-    _mse_for_orders, in stacks of at most _BATCH_CELLS cells, all written
-    into one workspace per call.  Its two cell-sum paths, the descent's
-    interval table and the k <= 8 screen all cut the grid's midpoints at one
-    array per call, cut[s] for a block edge after s of the n nodes.  The
-    truth's prefix sums come from truth.prefix_sums(grid).
+    The alignment class is restricted to permutations of the estimate's
+    block intervals, so the value upper-bounds the idealized infimum.
+    'identity' keeps the fitted order; 'degree_sort' orders blocks by their
+    size-weighted marginal mean, the sort step of Chan & Airoldi's (2014)
+    sort-and-smooth estimator; 'block_permutation_search' takes the least
+    over all k! orders for k <= 8 (_best_order_mse), else the better of two
+    swap descents, from the identity and degree-sorted orders.  A descent
+    scans the pairs a < b row-major with blockmodel._first_improvement,
+    takes the first swap that lowers the MSE by more than 1e-15, and
+    rescans until a scan takes none.  Every value returned or compared
+    comes from _mse_for_orders, batched as _BATCH_CELLS says.
     """
     _check_mse_options(grid, alignment)
     k = step.partition.k
     s1, s2_total = truth.prefix_sums(grid)
     n = sum(step.partition.h)
-    # side='right' sends a midpoint sitting exactly on a block edge to the
-    # lower block, matching the step-graphon quantile convention.
+    # cut[s]: the midpoints at or below a block edge after s of the n nodes,
+    # so a midpoint on an edge goes to the lower block, as in the step
+    # graphon's quantile map.  The kernel, interval table and screen read it.
     cut = np.searchsorted(midpoint_grid(grid), np.arange(n + 1) / n, side="right")
     work = _Workspace()
     table = None
@@ -469,7 +461,7 @@ def kl_taylor_check(p: float, delta: float):
     if not (0.0 < p < 1.0):
         raise DomainError(f"p={p} outside (0,1)")
     m = min(p, 1.0 - p)
-    if abs(delta) >= m:
+    if not abs(delta) < m:  # NaN included
         raise DomainError(f"|delta|={abs(delta)} must be < min(p, 1-p)={m}")
     quad = delta * delta / (2.0 * p * (1.0 - p))
     if delta == 0.0:

@@ -34,6 +34,11 @@ _FUNCS = {
     "ceil": lambda x: float(math.ceil(x)),
 }
 
+# growth_exponent's probe points, astronomical so that polylog factors (which
+# decay like o(1) on the log-log scale) barely perturb the slope
+_N_LO, _N_HI = 1e80, 1e100
+_K_MAX_EXPONENT = 0.8  # validate_k_rule's largest growth exponent
+
 
 def _compile(expr: str) -> str:
     """Validate the token stream and return a python-evaluable expression."""
@@ -82,17 +87,13 @@ def k_from_rule(expr: str, n: int) -> int:
     return max(1, math.ceil(value - 1e-9))
 
 
-def growth_exponent(expr: str, n_lo: float = 1e80, n_hi: float = 1e100) -> float:
-    """Empirical log-log slope of the rule between two large n values.
-
-    The probe points are deliberately astronomical so that polylog factors
-    (which decay like o(1) on the log-log scale) barely perturb the slope.
-    """
-    lo = evaluate_rule(expr, n_lo)
-    hi = evaluate_rule(expr, n_hi)
+def growth_exponent(expr: str) -> float:
+    """Empirical log-log slope of the rule between n = _N_LO and _N_HI."""
+    lo = evaluate_rule(expr, _N_LO)
+    hi = evaluate_rule(expr, _N_HI)
     if lo <= 0 or hi <= 0:
         raise ConfigError(f"rule {expr!r} must stay positive for regime checks")
-    return (math.log(hi) - math.log(lo)) / (math.log(n_hi) - math.log(n_lo))
+    return (math.log(hi) - math.log(lo)) / (math.log(_N_HI) - math.log(_N_LO))
 
 
 def classify_rho_rule(expr: str) -> str:
@@ -116,14 +117,14 @@ def classify_rho_rule(expr: str) -> str:
     )
 
 
-def validate_k_rule(expr: str, max_exponent: float = 0.8) -> float:
-    """Require k(n) to grow strictly slower than n (at most n^max_exponent)."""
+def validate_k_rule(expr: str) -> float:
+    """Require k(n) to grow strictly slower than n (at most n^_K_MAX_EXPONENT)."""
     e = growth_exponent(expr)
     if e < 0.0:
         raise ConfigError(f"k rule {expr!r} must be nondecreasing in n")
-    if e > max_exponent + 1e-9:
+    if e > _K_MAX_EXPONENT + 1e-9:
         raise ConfigError(
             f"k rule {expr!r} grows like n^{e:.3f}; group counts must grow "
-            f"strictly slower than n (exponent <= {max_exponent})"
+            f"strictly slower than n (exponent <= {_K_MAX_EXPONENT})"
         )
     return e

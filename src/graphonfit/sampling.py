@@ -83,9 +83,9 @@ class EdgeProbabilityMatrix:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        n = p.shape[0]
-        if p.ndim != 2 or p.shape != (n, n) or n < 2:
+        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 2:
             raise DomainError("probability matrix must be square with n >= 2")
+        n = p.shape[0]
         if not np.array_equal(p, p.T):
             raise DomainError("probability matrix must be symmetric")
         if np.any(np.diag(p) != 0.0):

@@ -90,6 +90,11 @@ class TestAssignment:
         with pytest.raises(DomainError, match="1-d label vector of length >= 2"):
             CommunityAssignment(z=np.array(z), k=2)
 
+    @pytest.mark.parametrize("z", [[1.5, 1, 2, 2], [1, 1, 2, np.nan]])
+    def test_rejects_labels_that_are_not_integers(self, z):
+        with pytest.raises(DomainError, match="labels must be integers"):
+            CommunityAssignment(z=z, k=2)
+
     def test_rejects_k_below_1(self):
         with pytest.raises(DomainError, match="k=0 must be >= 1"):
             CommunityAssignment(z=np.array([1, 1]), k=0)

@@ -241,6 +241,9 @@ class TestMalformedInput:
         "estimate-fit-rho_hat-negative": ([("fit.json", "rho_hat", -1)], _estimate_argv),
         "estimate-fit-rho_hat-nan": ([("fit.json", "rho_hat", float("nan"))], _estimate_argv),
         "risk-sidecar-seed-negative": ([("net.txt.json", "seed", -3)], _risk_argv),
+        "estimate-fit-group-of-one": (
+            [("fit.json", "assignment", [1] + [2] * 14 + [3] * 15)], _estimate_argv,
+        ),
     }
     # text stderr must contain, past the "error: " prefix
     ERR_NAMES = {
@@ -255,6 +258,7 @@ class TestMalformedInput:
         "estimate-fit-rho_hat-negative": "'rho_hat'",
         "estimate-fit-rho_hat-nan": "'rho_hat'",
         "risk-sidecar-seed-negative": "seed=-3",
+        "estimate-fit-group-of-one": "sizes (1, 14, 15)",  # plain integers, no np.int64
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -63,6 +63,8 @@ class TestPartition:
             Partition((1, 5))
         with pytest.raises(DomainError):
             Partition(())
+        with pytest.raises(DomainError, match="group sizes must be integers"):
+            Partition((2.7, 3))
 
     @pytest.mark.parametrize("ranks", [[0, 1], [7], [-3, 2]])
     def test_quantile_of_ranks_range(self, ranks):
@@ -252,6 +254,10 @@ class TestStepGraphon:
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
             StepGraphon(Partition((2, 2)), np.array([[1.0, 0.5], [0.4, 1.0]]))
+
+    def test_rejects_nan_height(self):
+        with pytest.raises(DomainError, match="heights must be finite"):
+            StepGraphon(Partition((2, 2)), np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError):

@@ -716,6 +716,8 @@ class TestKLTaylor:
     def test_domain(self):
         with pytest.raises(DomainError):
             kl_taylor_check(0.2, 0.25)
+        with pytest.raises(DomainError, match="delta"):  # nan fails every comparison
+            kl_taylor_check(0.5, float("nan"))
         with pytest.raises(DomainError):
             kl_taylor_check(1.1, 0.0)
 

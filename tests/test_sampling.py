@@ -117,6 +117,8 @@ class TestEdgeProbabilities:
         p = np.array([[0.0, 0.5], [0.5, 0.0]])
         with pytest.raises(DomainError, match="square"):
             EdgeProbabilityMatrix(p=np.zeros((2, 3)), rho_n=0.5)
+        with pytest.raises(DomainError, match="square"):  # a scalar has no shape[0]
+            EdgeProbabilityMatrix(p=np.float64(0.5), rho_n=0.3)
         with pytest.raises(DomainError, match="zero diagonal"):
             EdgeProbabilityMatrix(p=p + 0.1 * np.eye(2), rho_n=0.5)
         for rho in (0.0, 1.0):
