@@ -26,6 +26,7 @@ import bisect
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,7 @@ class CommunityAssignment:
         z = _as_integers(self.z, "labels")
         if z.ndim != 1 or z.size < 2:
             raise DomainError("assignment needs a 1-d label vector of length >= 2")
+        _check_integers(DomainError, k=self.k)
         if self.k < 1:
             raise DomainError(f"k={self.k} must be >= 1")
         if np.any((z < 1) | (z > self.k)):
@@ -162,7 +164,15 @@ class CommunityAssignment:
         return p, pi
 
 
+def _check_integers(error: type, **values) -> None:
+    """Raise error for a value that is not an integer: a float or a bool."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name}={value!r} must be an integer")
+
+
 def _check_constraints(n: int, k: int, h_min: int, h_max: int) -> None:
+    _check_integers(ConfigError, k=k, h_min=h_min, h_max=h_max)
     if h_min < 2:
         raise ConfigError(f"h_min={h_min} must be >= 2")
     if h_max < h_min:
@@ -174,6 +184,7 @@ def _check_constraints(n: int, k: int, h_min: int, h_max: int) -> None:
 
 
 def _check_restarts(restarts: int) -> None:
+    _check_integers(ConfigError, restarts=restarts)
     if restarts < 1:
         raise ConfigError(f"restarts={restarts} must be >= 1")
 
@@ -233,11 +244,19 @@ def _xlogx(x: np.ndarray, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(x, np.log(buf, out=buf), out=out)
 
 
+_XLOGX_TABLES = weakref.WeakValueDictionary()  # top -> its table, while a _Stacks holds it
+
+
 def _xlogx_table(top: int) -> np.ndarray:
     """xlogy(m, m) for the integers m < (top + 1)^2: every pair count, and
-    every 0/1 block sum, of groups of at most top nodes."""
-    m = np.arange((top + 1) ** 2, dtype=np.float64)
-    return xlogy(m, m)
+    every 0/1 block sum, of groups of at most top nodes.  Read-only and
+    shared, so the _Stacks that verify builds takes its search's table."""
+    table = _XLOGX_TABLES.get(top)
+    if table is None:
+        m = np.arange((top + 1) ** 2, dtype=np.float64)
+        table = _XLOGX_TABLES[top] = xlogy(m, m)
+        table.flags.writeable = False
+    return table
 
 
 def _total_from_terms(t: np.ndarray) -> float:
@@ -366,12 +385,32 @@ def _fixed_point(p: np.ndarray) -> np.ndarray:
 
 
 class _Stacks:
-    """The arrays of the search states of one search over the weights w,
-    stacked along a leading slot axis: each _ProfileState views one slot.
-    Block and neighbour sums have w's dtype, pair counts intp."""
+    """One search over the weights w for k groups of sizes in [h_min, h_max]:
+    its starts' arrays along a leading slot axis (each _ProfileState views
+    one slot), what the starts share and the kernels that read every slot.
 
-    def __init__(self, w: np.ndarray, slots: int, k: int):
+    The weights are symmetric, with zero diagonal and entries in [0, 1]: 0/1
+    adjacency (intp) gives the profile log-likelihood, fixed-point
+    probabilities (float64, _fixed_point) the (negated, shifted) oracle
+    divergence objective.  So every block and neighbour sum (w's dtype) and
+    pair count (intp) is exact in any order of summation.
+
+    A move between groups a and b changes only rows and columns a and b of
+    the block sums e, the pair counts and the terms t.  A builder per move
+    (relabel_rows, _ProfileState.swap_rows) stacks candidate rows into the
+    shared _Workspace work (see _BATCH_CELLS), score prices them by the
+    shared table xlx, and _ProfileState.write applies the chosen one.  The
+    kernels read the stacks at an int slot (one state's window, or a swap),
+    whose rows are views, or at one slot per row.
+    """
+
+    def __init__(self, w: np.ndarray, k: int, h_min: int, h_max: int, slots: int):
         n = w.shape[0]
+        self.w, self.n, self.k, self.h_min, self.h_max = w, n, k, h_min, h_max
+        self.xlx = _xlogx_table(min(h_max, n))
+        self.work = _Workspace()
+        self.within = np.arange(n + 2) * np.arange(-1, n + 1) // 2  # x (x - 1) / 2
+        self.factors = np.empty((2, 4, k), np.int64)  # _refresh_sizes' row and column factors
         self.z = np.empty((slots, n), np.int64)
         self.h = np.empty((slots, k), np.int64)
         self.e = np.empty((slots, k, k), w.dtype)
@@ -381,91 +420,10 @@ class _Stacks:
         self.pieces = np.empty((slots, 4, k, k), np.intp)  # [pairs, leave, join, fix]
         self.mask = np.empty((slots, k, k))
 
-
-class _ProfileState:
-    """Mutable search state maximizing the block-pair term sum over labelings.
-
-    The weights w are symmetric, with zero diagonal and entries in [0, 1]:
-    0/1 adjacency (intp) gives the profile log-likelihood, fixed-point
-    probabilities (float64, _fixed_point) the (negated, shifted) oracle
-    divergence objective.  So every block sum, neighbour sum and pair count
-    is exact in any order of summation, including the BLAS products with the
-    one-hot labels that give the state its neighbour sums and block sums.
-
-    A move between groups a and b changes only rows and columns a and b of
-    the block sums e, the pair counts and the terms t.  A builder per move
-    (relabel_rows, swap_rows) stacks its candidate rows, one scorer (score)
-    prices them, and one writer (write) makes the chosen candidate's rows
-    and their scored terms the state's and applies the move.  Stacks go
-    into the _Workspace work, which a caller may share between states (see
-    _BATCH_CELLS).  The state's arrays are views of its slot of a _Stacks;
-    the builders and the scorer read them at an int slot (one state's
-    window, or a swap), whose rows are views, or at one slot per row.
-
-    What only a move changes is cached, and write refreshes it: the row
-    sums of t (every move); the size pieces and the move mask, which keeps
-    group sizes in [h_min, h_max], with pinned, whether some group sits at
-    h_min (every relabel; a swap keeps h); and each node's weight into each
-    group, nbr (every move).  The sums being exact, each cache holds the
-    bits a window would compute from the current state, so scores do not
-    depend on what is cached; verify checks each against a recomputation.
-    """
-
-    def __init__(self, w: np.ndarray, z0: np.ndarray, k: int, xlx: np.ndarray,
-                 work: _Workspace, h_min: int, h_max: int, stacks: _Stacks | None = None,
-                 slot: int = 0):
-        self.w = w
-        self.n = w.shape[0]
-        self.k = k
-        self.xlx = xlx
-        self.work = work
-        self.slot = slot
-        self.stacks = _Stacks(w, 1, k) if stacks is None else stacks
-        for name in ("z", "h", "e", "nbr", "t", "row_sums", "pieces", "mask"):
-            setattr(self, name, getattr(self.stacks, name)[slot])
-        self.z[...] = z0
-        self.h[...] = np.bincount(z0, minlength=k)
-        self.h_min, self.h_max = h_min, h_max  # the move mask's size bounds
-        self._within = np.arange(self.n + 2) * np.arange(-1, self.n + 1) // 2  # x (x - 1) / 2
-        # _refresh_sizes' row and column factors and the pieces' diagonals
-        self._factors = np.empty((2, 4, k), np.int64)
-        self._diagonals = self.pieces.reshape(4, k * k)[:3, :: k + 1]
-        self._refresh_sizes()
-        onehot = np.eye(k)[z0]
-        self.nbr[...] = w @ onehot
-        # a pair within a group is counted twice; halving is exact
-        self.e[...] = onehot.T @ self.nbr / (1 + np.eye(k))
-        self._terms(self.e, self.pieces[0], self.t)
-        self.t.sum(axis=1, out=self.row_sums)
-        self.total = _total_from_terms(self.t)
-
-    def _refresh_sizes(self, mask: bool = True) -> None:
-        """Rebuild the size pieces and, if mask, the move mask from h.
-
-        With rows, cols = _PIECE_SHIFTS, piece p holds (h[x] + rows[p]) *
-        (h[y] + cols[p]) at (x, y), and f (f - 1) / 2 for the row factor f
-        on the diagonal of all but the fix: the current pair counts (swap
-        stacks); leave[a], the pair counts of group a's row after a node
-        leaves it; join[b], those of group b's row after a node joins it;
-        and fix[a, b], the cross cell (b, a) of that join row when the node
-        comes from a.  The mask is -inf where a relabel from group a to b
-        (row a, column b) stays put or breaks the bounds, else 0.
-        """
-        h, k, counts = self.h, self.k, self.pieces
-        rows, cols = np.add(h, _PIECE_SHIFTS, out=self._factors)
-        np.multiply(rows[:, :, None], cols[:, None, :], out=counts)
-        self._within.take(rows[:3], out=self._diagonals)
-        if mask:
-            self.pinned = not _can_relabel(h, self.h_min).all()
-            # a bool index takes _EXCLUDED[0] or [1]
-            np.add.outer(_EXCLUDED.take(h <= self.h_min), _EXCLUDED.take(h >= self.h_max),
-                         out=self.mask)
-            self.mask.reshape(k * k)[:: k + 1] = -np.inf
-
     def _terms(self, s: np.ndarray, pc: np.ndarray, out: np.ndarray) -> np.ndarray:
         """_terms of block sums s and pair counts pc (intp), written into
-        out.  pc log pc comes from the table xlx (_xlogx_table), and so do
-        the other two terms of 0/1 sums (intp), with _terms' bits.
+        out.  pc log pc comes from the table xlx, and so do the other two
+        terms of 0/1 sums (intp), with _terms' bits.
         Fixed-point sums take theirs from _xlogx: numpy's log, about four
         times faster than xlogy, may differ from it in the last bit, and by
         CPU.  Every s a search stacks lies in [0, pc], so none is clipped."""
@@ -489,17 +447,104 @@ class _ProfileState:
         still counts the node in a; write fixes it.  Rows do not depend on
         the rest of the stack.  The nodes belong to the state of slot slots
         or, node r, of slot slots[r]."""
-        k, m, stacks = self.k, a.size, self.stacks
+        k, m = self.k, a.size
         r = np.arange(m)
-        s = self.work("sums", (m, k + 1, k), stacks.e.dtype)
-        np.subtract(stacks.e[slots, a], cnt, out=s[:, 0])
-        np.add(stacks.e[slots], cnt[:, None, :], out=s[:, 1:])
+        s = self.work("sums", (m, k + 1, k), self.e.dtype)
+        np.subtract(self.e[slots, a], cnt, out=s[:, 0])
+        np.add(self.e[slots], cnt[:, None, :], out=s[:, 1:])
         s[r, 1:, a] -= cnt
-        pc = self.work("counts", (m, k + 1, k), stacks.pieces.dtype)
-        pc[:, 1:] = stacks.pieces[slots, 2]
-        pc[:, 0] = stacks.pieces[slots, 1, a]
-        pc[r, 1:, a] = stacks.pieces[slots, 3, a]
+        pc = self.work("counts", (m, k + 1, k), self.pieces.dtype)
+        pc[:, 1:] = self.pieces[slots, 2]
+        pc[:, 0] = self.pieces[slots, 1, a]
+        pc[r, 1:, a] = self.pieces[slots, 3, a]
         return s, pc
+
+    def score(self, s: np.ndarray, pc: np.ndarray, slots, a: np.ndarray, b=None) -> np.ndarray:
+        """Objective change of each candidate of a stack.
+
+        The change is (sum row 0 - row 0[b]) + sum row b - (old row sums of a
+        and b) + t[a, b]: the (a, b) cross term sits in both rows, so only
+        row b's copy counts.  b holds each stack's one group b (a swap); with
+        b None, candidate c joins group c (a relabel window), and row 0[b] is
+        row 0 itself, not a gather.  Old rows are read at slots, as
+        relabel_rows reads them (a swap passes its state's slot).
+        Returns deltas of shape (N, m - 1) and the stack's terms, whose
+        chosen rows write takes.
+        """
+        terms = self._terms(s, pc, self.work("terms", s.shape))
+        sums = terms.sum(axis=2)
+        t, row_sums = self.t, self.row_sums
+        if b is None:
+            at_b, sums_b, t_ab = terms[:, 0], row_sums[slots], t[slots, a]
+        else:
+            r = np.arange(a.size)
+            at_b = terms[r, 0, b, None]
+            sums_b, t_ab = _gather(row_sums, slots, b)[:, None], t[slots, a, b, None]
+        sums_a = _gather(row_sums, slots, a)[:, None]
+        deltas = (sums[:, :1] - at_b) + sums[:, 1:] - sums_a - sums_b + t_ab
+        return deltas, terms
+
+
+class _ProfileState:
+    """One start, in slot slot of stacks: views of the slot's arrays, the
+    caches, the swap builder, the writer and verify.  A start that is not n
+    labels in 0..k-1 with every group size in [h_min, h_max] raises
+    DomainError.  One-hot BLAS products give the first sums, exactly.
+
+    What only a move changes is cached, and write refreshes it: the row
+    sums of t (every move); the size pieces and the move mask, which keeps
+    group sizes in [h_min, h_max], with pinned, whether some group sits at
+    h_min (every relabel; a swap keeps h); and each node's weight into each
+    group, nbr (every move).  The sums being exact, each cache holds the
+    bits a window would compute from the current state, so scores do not
+    depend on what is cached; verify checks each against a recomputation.
+    """
+
+    def __init__(self, stacks: _Stacks, slot: int, start):
+        n, k, h_min, h_max = stacks.n, stacks.k, stacks.h_min, stacks.h_max
+        z0 = _as_integers(start, "start labels")
+        if z0.shape != (n,) or np.any((z0 < 0) | (z0 >= k)):
+            raise DomainError(f"a start needs {n} labels in 0..{k - 1}")
+        sizes = np.bincount(z0, minlength=k)
+        if np.any((sizes < h_min) | (sizes > h_max)):
+            raise DomainError(f"start group sizes {sizes.tolist()} leave [{h_min}, {h_max}]")
+        self.stacks, self.slot, self.w, self.n, self.k = stacks, slot, stacks.w, n, k
+        for name in ("z", "h", "e", "nbr", "t", "row_sums", "pieces", "mask"):
+            setattr(self, name, getattr(stacks, name)[slot])
+        self.z[...] = z0
+        self.h[...] = sizes
+        self._diagonals = self.pieces.reshape(4, k * k)[:3, :: k + 1]  # see _refresh_sizes
+        self._refresh_sizes()
+        onehot = np.eye(k)[z0]
+        self.nbr[...] = self.w @ onehot
+        # a pair within a group is counted twice; halving is exact
+        self.e[...] = onehot.T @ self.nbr / (1 + np.eye(k))
+        stacks._terms(self.e, self.pieces[0], self.t)
+        self.t.sum(axis=1, out=self.row_sums)
+        self.total = _total_from_terms(self.t)
+
+    def _refresh_sizes(self, mask: bool = True) -> None:
+        """Rebuild the size pieces and, if mask, the move mask from h.
+
+        With rows, cols = _PIECE_SHIFTS, piece p holds (h[x] + rows[p]) *
+        (h[y] + cols[p]) at (x, y), and f (f - 1) / 2 for the row factor f
+        on the diagonal of all but the fix: the current pair counts (swap
+        stacks); leave[a], the pair counts of group a's row after a node
+        leaves it; join[b], those of group b's row after a node joins it;
+        and fix[a, b], the cross cell (b, a) of that join row when the node
+        comes from a.  The mask is -inf where a relabel from group a to b
+        (row a, column b) stays put or breaks the bounds, else 0.
+        """
+        h, k, counts, stacks = self.h, self.k, self.pieces, self.stacks
+        rows, cols = np.add(h, _PIECE_SHIFTS, out=stacks.factors)
+        np.multiply(rows[:, :, None], cols[:, None, :], out=counts)
+        stacks.within.take(rows[:3], out=self._diagonals)
+        if mask:
+            self.pinned = not _can_relabel(h, stacks.h_min).all()
+            # a bool index takes _EXCLUDED[0] or [1]
+            np.add.outer(_EXCLUDED.take(h <= stacks.h_min), _EXCLUDED.take(h >= stacks.h_max),
+                         out=self.mask)
+            self.mask.reshape(k * k)[:: k + 1] = -np.inf
 
     def swap_rows(self, ii: np.ndarray, jj: np.ndarray) -> tuple:
         """Stack (s, pc) for exchanging the labels of each pair
@@ -516,39 +561,14 @@ class _ProfileState:
         ci[r, b] -= wij
         d = np.subtract(cj, ci, out=cj)
         ab = np.array([a, b]).T
-        shape = (ii.size, 2, self.k)
-        s = self.e.take(ab, axis=0, out=self.work("sums", shape, self.e.dtype), mode="clip")
+        shape, work = (ii.size, 2, self.k), self.stacks.work
+        s = self.e.take(ab, axis=0, out=work("sums", shape, self.e.dtype), mode="clip")
         s[:, 0] += d
         s[:, 1] -= d
         s[r, 0, b] = s[r, 1, a] = self.e[a, b] - d[r, a] + d[r, b]
-        pc = self.pieces[0].take(ab, axis=0, out=self.work("counts", shape, self.pieces.dtype),
+        pc = self.pieces[0].take(ab, axis=0, out=work("counts", shape, self.pieces.dtype),
                                  mode="clip")
         return s, pc
-
-    def score(self, s: np.ndarray, pc: np.ndarray, slots, a: np.ndarray, b=None) -> np.ndarray:
-        """Objective change of each candidate of a stack.
-
-        The change is (sum row 0 - row 0[b]) + sum row b - (old row sums of a
-        and b) + t[a, b]: the (a, b) cross term sits in both rows, so only
-        row b's copy counts.  b holds each stack's one group b (a swap); with
-        b None, candidate c joins group c (a relabel window), and row 0[b] is
-        row 0 itself, not a gather.  Old rows are read from the stacks at
-        slots, as relabel_rows reads them (a swap passes its state's slot).
-        Returns deltas of shape (N, m - 1) and the stack's terms, whose
-        chosen rows write takes.
-        """
-        terms = self._terms(s, pc, self.work("terms", s.shape))
-        sums = terms.sum(axis=2)
-        t, row_sums = self.stacks.t, self.stacks.row_sums
-        if b is None:
-            at_b, sums_b, t_ab = terms[:, 0], row_sums[slots], t[slots, a]
-        else:
-            r = np.arange(a.size)
-            at_b = terms[r, 0, b, None]
-            sums_b, t_ab = _gather(row_sums, slots, b)[:, None], t[slots, a, b, None]
-        sums_a = _gather(row_sums, slots, a)[:, None]
-        deltas = (sums[:, :1] - at_b) + sums[:, 1:] - sums_a - sums_b + t_ab
-        return deltas, terms
 
     def write(self, i: int, b: int, s: np.ndarray, terms: np.ndarray, delta: float,
               j: int | None = None) -> None:
@@ -576,8 +596,8 @@ class _ProfileState:
             h[b] += 1
             # Row a or column b of the mask flips only as a or b reaches a
             # bound, column a or row b only as it leaves one.
-            self._refresh_sizes(h[a] in (self.h_min, self.h_max - 1)
-                                or h[b] in (self.h_min + 1, self.h_max))
+            h_min, h_max = self.stacks.h_min, self.stacks.h_max
+            self._refresh_sizes(h[a] in (h_min, h_max - 1) or h[b] in (h_min + 1, h_max))
         else:
             self.z[j] = a
             moved = moved - self.w[j]
@@ -585,7 +605,11 @@ class _ProfileState:
         self.nbr[:, b] += moved
 
     def verify(self) -> None:
-        fresh = _ProfileState(self.w, self.z, self.k, self.xlx, self.work, self.h_min, self.h_max)
+        stacks = self.stacks
+        try:
+            fresh = _ProfileState(_Stacks(self.w, self.k, stacks.h_min, stacks.h_max, 1), 0, self.z)
+        except DomainError as e:  # a move took a group out of its bounds
+            raise InternalError(f"incremental labels drifted: {e}") from None
         scale = max(1.0, abs(fresh.total))
         if abs(fresh.total - self.total) > _VERIFY_RTOL * scale:
             raise InternalError(
@@ -734,7 +758,7 @@ def _search(state: _ProfileState, rng: np.random.Generator):
                 return -1
             ii, jj = ii[live], jj[live]
             s, pc = state.swap_rows(ii, jj)
-            deltas, terms = state.score(s, pc, state.slot, state.z[ii], state.z[jj])
+            deltas, terms = state.stacks.score(s, pc, state.slot, state.z[ii], state.z[jj])
             hits = np.flatnonzero(deltas[:, 0] > _SEARCH_TOL)
             if hits.size == 0:
                 return -1
@@ -763,8 +787,8 @@ def _can_relabel(sizes: np.ndarray, h_min: int) -> np.ndarray:
 
 
 def _local_searches(states: list, rng: np.random.Generator) -> list:
-    """Greedy ascents of states, slots of one _Stacks with one set of size
-    bounds, in lockstep; returns each one's accepted swap count.
+    """Greedy ascents of states, slots of one _Stacks, in lockstep; returns
+    each one's accepted swap count.
 
     Each _lockstep round scores one relabel window of every start still
     relabelling in one stack.  A start's relabels never draw random numbers,
@@ -772,8 +796,8 @@ def _local_searches(states: list, rng: np.random.Generator) -> list:
     every earlier start has finished, so every start's moves, swap draws and
     result are those of searching the starts one after another with one rng.
     """
-    state = states[0]  # any state: all read the shared stacks
-    n, k, stacks = state.n, state.k, state.stacks
+    stacks = states[0].stacks  # every state's
+    n, k = stacks.n, stacks.k
     # Window cap from the cells one candidate stacks: a relabel's k + 1 rows
     # of k (or its neighbour row).
     cap = max(1, _BATCH_CELLS // max(k * k, 2 * n))
@@ -790,14 +814,14 @@ def _local_searches(states: list, rng: np.random.Generator) -> list:
         # each window's rows, then counts only the rows kept.
         ends = itertools.accumulate(hi - lo for _, lo, hi in windows)
         if any(states[i].pinned for i, _, _ in windows):
-            keep = np.flatnonzero(_can_relabel(_gather(stacks.h, slots, a), state.h_min))
+            keep = np.flatnonzero(_can_relabel(_gather(stacks.h, slots, a), stacks.h_min))
             if keep.size == 0:
                 return [-1] * len(windows)
             nodes, a = nodes[keep], a[keep]
             slots = slots if np.isscalar(slots) else slots[keep]
             ends = np.searchsorted(keep, list(ends))
-        s, pc = state.relabel_rows(a, stacks.nbr[slots, nodes], slots)
-        deltas, terms = state.score(s, pc, slots, a)
+        s, pc = stacks.relabel_rows(a, stacks.nbr[slots, nodes], slots)
+        deltas, terms = stacks.score(s, pc, slots, a)
         deltas += stacks.mask[slots, a]
         hits = np.flatnonzero(deltas.max(axis=1) > _SEARCH_TOL).tolist()
         taken, start = [], 0
@@ -817,39 +841,26 @@ def _local_searches(states: list, rng: np.random.Generator) -> list:
     return _lockstep([_search(st, rng) for st in states], cap, take_relabels)
 
 
-def _maximize_profile(
-    w: np.ndarray,
-    k: int,
-    h_min: int,
-    h_max: int,
-    restarts: int,
-    seed: int,
-    extra_inits: list | None = None,
-):
-    """Multi-restart local search over 0/1 or fixed-point weights (see
-    _ProfileState); returns (z0, total, swaps, ties, searches run).  The
-    starts run in lockstep (_local_searches); each is verified once all have
-    finished, and the best is picked in start order."""
+def _maximize_profile(w: np.ndarray, k: int, h_min: int, h_max: int, restarts: int, seed: int,
+                      extra_inits: list | None = None):
+    """Multi-restart local search over 0/1 or fixed-point weights (_Stacks);
+    returns (z0, total, swaps, ties, searches run).  The starts run in
+    lockstep (_local_searches), each is verified once all have finished, and
+    the best is picked in start order.  The result keeps every group inside
+    [h_min, h_max]; a start in extra_inits outside them is refused."""
     n = w.shape[0]
     _check_constraints(n, k, h_min, h_max)
     _check_restarts(restarts)
     rng = make_rng(seed, _SEARCH_STREAM)
     sizes = balanced_partition(n, k).h
-    degrees = w.sum(axis=1)
-
-    inits = [_contiguous_labels(np.argsort(-degrees, kind="stable"), sizes)]
-    for z0 in extra_inits or []:
-        inits.append(np.asarray(z0, dtype=np.int64))
+    inits = [_contiguous_labels(np.argsort(-w.sum(axis=1), kind="stable"), sizes),
+             *(extra_inits or [])]
     while len(inits) < restarts:
         inits.append(_contiguous_labels(rng.permutation(n), sizes))
-    # a group grows only up to h_max, but a given start may begin above it
-    xlx = _xlogx_table(max([min(h_max, n)] + [np.bincount(z0).max() for z0 in inits]))
 
     best_total, best_canon, best_swaps, ties = -np.inf, None, 0, False
-    work = _Workspace()
-    stacks = _Stacks(w, len(inits), k)
-    states = [_ProfileState(w, z0, k, xlx, work, h_min, h_max, stacks, slot)
-              for slot, z0 in enumerate(inits)]
+    stacks = _Stacks(w, k, h_min, h_max, len(inits))
+    states = [_ProfileState(stacks, slot, z0) for slot, z0 in enumerate(inits)]
     for state, swaps in zip(states, _local_searches(states, rng)):
         state.verify()
         canon = _canonical_labels(state.z)
@@ -1023,10 +1034,12 @@ class FitResult:
 
 @dataclass(frozen=True)
 class OracleFit:
-    """Divergence-minimizing assignment for known edge probabilities."""
+    """Divergence-minimizing assignment for known edge probabilities, its
+    divergence and its risk (risk.oracle_risk of the assignment, bit for bit)."""
 
     assignment: CommunityAssignment
     divergence: float
+    risk: float
     ties: bool
     restarts_used: int
 
@@ -1035,7 +1048,7 @@ def _finish_fit(
     a: AdjacencyMatrix, z0: np.ndarray, k: int, total: float,
     restarts: int, swaps: int, ties: bool, seed: int, h_min: int, h_max: int,
 ) -> FitResult:
-    assignment = CommunityAssignment(z=z0 + 1, k=k)
+    assignment = CommunityAssignment(z=z0 + 1, k=int(k))
     stats = block_stats(a, assignment)
     check = _total_from_terms(_terms(stats.edge_sums, stats.pair_counts))
     if abs(check - total) > 1e-8 * max(1.0, abs(check)):
@@ -1052,8 +1065,8 @@ def _finish_fit(
         swap_count=swaps,
         ties=ties,
         seed=int(seed),
-        h_min=h_min,
-        h_max=h_max,
+        h_min=int(h_min),
+        h_max=int(h_max),
     )
 
 
@@ -1106,11 +1119,6 @@ def _pair_divergence(p: EdgeProbabilityMatrix, z: CommunityAssignment, theta: np
     return float(_kl_terms(pe, q).sum()), float(pe.sum())
 
 
-def oracle_divergence(p: EdgeProbabilityMatrix, z: CommunityAssignment) -> float:
-    """Sum over i<j of D(p_ij || pbar_{z_i z_j}), natural log."""
-    return _pair_divergence(p, z, oracle_block_means(p, z))[0]
-
-
 def oracle_mple(
     p: EdgeProbabilityMatrix,
     k: int,
@@ -1124,10 +1132,13 @@ def oracle_mple(
 
     Uses mple_search's engine on the fixed-point probabilities (_fixed_point;
     the objectives differ by a constant); it reports the divergence of p.
+    The result keeps every group inside [h_min, h_max]; a start in
+    extra_inits outside them is refused with a DomainError.
     """
     h_max = p.n if h_max is None else h_max
     z0, _, _, ties, restarts_used = _maximize_profile(
         _fixed_point(p.p), k, h_min, h_max, restarts, seed, extra_inits=extra_inits
     )
     assignment = CommunityAssignment(z=z0 + 1, k=k)
-    return OracleFit(assignment, oracle_divergence(p, assignment), ties, restarts_used)
+    divergence, mass = _pair_divergence(p, assignment, oracle_block_means(p, assignment))
+    return OracleFit(assignment, divergence, divergence / mass, ties, restarts_used)

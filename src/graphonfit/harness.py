@@ -31,7 +31,6 @@ from .risk import (
     CSV_COLUMNS,
     RiskReport,
     _check_mse_options,
-    _pair_total,
     build_estimator,
     graphon_mse,
     normalized_kl_risk,
@@ -176,11 +175,7 @@ def score_replicate(truth, xi, p, fit, grid, alignment) -> RiskReport:
     rank_z = oracle_rank_assignment(xi, balanced_partition(n, k))
     ofit = oracle_mple(p, k, h_min=fit.h_min, h_max=fit.h_max, restarts=1,
                        seed=fit.seed, extra_inits=[rank_z.z - 1])
-    oracle = min(
-        oracle_risk(p, rank_z),
-        ofit.divergence / _pair_total(p),  # oracle_risk(p, ofit.assignment), bit for bit
-        oracle_risk(p, fit.assignment),
-    )
+    oracle = min(oracle_risk(p, rank_z), ofit.risk, oracle_risk(p, fit.assignment))
 
     mse_id = graphon_mse(truth, est, grid=grid, alignment="identity")
     mse_al = graphon_mse(truth, est, grid=grid, alignment=alignment)

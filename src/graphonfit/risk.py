@@ -65,12 +65,6 @@ def normalized_kl_risk(p: EdgeProbabilityMatrix, fit: FitResult) -> float:
     return divergence / mass
 
 
-def _pair_total(p: EdgeProbabilityMatrix) -> float:
-    """sum of p_ij over the pairs i < j, oracle_risk's denominator, for score_replicate."""
-    iu = np.triu_indices(p.n, k=1)
-    return float(p.p[iu].sum())
-
-
 def oracle_risk(p: EdgeProbabilityMatrix, z: CommunityAssignment) -> float:
     """Normalized divergence of p from its best block-constant fit under z."""
     divergence, mass = _pair_divergence(p, z, oracle_block_means(p, z))

@@ -39,6 +39,7 @@ from graphonfit import blockmodel
 from graphonfit.blockmodel import (
     _BATCH_CELLS,
     _ProfileState,
+    _Stacks,
     _Workspace,
     _contiguous_labels,
     _enumerate_canonical,
@@ -47,9 +48,9 @@ from graphonfit.blockmodel import (
     _fixed_point,
     _fixed_point_bits,
     _local_searches,
+    _pair_divergence,
     _terms,
     _xlogx,
-    oracle_divergence,
 )
 from graphonfit.graphons import balanced_partition, partition_quantile
 
@@ -98,6 +99,11 @@ class TestAssignment:
     def test_rejects_k_below_1(self):
         with pytest.raises(DomainError, match="k=0 must be >= 1"):
             CommunityAssignment(z=np.array([1, 1]), k=0)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_rejects_k_that_is_not_an_integer(self, k):
+        with pytest.raises(DomainError, match=f"k={k!r} must be an integer"):
+            CommunityAssignment(z=np.array([1, 1, 2, 2]), k=k)
 
     def test_canonical_form(self):
         z = CommunityAssignment(z=np.array([3, 3, 1, 1, 2, 2]), k=3)
@@ -265,7 +271,7 @@ class _ScalarProfileState(_ProfileState):
 
     def __init__(self, w, z0, k):
         # _scalar_local_search applies the bounds itself
-        super().__init__(w, z0, k, _xlx_for(w.shape[0]), _Workspace(), 1, w.shape[0])
+        super().__init__(_Stacks(w, k, 1, w.shape[0], 1), 0, z0)
 
     def terms(self, s, pc):
         return reference_terms(s, pc)
@@ -417,17 +423,12 @@ def _search_instance(n, k, binary, seed):
     return (w if binary else _fixed_point(w)), z0
 
 
-def _xlx_for(n):
-    m = np.arange((n + 1) ** 2, dtype=np.float64)
-    return xlogy(m, m)
-
-
 def new_state(w, z0, k, h_min=1, h_max=None):
-    """A search state with a table for groups of up to n nodes, its own
-    workspace and group sizes in [h_min, h_max] (default [1, n]); integer
-    weights are 0/1 weights, float64 ones fixed-point."""
+    """The state of a one-start search with group sizes in [h_min, h_max]
+    (default [1, n]); integer weights are 0/1 weights, float64 ones
+    fixed-point."""
     n = w.shape[0]
-    return _ProfileState(w, z0, k, _xlx_for(n), _Workspace(), h_min, n if h_max is None else h_max)
+    return _ProfileState(_Stacks(w, k, h_min, n if h_max is None else h_max, 1), 0, z0)
 
 
 def relabel_window(state, nodes):
@@ -435,7 +436,8 @@ def relabel_window(state, nodes):
     each node's own group, which the search masks, at 0 as in the reference."""
     cnt = state.nbr[nodes]
     a = state.z[nodes]
-    deltas, _ = state.score(*state.relabel_rows(a, cnt, state.slot), state.slot, a)
+    stacks = state.stacks
+    deltas, _ = stacks.score(*stacks.relabel_rows(a, cnt, state.slot), state.slot, a)
     deltas[np.arange(nodes.size), a] = 0.0
     return cnt, deltas
 
@@ -443,7 +445,7 @@ def relabel_window(state, nodes):
 def swap_window(state, ii, jj):
     """(rows, deltas) of a swap window: the built rows and their changes."""
     s, pc = state.swap_rows(ii, jj)
-    return s, state.score(s, pc, state.slot, state.z[ii], state.z[jj])[0][:, 0]
+    return s, state.stacks.score(s, pc, state.slot, state.z[ii], state.z[jj])[0][:, 0]
 
 
 def relabel_move(state, nodes, t, b):
@@ -451,10 +453,10 @@ def relabel_move(state, nodes, t, b):
     a search does.  Returns copies of the candidate's rows (s, pc) taken
     before scoring, and its delta."""
     a = state.z[nodes]
-    s, pc = state.relabel_rows(a, state.nbr[nodes], state.slot)
+    s, pc = state.stacks.relabel_rows(a, state.nbr[nodes], state.slot)
     rows = [0, 1 + b]
     scored = s[t, rows], pc[t, rows]
-    deltas, terms = state.score(s, pc, state.slot, a)
+    deltas, terms = state.stacks.score(s, pc, state.slot, a)
     delta = float(deltas[t, b])
     state.write(nodes[t], b, s[t, rows], terms[t, rows], delta)
     return scored, delta
@@ -466,7 +468,7 @@ def swap_move(state, ii, jj, t):
     i, j = ii[t], jj[t]
     s, pc = state.swap_rows(ii, jj)
     scored = s[t].copy(), pc[t].copy()
-    deltas, terms = state.score(s, pc, state.slot, state.z[ii], state.z[jj])
+    deltas, terms = state.stacks.score(s, pc, state.slot, state.z[ii], state.z[jj])
     delta = float(deltas[t, 0])
     state.write(i, state.z[j], s[t], terms[t], delta, j)
     return scored, delta
@@ -574,7 +576,7 @@ class TestIncrementalEngine:
         pc = rng.integers(0, 31**2, size=2000)
         s = np.floor(pc * rng.uniform(0.0, 1.0, size=pc.size)).astype(np.intp)
         s[:100], s[100:200] = 0, pc[100:200]
-        got = state._terms(s, pc, np.empty(s.shape))
+        got = state.stacks._terms(s, pc, np.empty(s.shape))
         assert np.array_equal(got, _terms(s, pc))
         # pc log pc of every size piece, after relabels, comes from the one
         # table with xlogy's bits, for either kind of weight
@@ -588,7 +590,7 @@ class TestIncrementalEngine:
                     moved += 1
             assert moved > 10
             pieces = state.pieces
-            assert np.array_equal(state.xlx[pieces], xlogy(pieces, pieces))
+            assert np.array_equal(state.stacks.xlx[pieces], xlogy(pieces, pieces))
 
     def test_real_window_terms_near_xlogy_terms(self):
         # numpy's log, which fixed-point weights use, may differ from xlogy's
@@ -599,14 +601,14 @@ class TestIncrementalEngine:
         state = new_state(w, z0, k)
         nodes = np.arange(n)
         cnt = state.nbr[nodes]
-        s, pc = state.relabel_rows(state.z[nodes], cnt, state.slot)
-        got = state._terms(s, pc, np.empty_like(s))
+        s, pc = state.stacks.relabel_rows(state.z[nodes], cnt, state.slot)
+        got = state.stacks._terms(s, pc, np.empty_like(s))
         assert np.all(np.isfinite(got[nodes, 1 + state.z]))
         assert np.allclose(got, _terms(s, pc), rtol=1e-12, atol=0.0)
         iu, ju = np.triu_indices(n, k=1)
         live = state.z[iu] != state.z[ju]
         s, pc = state.swap_rows(iu[live], ju[live])
-        got = state._terms(s, pc, np.empty_like(s))
+        got = state.stacks._terms(s, pc, np.empty_like(s))
         assert np.allclose(got, _terms(s, pc), rtol=1e-12, atol=0.0)
 
     def test_real_window_terms_vanish_where_saturated(self):
@@ -618,11 +620,11 @@ class TestIncrementalEngine:
         state = new_state(w, z0, k)
         nodes = np.arange(n)
         cnt = state.nbr[nodes]
-        s, pc = state.relabel_rows(state.z[nodes], cnt, state.slot)
+        s, pc = state.stacks.relabel_rows(state.z[nodes], cnt, state.slot)
         pick = np.random.default_rng(30).integers(0, 3, size=s.shape)
         s[pick == 0] = 0.0
         s[pick == 1] = pc[pick == 1]
-        got = state._terms(s, pc, np.empty_like(s))
+        got = state.stacks._terms(s, pc, np.empty_like(s))
         assert np.all(got[pick < 2] == 0.0)
         x = np.array([0.0, 0.5, 3.0])
         got = _xlogx(x, np.empty(3), np.empty(3))
@@ -675,18 +677,46 @@ class TestIncrementalEngine:
             _finish_fit(PLANTED4, z0, 2, total - 1e-6, 1, 0, False, 0, 2, 4)
 
     def test_restarts_share_one_workspace(self, monkeypatch):
-        made = []
+        # every window of every start of one search, relabel or swap, goes
+        # into one workspace
+        used, call, searched = [], _Workspace.__call__, blockmodel._local_searches
 
-        class Counted(_Workspace):
-            def __init__(self):
-                super().__init__()
-                made.append(self)
+        def recorded(work, *args):
+            used.append(work)
+            return call(work, *args)
 
-        monkeypatch.setattr(blockmodel, "_Workspace", Counted)
+        def searches(states, rng):
+            with monkeypatch.context() as m:
+                m.setattr(_Workspace, "__call__", recorded)
+                return searched(states, rng)
+
+        monkeypatch.setattr(blockmodel, "_local_searches", searches)
         rng = np.random.default_rng(26)
         a, _ = random_instance(rng, n_max=20, k_max=3)
         fit = mple_search(a, 2, restarts=4, seed=3)
-        assert fit.restarts_used == 4 and len(made) == 1
+        assert fit.restarts_used == 4 and used and all(work is used[0] for work in used)
+
+    def test_verify_refuses_labels_out_of_bounds(self):
+        # a group that moves took past h_max is a drifted state, not a bad start
+        w, z0 = _search_instance(20, 3, True, seed=22)
+        state = new_state(w, z0, 3, 2, 10)
+        state.z[...] = np.repeat([0, 1, 2], [12, 4, 4])
+        with pytest.raises(InternalError, match="incremental labels drifted"):
+            state.verify()
+
+    def test_verify_shares_its_search_table(self, monkeypatch):
+        # verify's fresh _Stacks takes the search's x log x table, read-only,
+        # instead of building another
+        made, init = [], _Stacks.__init__
+
+        def recorded(self, *args):
+            init(self, *args)
+            made.append(self.xlx)
+
+        monkeypatch.setattr(_Stacks, "__init__", recorded)
+        w, z0 = _search_instance(20, 3, True, seed=22)
+        new_state(w, z0, 3, 2, 10).verify()
+        assert len(made) == 2 and made[0] is made[1] and not made[0].flags.writeable
 
     # (n, k, h_min, h_max): n <= _ALL_PAIRS_MAX_N scans all pairs, a larger n
     # draws 4n pairs per swap sweep; h_min == h_max leaves swaps as the only
@@ -1004,11 +1034,11 @@ class TestFrozenRows:
         counts of relabel rows built and of those built for a node at h_min."""
         n, k, h_min, h_max, binary, seed, restarts = case
         w, _ = _search_instance(n, k, binary, seed)
-        relabel_rows, verify = _ProfileState.relabel_rows, _ProfileState.verify
+        relabel_rows, verify = _Stacks.relabel_rows, _ProfileState.verify
         rows, frozen, starts = [0], [0], []
 
         def recorded_rows(self, a, cnt, slots):
-            sizes = self.stacks.h[slots, a]
+            sizes = self.h[slots, a]
             rows[0] += a.size
             frozen[0] += int((sizes <= h_min).sum())
             return relabel_rows(self, a, cnt, slots)
@@ -1017,7 +1047,7 @@ class TestFrozenRows:
             starts.append((self.z.tolist(), self.total.hex()))
             verify(self)
 
-        monkeypatch.setattr(_ProfileState, "relabel_rows", recorded_rows)
+        monkeypatch.setattr(_Stacks, "relabel_rows", recorded_rows)
         monkeypatch.setattr(_ProfileState, "verify", recorded_verify)
         if not prune:  # build every row, as if any node could relabel
             monkeypatch.setattr(blockmodel, "_can_relabel", lambda sizes, h_min: sizes > 0)
@@ -1039,7 +1069,7 @@ class TestFrozenRows:
 
 
 class TestUnclippedTerms:
-    """_ProfileState._terms does not clip its block sums: every sum a search
+    """_Stacks._terms does not clip its block sums: every sum a search
     starts from or stacks, and so every sum it writes, lies in [0, pc], for
     0/1 and for fixed-point weights.  Checked over the searches of each kind
     of the scalar-reference, lockstep and frozen-row cases: relabel and swap
@@ -1048,7 +1078,7 @@ class TestUnclippedTerms:
 
     @staticmethod
     def check(monkeypatch, binary):
-        terms = _ProfileState._terms
+        terms = _Stacks._terms
         cells, stacked = [0], set()
 
         def checked(self, s, pc, out):
@@ -1060,7 +1090,7 @@ class TestUnclippedTerms:
                     stacked.add("relabel" if s.shape[1] == self.k + 1 else "swap")
             return terms(self, s, pc, out)
 
-        monkeypatch.setattr(_ProfileState, "_terms", checked)
+        monkeypatch.setattr(_Stacks, "_terms", checked)
         for t, (n, k, h_min, h_max) in enumerate(TestIncrementalEngine.CASES):
             w, z0 = _search_instance(n, k, binary, seed=100 + t)
             _local_searches([new_state(w, z0, k, h_min, h_max)], np.random.default_rng(t))
@@ -1125,6 +1155,25 @@ class TestMpleSearch:
         assert f1.assignment.z.tolist() == f2.assignment.z.tolist()
         assert f1.profile_loglik == f2.profile_loglik
 
+    # a setting that is not an integer, each of which a search once took:
+    # h_max=10.5 tripped an internal check, h_min=2.5 gave a fit whose JSON
+    # did not load, restarts=1.5 ran 2 searches and k=2.5 counted no
+    # assignment
+    NOT_INTEGERS = {
+        "fit-h_max-10.5": lambda a, p: mple_search(a, 2, h_max=10.5),
+        "oracle-h_max-10.5": lambda a, p: oracle_mple(p, 2, h_max=10.5),
+        "fit-h_min-2.5": lambda a, p: mple_search(a, 2, h_min=2.5),
+        "fit-restarts-1.5": lambda a, p: mple_search(a, 2, restarts=1.5),
+        "count-k-2.5": lambda a, p: count_admissible_assignments(8, 2.5, 2, 8),
+        "fit-k-True": lambda a, p: mple_search(a, True),
+    }
+
+    @pytest.mark.parametrize("call", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
+    def test_settings_must_be_integers(self, call):
+        p = edge_probabilities(graphon_by_name("cosine"), sample_latents(20, seed=1), 0.3)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            call(sample_adjacency(p, seed=1), p)
+
     def test_infeasible_constraints(self):
         a = AdjacencyMatrix(a=np.zeros((5, 5), dtype=np.uint8))
         with pytest.raises(ConfigError):
@@ -1173,6 +1222,12 @@ class TestMpleSearch:
         scalars = ("profile_loglik", "rho_hat", "restarts_used", "swap_count", "ties",
                    "seed", "h_min", "h_max")
         assert all(getattr(back, s) == getattr(fit, s) for s in scalars)
+
+    def test_numpy_integer_settings_round_trip(self):
+        # numpy integers are integer settings; the fit's JSON holds them as ints
+        fit = mple_search(PLANTED4, np.int64(2), h_max=np.int64(4), restarts=np.int64(1))
+        back = FitResult.from_json(fit.to_json())
+        assert (back.assignment.k, back.h_min, back.h_max) == (2, 2, 4)
 
     @pytest.mark.parametrize("key, value", [
         ("seed", "7"), ("ties", 1), ("k", True), ("assignment", [1.0, 1.0, 2.0, 2.0]),
@@ -1296,14 +1351,23 @@ class TestOracle:
         assert fit.divergence == pytest.approx(0.0, abs=1e-12)
         assert fit.ties
 
-    def test_extra_start_above_h_max(self):
-        # the search's x log x table also covers a given start's groups
-        # above h_max, whose relabels then shrink them
-        labels = np.repeat([1, 2], 5)
-        pm = np.where(labels[:, None] == labels[None, :], 0.6, 0.2)
-        p = self.make_probabilities(pm.astype(float))
-        fit = oracle_mple(p, 2, h_max=5, restarts=1, seed=0, extra_inits=[np.repeat([0, 1], [8, 2])])
-        assert fit.assignment.canonical_form().z.tolist() == labels.tolist()
+    # (k, start) for n = 40 nodes and group sizes in [2, 15], each start
+    # broken one way; the search once took the last one and returned a
+    # group of 16
+    BAD_STARTS = {
+        "wrong-length": (3, [0] * 13 + [1] * 13 + [2] * 13),
+        "label-above-k": (3, [0] * 14 + [1] * 13 + [2] * 12 + [3]),
+        "negative-label": (3, [-1] + [0] * 13 + [1] * 13 + [2] * 13),
+        "non-integer-label": (3, [0.5] + [0] * 13 + [1] * 13 + [2] * 13),
+        "group-below-h_min": (4, [0] + [1] * 13 + [2] * 13 + [3] * 13),
+        "group-above-h_max": (3, [0] * 30 + [1] * 5 + [2] * 5),
+    }
+
+    @pytest.mark.parametrize("k, start", BAD_STARTS.values(), ids=BAD_STARTS)
+    def test_bad_start_is_refused(self, k, start):
+        p = edge_probabilities(graphon_by_name("cosine"), sample_latents(40, seed=3), 0.3)
+        with pytest.raises(DomainError, match="start"):
+            oracle_mple(p, k, h_min=2, h_max=15, restarts=1, extra_inits=[start])
 
     def test_restarts_used_counts_extra_inits(self):
         # the degree-sorted start always runs, so one extra init makes two
@@ -1324,7 +1388,8 @@ class TestOracle:
             pm = (pm + pm.T) / 2
             p = self.make_probabilities(pm, rho=0.5)
             z0 = _exhaustive_profile(p.p, 2, 2, p.n)[0]
-            exact = oracle_divergence(p, CommunityAssignment(z=z0 + 1, k=2))
+            z = CommunityAssignment(z=z0 + 1, k=2)
+            exact = _pair_divergence(p, z, oracle_block_means(p, z))[0]
             loc = oracle_mple(p, 2, restarts=10, seed=t)
             if abs(loc.divergence - exact) < 1e-9:
                 hits += 1
@@ -1337,4 +1402,4 @@ class TestOracle:
         pm = (pm + pm.T) / 2
         p = self.make_probabilities(pm)
         z = CommunityAssignment(z=np.array([1, 1, 2, 2, 1, 2, 1, 2]), k=2)
-        assert oracle_divergence(p, z) >= 0.0
+        assert _pair_divergence(p, z, oracle_block_means(p, z))[0] >= 0.0

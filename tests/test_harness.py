@@ -265,9 +265,9 @@ class TestRunSweep:
         assert calls == per_replicate
 
     def test_oracle_search_candidate_equals_oracle_risk(self, monkeypatch):
-        # score_replicate divides the oracle search's own divergence by the
-        # pair total instead of calling oracle_risk on its assignment again;
-        # the two must agree to the last bit, and so must the row's minimum.
+        # score_replicate takes the oracle search's own risk instead of
+        # calling oracle_risk on its assignment again; the two must agree to
+        # the last bit, and so must the row's minimum.
         search, risk = harness.oracle_mple, harness.oracle_risk
         searches, risks = [], []
 
@@ -286,8 +286,7 @@ class TestRunSweep:
         rows = [run_replicate(cfg, n, rep) for n in cfg.n_list for rep in range(cfg.replicates)]
         assert len(searches) == len(rows) == 4
         for row, (p, ofit), others in zip(rows, searches, zip(risks[::2], risks[1::2])):
-            candidate = ofit.divergence / harness._pair_total(p)
-            assert candidate == risk(p, ofit.assignment)
+            assert ofit.risk == risk(p, ofit.assignment)
             assert row.oracle_risk == min(others[0], risk(p, ofit.assignment), others[1])
 
 

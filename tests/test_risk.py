@@ -35,7 +35,7 @@ from graphonfit import (
     sample_latents,
 )
 import graphonfit.risk as risk
-from graphonfit.blockmodel import _kl_terms, oracle_block_means, oracle_divergence
+from graphonfit.blockmodel import _kl_terms, _pair_divergence, oracle_block_means
 from graphonfit.graphons import midpoint_grid, random_partition
 
 
@@ -205,7 +205,8 @@ class TestPairDivergenceMatchesFrozenGathers:
             p = edge_probabilities(f, sample_latents(n, 100 * k + case), rho)
             fit = fit_at(sample_adjacency(p, 100 * k + case), z)
             saturated += int(fit.stats.saturated.sum())
-            assert oracle_divergence(p, z) == frozen_oracle_divergence(p, z)
+            divergence = _pair_divergence(p, z, oracle_block_means(p, z))[0]
+            assert divergence == frozen_oracle_divergence(p, z)
             assert oracle_risk(p, z) == frozen_oracle_risk(p, z)
             if fit.stats.saturated.all():
                 with pytest.raises(ModelError):
