@@ -800,7 +800,7 @@ def _local_searches(states: list, rng: np.random.Generator) -> list:
     n, k = stacks.n, stacks.k
     # Window cap from the cells one candidate stacks: a relabel's k + 1 rows
     # of k (or its neighbour row).
-    cap = max(1, _BATCH_CELLS // max(k * k, 2 * n))
+    cap = max(1, _BATCH_CELLS // max((k + 1) * k, 2 * n))
     index = np.array(np.meshgrid([st.slot for st in states], np.arange(n), indexing="ij"))
 
     def take_relabels(windows: list) -> list:

@@ -174,6 +174,13 @@ def _interval_table(step: StepGraphon, s1: np.ndarray, cut: np.ndarray) -> _Inte
                           (hi - lo).astype(float), cells.ravel())
 
 
+def _outer(op, rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, a, b] = op(rows[i, a], cols[i, b]), by a copy and op in place:
+    half the buffering of a ufunc with two broadcast inputs."""
+    np.copyto(out, rows[:, :, None])
+    return op(out, cols[:, None, :], out=out)
+
+
 def _mse_for_orders(
     orders: np.ndarray, est: StepGraphon, s1: np.ndarray, s2_total: float, cut: np.ndarray,
     work: _Workspace, table: _IntervalTable | None = None,
@@ -191,17 +198,17 @@ def _mse_for_orders(
     """
     b, k = orders.shape
     grid = s1.shape[0] - 1
-    index = np.add((orders * k)[:, :, None], orders[:, None, :],
-                   out=work("index", (b, k, k), np.intp))
+    index = _outer(np.add, orders * k, orders, work("index", (b, k, k), np.intp))
     v = est.values.take(index, out=work("square", (b, k, k)), mode="clip")
     if table is None:
         h = np.asarray(est.partition.h, dtype=np.int64)
         cuts = np.zeros((b, k + 1), dtype=np.intp)
         cuts[:, 1:] = cut[np.cumsum(h[orders], axis=1)]
-        index = np.add((cuts * (grid + 1))[:, :, None], cuts[:, None, :],
-                       out=work("index", (b, k + 1, k + 1), np.intp))
+        index = _outer(np.add, cuts * (grid + 1), cuts, work("index", (b, k + 1, k + 1), np.intp))
         p = s1.take(index, out=work("corners", (b, k + 1, k + 1)), mode="clip")
-        cell1 = np.subtract(p[:, 1:, 1:], p[:, :-1, 1:], out=work("cross", (b, k, k)))
+        cell1 = work("cross", (b, k, k))
+        np.copyto(cell1, p[:, 1:, 1:])  # as in _outer
+        cell1 -= p[:, :-1, 1:]
         cell1 -= p[:, 1:, :-1]
         cell1 += p[:, :-1, :-1]
         counts = np.diff(cuts, axis=1).astype(float)
@@ -209,14 +216,13 @@ def _mse_for_orders(
         hb = table.h[orders]
         ends = np.cumsum(hb, axis=1)
         ids = table.ids[table.first[orders] + (ends - hb)]
-        index = np.add((ids * table.count.size)[:, :, None], ids[:, None, :],
-                       out=work("index", (b, k, k), np.intp))
+        index = _outer(np.add, ids * table.count.size, ids, work("index", (b, k, k), np.intp))
         cell1 = table.cells.take(index, out=work("cross", (b, k, k)), mode="clip")
         counts = table.count[ids]
     cell1 *= v
     x = cell1.reshape(b, -1).sum(axis=1)
     # the cell sums are spent, so their buffer takes the count products
-    np.multiply(counts[:, :, None], counts[:, None, :], out=cell1)
+    _outer(np.multiply, counts, counts, cell1)
     v *= v
     v *= cell1
     sq = s2_total - 2.0 * x + v.reshape(b, -1).sum(axis=1)
@@ -348,6 +354,81 @@ def _best_order_mse(
                for i in range(0, len(orders), batch))
 
 
+def _qap_deltas(m: np.ndarray, d: np.ndarray, rows) -> np.ndarray:
+    """out[i, s]: the change in sum(m * d) when slots rows[i] and s trade
+    blocks, summed over the two terms of delta_rs = 2 sum_{t != r, s} (m_st -
+    m_rt)(d_rt - d_st) + (m_ss - m_rr)(d_rr - d_ss), by broadcast products
+    and sums, not BLAS, in row blocks whose products hold at most _BATCH_CELLS
+    cells, or one row's 2 k^2 (the size of m).  delta_sr's terms are
+    delta_rs's with both factors negated, so out is exactly symmetric."""
+    k, rows = m.shape[1], np.asarray(rows)
+    dm, dd = m.diagonal(axis1=1, axis2=2), d.diagonal(axis1=1, axis2=2)
+    out = np.empty((rows.size, k))
+    height = max(1, _BATCH_CELLS // (2 * k * k))
+    for lo in range(0, rows.size, height):
+        r = rows[lo:lo + height]
+        p = m[:, None] - m[:, r, None]
+        p *= d[:, r, None] - d[:, None]
+        p[:, np.arange(r.size), :, r] = 0.0  # t = r
+        p[:, :, np.arange(k), np.arange(k)] = 0.0  # t = s
+        diag = (dm[:, None] - dm[:, r, None]) * (dd[:, r, None] - dd[:, None])
+        out[lo:lo + height] = 2.0 * p.sum(axis=3).sum(axis=0) + diag.sum(axis=0)
+    return out
+
+
+def _qap_swap(order, m: np.ndarray, d: np.ndarray, delta: np.ndarray, r: int, s: int) -> None:
+    """Swap slots r and s of order and m, and keep delta (_qap_deltas) current
+    by Taillard's (1991) O(k^2) update: with a = m[:, :, r] - m[:, :, s] after
+    the swap and e = d[:, :, r] - d[:, :, s], a pair u, v apart from r and s
+    moves by -2 sum (a_u - a_v)(e_u - e_v); rows r and s are recomputed."""
+    order[[r, s]] = order[[s, r]]
+    m[:, [r, s]] = m[:, [s, r]]
+    m[:, :, [r, s]] = m[:, :, [s, r]]
+    a, e = m[:, :, r] - m[:, :, s], d[:, :, r] - d[:, :, s]
+    delta -= 2.0 * ((a[:, :, None] - a[:, None]) * (e[:, :, None] - e[:, None])).sum(axis=0)
+    rows = _qap_deltas(m, d, [r, s])
+    delta[[r, s]] = rows
+    delta[:, [r, s]] = rows.T
+
+
+# Slot rebuilds per stage: on unequal widths a descent can undo the last.
+_QAP_REBUILDS = 8
+
+
+def _qap_order(step: StepGraphon, s1: np.ndarray, cut: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The k > 8 alignment's quadratic-assignment stage from a block order.
+    Its block intervals are held as slots: slot r covers midpoints lo_r..hi_r
+    - 1 (graphon_mse's cuts), c_r = hi_r - lo_r, and X_rt sums the truth grid
+    over slots r and t.  An order pi's squared error on them is s2_total +
+    sum_rt (V[pi_r, pi_t]^2 c_r c_t - 2 V[pi_r, pi_t] X_rt), a Koopmans-Beckmann
+    quadratic assignment, exact for swaps of equal-width blocks.  A steepest
+    descent swaps the pair of least delta, the lowest (r, s) among ties, while
+    it is below -1e-12 grid^2, far beyond the updates' rounding.  The slots
+    are rebuilt from the new order until a descent takes no swap."""
+    order, k, tol = start.copy(), start.size, -1e-12 * (s1.shape[0] - 1) ** 2
+    h = np.asarray(step.partition.h, dtype=np.int64)
+    for _ in range(_QAP_REBUILDS):
+        ends = np.cumsum(h[order])
+        lo, hi = cut[ends - h[order]], cut[ends]
+        c, v = (hi - lo).astype(float), step.values[np.ix_(order, order)]
+        # m: the block values, squared and plain; d: the slot weights
+        m = np.stack([v * v, v])
+        d = np.stack([c[:, None] * c, -2.0 * _cell_sums(s1, lo[:, None], hi[:, None], lo, hi)])
+        delta = _qap_deltas(m, d, np.arange(k))
+        if delta.min() >= tol:
+            break
+        while delta.min() < tol:
+            _qap_swap(order, m, d, delta, *divmod(int(delta.argmin()), k))
+    return order
+
+
+def _pool_start(step: StepGraphon, s1: np.ndarray, cut: np.ndarray, starts, score) -> np.ndarray:
+    """The start of the k > 8 alignment's exact descent: the least-scored of
+    the starts and their _qap_order results, the first among ties."""
+    pool = np.stack([*starts, *(_qap_order(step, s1, cut, s) for s in starts)])
+    return pool[int(score(pool).argmin())]
+
+
 _ALIGNMENTS = ("identity", "degree_sort", "block_permutation_search")
 
 
@@ -372,12 +453,13 @@ def graphon_mse(
     'identity' keeps the fitted order; 'degree_sort' orders blocks by their
     size-weighted marginal mean, the sort step of Chan & Airoldi's (2014)
     sort-and-smooth estimator; 'block_permutation_search' takes the least
-    over all k! orders for k <= 8 (_best_order_mse), else the better of two
-    swap descents, from the identity and degree-sorted orders.  A descent
-    scans the pairs a < b row-major with blockmodel._first_improvement,
-    takes the first swap that lowers the MSE by more than 1e-15, and
-    rescans until a scan takes none.  Every value returned or compared
-    comes from _mse_for_orders, batched as _BATCH_CELLS says.
+    over all k! orders for k <= 8 (_best_order_mse), else one exact swap
+    descent from the least of the identity and degree-sorted orders and
+    their _qap_order results (_pool_start).  It scans the pairs a < b
+    row-major with blockmodel._first_improvement, takes the first swap that
+    lowers the MSE by more than 1e-15, and rescans until a scan takes none.
+    Every value returned or compared comes from _mse_for_orders, batched as
+    _BATCH_CELLS says.
     """
     _check_mse_options(grid, alignment)
     k = step.partition.k
@@ -413,27 +495,25 @@ def graphon_mse(
     batch = max(1, _BATCH_CELLS // (k + 1) ** 2)
     pa, pb = np.triu_indices(k, k=1)
 
-    def descend(order: np.ndarray) -> float:
-        cur = float(score(order[None])[0])
+    order = _pool_start(step, s1, cut, (np.arange(k), degree_order), score)
+    cur = float(score(order[None])[0])
 
-        def take_first(lo: int, hi: int) -> int:
-            nonlocal order, cur
-            a, b = pa[lo:hi], pb[lo:hi]
-            rows = np.arange(a.size)
-            cands = np.repeat(order[None], a.size, axis=0)
-            cands[rows, a], cands[rows, b] = order[b], order[a]
-            vals = score(cands)
-            hits = np.flatnonzero(vals < cur - 1e-15)
-            if hits.size == 0:
-                return -1
-            j = hits[0]
-            order, cur = cands[j], float(vals[j])
-            return lo + j
+    def take_first(lo: int, hi: int) -> int:
+        nonlocal order, cur
+        a, b = pa[lo:hi], pb[lo:hi]
+        rows = np.arange(a.size)
+        cands = np.repeat(order[None], a.size, axis=0)
+        cands[rows, a], cands[rows, b] = order[b], order[a]
+        vals = score(cands)
+        hits = np.flatnonzero(vals < cur - 1e-15)
+        if hits.size == 0:
+            return -1
+        j = hits[0]
+        order, cur = cands[j], float(vals[j])
+        return lo + j
 
-        _first_improvement(pa.size, batch, take_first, repeat=True)
-        return cur
-
-    return min(descend(start) for start in (np.arange(k), degree_order))
+    _first_improvement(pa.size, batch, take_first, repeat=True)
+    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -752,7 +752,7 @@ class TestWindowBuffers:
     the full one left there."""
 
     N, K = 100, 40
-    WINDOW = _BATCH_CELLS // max(K * K, 2 * N)  # 20 nodes, a one-start search's cap
+    WINDOW = _BATCH_CELLS // max((K + 1) * K, 2 * N)  # 19 nodes, a one-start search's cap
 
     def instance(self, binary):
         w, z0 = _search_instance(self.N, self.K, binary, seed=23)

@@ -226,7 +226,8 @@ def brute_force_mse(truth, step, order, grid):
 
 
 # Frozen copy of the one-order-at-a-time alignment search that the batched
-# kernel replaced; graphon_mse must reproduce it bit for bit.
+# kernel replaced; graphon_mse must reproduce it bit for bit.  For k > 8 it
+# takes the start of its exact descent from the library's pool (_pool_start).
 def scalar_order_mse(order, est, s1, s2_total, grid):
     h = np.asarray(est.partition.h, dtype=np.int64)[order]
     v = est.values[np.ix_(order, order)]
@@ -263,24 +264,26 @@ def scalar_graphon_mse(truth, step, grid, alignment):
         for perm in itertools.permutations(range(k)):
             best = min(best, mse(np.array(perm)))
         return best
-    best = math.inf
-    for start in (np.arange(k), degree_order):
-        order = start.copy()
-        cur = mse(order)
-        improved = True
-        while improved:
-            improved = False
-            for a in range(k - 1):
-                for b in range(a + 1, k):
+    # k > 8: the library's quadratic-assignment pool picks the start, scored
+    # here one order at a time; the exact descent from it is copied here
+    n = sum(step.partition.h)
+    cut = np.searchsorted(midpoint_grid(grid), np.arange(n + 1) / n, side="right")
+    order = risk._pool_start(step, s1, cut, (np.arange(k), degree_order),
+                             lambda orders: np.array([mse(o) for o in orders])).copy()
+    cur = mse(order)
+    improved = True
+    while improved:
+        improved = False
+        for a in range(k - 1):
+            for b in range(a + 1, k):
+                order[a], order[b] = order[b], order[a]
+                cand = mse(order)
+                if cand < cur - 1e-15:
+                    cur = cand
+                    improved = True
+                else:
                     order[a], order[b] = order[b], order[a]
-                    cand = mse(order)
-                    if cand < cur - 1e-15:
-                        cur = cand
-                        improved = True
-                    else:
-                        order[a], order[b] = order[b], order[a]
-        best = min(best, cur)
-    return best
+    return cur
 
 
 class TestGraphonMSE:
@@ -629,6 +632,127 @@ class TestMidpointCut:
         assert odd.size > 100 and np.isin(odd / 128, mid).all()
 
 
+def slot_args(truth, step, grid):
+    """The prefix sums and midpoint cuts that graphon_mse passes its stages."""
+    s1, s2_total = truth.prefix_sums(grid)
+    n = sum(step.partition.h)
+    return s1, s2_total, np.searchsorted(midpoint_grid(grid), np.arange(n + 1) / n, side="right")
+
+
+def qap_slots(truth, step, grid, cut, order):
+    """The quadratic assignment on the slots of order, built here from the
+    truth grid: m stacks the order's block values squared and plain, d the
+    slot weights c_r c_t and -2 X_rt (risk._qap_order)."""
+    h = np.asarray(step.partition.h)[order]
+    edges = cut[np.concatenate([[0], np.cumsum(h)])]
+    tg = truth.grid_values(grid)
+    x = np.array([[tg[a:b, c:e].sum() for c, e in zip(edges, edges[1:])]
+                  for a, b in zip(edges, edges[1:])])
+    c = np.diff(edges).astype(float)
+    v = step.values[np.ix_(order, order)]
+    return np.stack([v * v, v]), np.stack([np.multiply.outer(c, c), -2.0 * x])
+
+
+def slot_objective(m, d):
+    return float((m * d).sum())
+
+
+def swapped(order, r, s):
+    order = order.copy()
+    order[[r, s]] = order[[s, r]]
+    return order
+
+
+QAP_CASES = [(10, 256, "bilinear"), (12, 64, "cosine"), (16, 256, "product"), (40, 64, "cosine")]
+
+
+class TestQuadraticAssignmentStage:
+    """The k > 8 alignment's quadratic assignment on fixed slots: its deltas
+    from scratch, their O(k^2) update, its descent and the pool it feeds."""
+
+    @pytest.mark.parametrize("k, grid, truth_name", QAP_CASES)
+    def test_maintained_deltas_equal_rebuilt_after_every_move(self, k, grid, truth_name):
+        step, truth = random_step(k, seed=300 + k), graphon_by_name(truth_name)
+        s1, s2_total, cut = slot_args(truth, step, grid)
+        rng = np.random.default_rng(k)
+        order = rng.permutation(k)
+        m, d = qap_slots(truth, step, grid, cut, order)
+        # on its own slots the objective is the order's squared error
+        mse = risk._mse_for_orders(order[None], step, s1, s2_total, cut, risk._Workspace())[0]
+        assert s2_total + slot_objective(m, d) == pytest.approx(mse * grid * grid, rel=1e-12)
+        delta = risk._qap_deltas(m, d, np.arange(k))
+        # the deltas from scratch are the objective's change under each swap
+        for r, s in itertools.combinations(range(k), 2):
+            m2, _ = qap_slots(truth, step, grid, cut, swapped(order, r, s))
+            change = slot_objective(m2, d) - slot_objective(m, d)
+            assert delta[r, s] == pytest.approx(change, rel=1e-9, abs=1e-9 * np.abs(delta).max())
+        # the descent's own moves until none improves, then random swaps
+        moves = 0
+        while delta.min() < -1e-12 * grid * grid:
+            risk._qap_swap(order, m, d, delta, *divmod(int(delta.argmin()), k))
+            self.check_current(order, m, d, delta, step)
+            moves += 1
+        assert moves >= 3
+        for r, s in rng.choice(k, size=(20, 2)):
+            risk._qap_swap(order, m, d, delta, r, s)
+            self.check_current(order, m, d, delta, step)
+
+    @staticmethod
+    def check_current(order, m, d, delta, step):
+        """m is the order's block values on the fixed slots d, and delta
+        equals the deltas rebuilt from scratch, exactly symmetric with a zero
+        diagonal."""
+        v = step.values[np.ix_(order, order)]
+        assert np.array_equal(m, np.stack([v * v, v]))
+        rebuilt = risk._qap_deltas(m, d, np.arange(order.size))
+        assert np.abs(delta - rebuilt).max() <= 1e-9 * np.abs(rebuilt).max()
+        assert np.array_equal(delta, delta.T) and not delta.diagonal().any()
+
+    @pytest.mark.parametrize("k, grid, truth_name", QAP_CASES)
+    def test_descent_ends_with_no_improving_swap(self, k, grid, truth_name, monkeypatch):
+        step, truth = random_step(k, seed=300 + k), graphon_by_name(truth_name)
+        s1, _, cut = slot_args(truth, step, grid)
+        start = np.random.default_rng(k).permutation(k)
+        # one descent, on the start's slots
+        monkeypatch.setattr(risk, "_QAP_REBUILDS", 1)
+        result = risk._qap_order(step, s1, cut, start)
+        assert not np.array_equal(result, start)
+        m, _ = qap_slots(truth, step, grid, cut, result)
+        _, d = qap_slots(truth, step, grid, cut, start)
+        assert risk._qap_deltas(m, d, np.arange(k)).min() >= -2e-12 * grid * grid
+
+    def test_equal_widths_stage_is_exact(self):
+        # With equal widths a swap keeps every slot, so the stage's objective
+        # is the squared error itself and its result is a swap local optimum.
+        k, grid = 14, 64
+        v = np.random.default_rng(7).uniform(0, 2, size=(k, k))
+        step = StepGraphon(Partition((5,) * k), v + v.T)
+        truth = graphon_by_name("cosine")
+        s1, s2_total, cut = slot_args(truth, step, grid)
+        result = risk._qap_order(step, s1, cut, np.arange(k))
+        m, d = qap_slots(truth, step, grid, cut, result)
+        delta = risk._qap_deltas(m, d, np.arange(k))
+        assert delta.min() >= -2e-12 * grid * grid
+        pairs = np.array(list(itertools.combinations(range(k), 2)))
+        orders = np.array([swapped(result, r, s) for r, s in pairs])
+        work = risk._Workspace()
+        here = risk._mse_for_orders(result[None], step, s1, s2_total, cut, work)[0]
+        after = risk._mse_for_orders(orders, step, s1, s2_total, cut, work)
+        assert np.allclose((after - here) * grid * grid, delta[pairs[:, 0], pairs[:, 1]],
+                           rtol=1e-9, atol=1e-9 * np.abs(delta).max())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_aligned_at_most_identity_and_degree_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(9, 30))
+        step = random_step(k, seed=400 + seed, tied=bool(seed % 2))
+        truth = graphon_by_name(("cosine", "bilinear", "product")[seed % 3])
+        grid = (64, 256)[seed % 2]
+        aligned = graphon_mse(truth, step, grid=grid)
+        assert aligned <= graphon_mse(truth, step, grid=grid, alignment="identity")
+        assert aligned <= graphon_mse(truth, step, grid=grid, alignment="degree_sort")
+
+
 class TestMseWorkspace:
     """_mse_for_orders writes its stack-sized arrays into the caller's
     workspace: a warm call allocates none of them, and a short stack scored
@@ -671,6 +795,17 @@ class TestMseWorkspace:
             # fails this.  numpy's ufunc iterator buffers, about 155 KB at
             # most (the broadcast index adds), pass.
             assert peak < self.CAP * self.K * self.K * 8
+
+    def test_warm_stack_buffers_no_two_broadcast_inputs(self, kernel_args, warm_peak):
+        # The broadcast sums and products copy one input and apply the other
+        # in place (_outer), and the corner differences start from a copy: a
+        # ufunc with two broadcast or strided inputs buffers about 130 KB
+        # here, one in-place step about 65 KB.
+        orders = self.orders(self.CAP, seed=4)
+        for table in self.paths(kernel_args):
+            work = risk._Workspace()
+            peak = warm_peak(lambda: risk._mse_for_orders(orders, *kernel_args, work, table))
+            assert peak < self.CAP * self.K * self.K * 8 // 2
 
     def test_reused_workspace_leaves_no_stale_values(self, kernel_args):
         step, s1, s2_total, _ = kernel_args

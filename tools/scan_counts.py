@@ -14,7 +14,7 @@ time with one BLAS thread, and prints one line per kind of scan:
   ``mple_search`` (0/1 weights);
 - ``oracle.relabel`` and ``oracle.swap``: those of ``oracle_mple``
   (fixed-point weights);
-- ``mse.descent``: the block-order descents of the aligned ``graphon_mse``
+- ``mse.descent``: the exact block-order descent of the aligned ``graphon_mse``
   (k > 8 only; k <= 8 scores every order and runs none).
 
 Each line gives the scans run, the windows scored and the moves those
