@@ -13,9 +13,9 @@ sum_{i<j} D(p_ij || pbar) only by a z-independent constant, so a single search
 engine handles both the data fit and the oracle fit.
 
 The local search uses single-node relabels plus pairwise label swaps
-(Kernighan-Lin style, as in Karrer & Newman 2011), multi-restart, over 0/1
-weights or the oracle's fixed-point ones (_fixed_point).  Each of its
-mechanisms is stated at the function that implements it; README.md lists
+(Kernighan-Lin style, as in Karrer & Newman 2011) from starts and kicks,
+over 0/1 weights or the oracle's fixed-point ones (_fixed_point).  Each
+mechanism is stated at the function that implements it; README.md lists
 them.  Reported values use xlogy (_terms), which imports scipy.special at
 its first call, so importing this module loads no scipy.
 """
@@ -60,6 +60,9 @@ __all__ = [
 ]
 
 _SEARCH_STREAM = 3
+_SPECTRAL_STREAM = 4  # the spectral start's fixed first vector, from seed 0
+_POWER_STEPS = 64  # power iterations of the spectral start
+_KICK_SHARE = 0.05  # random label swaps per kick, per node
 _TIE_TOL = 1e-10
 _SEARCH_TOL = 1e-10  # least gain a search move must make
 _MAX_SWEEPS = 200  # relabel-then-swap sweeps per local search
@@ -487,8 +490,9 @@ class _Stacks:
 
 class _ProfileState:
     """One start, in slot slot of stacks: views of the slot's arrays, the
-    caches, the swap builder, the writer and verify.  A start that is not n
-    labels in 0..k-1 with every group size in [h_min, h_max] raises
+    caches, the swap builder, the writer and verify.  A start is labels, or
+    a kick: a function of the search rng that _search calls for them.  Labels
+    that are not n in 0..k-1 with every group size in [h_min, h_max] raise
     DomainError.  One-hot BLAS products give the first sums, exactly.
 
     What only a move changes is cached, and write refreshes it: the row
@@ -501,27 +505,32 @@ class _ProfileState:
     """
 
     def __init__(self, stacks: _Stacks, slot: int, start):
-        n, k, h_min, h_max = stacks.n, stacks.k, stacks.h_min, stacks.h_max
+        k = stacks.k
+        self.stacks, self.slot, self.w, self.n, self.k = stacks, slot, stacks.w, stacks.n, k
+        for name in ("z", "h", "e", "nbr", "t", "row_sums", "pieces", "mask"):
+            setattr(self, name, getattr(stacks, name)[slot])
+        self._diagonals = self.pieces.reshape(4, k * k)[:3, :: k + 1]  # see _refresh_sizes
+        self.kick = start if callable(start) else self.begin(start)
+
+    def begin(self, start) -> None:
+        n, k, h_min, h_max = self.n, self.k, self.stacks.h_min, self.stacks.h_max
         z0 = _as_integers(start, "start labels")
         if z0.shape != (n,) or np.any((z0 < 0) | (z0 >= k)):
             raise DomainError(f"a start needs {n} labels in 0..{k - 1}")
         sizes = np.bincount(z0, minlength=k)
         if np.any((sizes < h_min) | (sizes > h_max)):
             raise DomainError(f"start group sizes {sizes.tolist()} leave [{h_min}, {h_max}]")
-        self.stacks, self.slot, self.w, self.n, self.k = stacks, slot, stacks.w, n, k
-        for name in ("z", "h", "e", "nbr", "t", "row_sums", "pieces", "mask"):
-            setattr(self, name, getattr(stacks, name)[slot])
         self.z[...] = z0
         self.h[...] = sizes
-        self._diagonals = self.pieces.reshape(4, k * k)[:3, :: k + 1]  # see _refresh_sizes
         self._refresh_sizes()
         onehot = np.eye(k)[z0]
         self.nbr[...] = self.w @ onehot
         # a pair within a group is counted twice; halving is exact
         self.e[...] = onehot.T @ self.nbr / (1 + np.eye(k))
-        stacks._terms(self.e, self.pieces[0], self.t)
+        self.stacks._terms(self.e, self.pieces[0], self.t)
         self.t.sum(axis=1, out=self.row_sums)
         self.total = _total_from_terms(self.t)
+        self.kick = None  # it holds the search's states: no reference cycle
 
     def _refresh_sizes(self, mask: bool = True) -> None:
         """Rebuild the size pieces and, if mask, the move mask from h.
@@ -740,6 +749,9 @@ def _search(state: _ProfileState, rng: np.random.Generator):
     they run to a fixed point; a swap sweep, the escape from size-constrained
     configurations, runs only once a relabel scan takes nothing."""
     n, k = state.n, state.k
+    if state.kick is not None:  # see _local_searches
+        yield None
+        state.begin(state.kick(rng))
     # Window cap from the cells one candidate stacks: a swap's two rows of k.
     swap_cap = max(1, _BATCH_CELLS // (2 * k))
     swaps = 0
@@ -791,10 +803,10 @@ def _local_searches(states: list, rng: np.random.Generator) -> list:
     each one's accepted swap count.
 
     Each _lockstep round scores one relabel window of every start still
-    relabelling in one stack.  A start's relabels never draw random numbers,
-    and a swap sweep that draws its pairs (n > _ALL_PAIRS_MAX_N) waits until
-    every earlier start has finished, so every start's moves, swap draws and
-    result are those of searching the starts one after another with one rng.
+    relabelling in one stack.  Relabels draw nothing, and a kick or a swap
+    sweep that draws its pairs (n > _ALL_PAIRS_MAX_N) waits until every
+    earlier start has finished, so every start's moves, draws and result are
+    those of searching the starts one after another with one rng.
     """
     stacks = states[0].stacks  # every state's
     n, k = stacks.n, stacks.k
@@ -841,39 +853,67 @@ def _local_searches(states: list, rng: np.random.Generator) -> list:
     return _lockstep([_search(st, rng) for st in states], cap, take_relabels)
 
 
+def _spectral_order(w: np.ndarray) -> np.ndarray:
+    """Nodes along A's leading direction with the degree direction d projected
+    out: _POWER_STEPS power iterations from a fixed vector, largest entry
+    first, ties by index.  Iterates are integers below 2^b, b = 53 - 3
+    ceil(log2 (n + 1)), so BLAS sums A x and d.(A x) exactly in any order."""
+    a, n = w.astype(np.float64), w.shape[0]
+    d, bits = a.sum(axis=1), 53 - 3 * n.bit_length()
+    x = make_rng(0, _SPECTRAL_STREAM).integers(-1 << bits, 1 << bits, n).astype(np.float64)
+    for _ in range(_POWER_STEPS):
+        x = a @ x
+        x -= (d @ x / (d @ d or 1.0)) * d
+        x = np.rint(np.ldexp(x / (np.abs(x).max() or 1.0), bits))  # A x = 0 stays 0
+    return np.argsort(x if x[np.abs(x).argmax()] < 0 else -x, kind="stable")
+
+
 def _maximize_profile(w: np.ndarray, k: int, h_min: int, h_max: int, restarts: int, seed: int,
-                      extra_inits: list | None = None):
-    """Multi-restart local search over 0/1 or fixed-point weights (_Stacks);
-    returns (z0, total, swaps, ties, searches run).  The starts run in
-    lockstep (_local_searches), each is verified once all have finished, and
-    the best is picked in start order.  The result keeps every group inside
-    [h_min, h_max]; a start in extra_inits outside them is refused."""
+                      extra_inits: list | None = None, spectral: bool = False):
+    """Local search over 0/1 or fixed-point weights (_Stacks); returns (z0,
+    total, swaps, ties, ascents run).  The degree-sorted start, the spectral
+    order (_spectral_order) if spectral and restarts >= 2, extra_inits, then
+    iterated local search kicks up to restarts ascents run in lockstep
+    (_local_searches).  A kick applies _KICK_SHARE * n random label swaps to
+    the best of the ascents before it and replaces it only if better by more
+    than _TIE_TOL; a start also on a tie, with less canonical labels.  Every
+    ascent is verified, and every group stays in [h_min, h_max]."""
     n = w.shape[0]
     _check_constraints(n, k, h_min, h_max)
     _check_restarts(restarts)
     rng = make_rng(seed, _SEARCH_STREAM)
-    sizes = balanced_partition(n, k).h
-    inits = [_contiguous_labels(np.argsort(-w.sum(axis=1), kind="stable"), sizes),
-             *(extra_inits or [])]
-    while len(inits) < restarts:
-        inits.append(_contiguous_labels(rng.permutation(n), sizes))
+    orders = [np.argsort(-w.sum(axis=1), kind="stable")]
+    if spectral and restarts > 1:
+        orders.append(_spectral_order(w))
+    inits = [_contiguous_labels(order, balanced_partition(n, k).h) for order in orders]
+    inits += extra_inits or []
 
-    best_total, best_canon, best_swaps, ties = -np.inf, None, 0, False
-    stacks = _Stacks(w, k, h_min, h_max, len(inits))
-    states = [_ProfileState(stacks, slot, z0) for slot, z0 in enumerate(inits)]
-    for state, swaps in zip(states, _local_searches(states, rng)):
-        state.verify()
-        canon = _canonical_labels(state.z)
-        if state.total > best_total + _TIE_TOL:
-            best_total, best_canon, best_swaps = state.total, canon, swaps
-            ties = False
-        elif state.total > best_total - _TIE_TOL:
-            if not np.array_equal(canon, best_canon):
+    def best_of() -> tuple:  # (total, canonical labels, index, ties) of the ascents begun
+        total, canon, best, ties = -np.inf, None, 0, False
+        for i, state in enumerate(itertools.takewhile(lambda st: st.kick is None, states)):
+            labels = _canonical_labels(state.z)
+            if state.total > total + _TIE_TOL:
+                total, canon, best, ties = state.total, labels, i, False
+            elif state.total > total - _TIE_TOL and not np.array_equal(labels, canon):
                 ties = True
-                if tuple(canon) < tuple(best_canon):
-                    best_canon, best_swaps = canon, swaps
-                    best_total = max(best_total, state.total)
-    return best_canon, best_total, best_swaps, ties, len(inits)
+                if i < len(inits) and tuple(labels) < tuple(canon):
+                    total, canon, best = max(total, state.total), labels, i
+        return total, canon, best, ties
+
+    def kick(rng: np.random.Generator) -> np.ndarray:
+        z0 = best_of()[1]
+        for i, j in rng.integers(0, n, size=(max(1, round(_KICK_SHARE * n)), 2)):
+            z0[i], z0[j] = z0[j], z0[i]
+        return z0
+
+    starts = inits + [kick] * (restarts - len(inits))
+    stacks = _Stacks(w, k, h_min, h_max, len(starts))
+    states = [_ProfileState(stacks, slot, start) for slot, start in enumerate(starts)]
+    swaps = _local_searches(states, rng)
+    for state in states:
+        state.verify()
+    total, canon, best, ties = best_of()
+    return canon, total, swaps[best], ties, len(starts)
 
 
 def _canonical_labels(z0: np.ndarray) -> np.ndarray:
@@ -1078,11 +1118,11 @@ def mple_search(
     restarts: int = 5,
     seed: int = 0,
 ) -> FitResult:
-    """Multi-restart local maximization of the profile log-likelihood."""
+    """Profile log-likelihood ascents from the degree and spectral orders, then kicks."""
     h_max = a.n if h_max is None else h_max
     # intp, not uint8: degrees and the writer's w[i] - w[j] would wrap
     z0, total, swaps, ties, searches = _maximize_profile(
-        a.a.astype(np.intp), k, h_min, h_max, restarts, seed
+        a.a.astype(np.intp), k, h_min, h_max, restarts, seed, spectral=True
     )
     return _finish_fit(a, z0, k, total, searches, swaps, ties, seed, h_min, h_max)
 

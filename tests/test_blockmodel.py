@@ -1252,6 +1252,77 @@ class TestMpleSearch:
         assert time.perf_counter() - t0 < 0.6
 
 
+class TestSpectralStart:
+    """With restarts >= 2, mple_search's second ascent starts from the
+    spectral order (_spectral_order) dealt into balanced contiguous groups,
+    and every ascent after it is a kick of the best state so far."""
+
+    @staticmethod
+    def network(n, seed=1):
+        p = edge_probabilities(graphon_by_name("cosine"), sample_latents(n, seed=seed), 0.3)
+        return sample_adjacency(p, seed=seed)
+
+    def test_draws_nothing_from_the_search_rng(self, monkeypatch):
+        # at n <= _ALL_PAIRS_MAX_N two ascents draw no swap pairs, so a search
+        # rng that refuses every draw is never asked by the spectral start
+        class Refusing:
+            def __getattr__(self, name):
+                raise AssertionError(f"the search rng was asked for {name}")
+
+        make_rng = blockmodel.make_rng
+        monkeypatch.setattr(blockmodel, "make_rng", lambda seed, stream=0: (
+            Refusing() if stream == blockmodel._SEARCH_STREAM else make_rng(seed, stream)))
+        a = self.network(40)
+        fits = [mple_search(a, 4, restarts=2, seed=seed) for seed in (0, 5)]
+        assert all(fit.restarts_used == 2 for fit in fits)
+        assert np.array_equal(fits[0].assignment.z, fits[1].assignment.z)
+
+    @pytest.mark.parametrize("name", ["empty", "complete", "one-edge"])
+    def test_degenerate_graph_gives_a_balanced_start(self, name):
+        n = 8 if name == "one-edge" else 12
+        a = np.zeros((n, n), np.uint8) if name != "complete" else 1 - np.eye(n, dtype=np.uint8)
+        a[2, 5] = a[5, 2] = name == "one-edge"
+        with np.errstate(all="raise"):  # no division by zero, no NaN
+            order = blockmodel._spectral_order(a.astype(np.intp))
+        assert sorted(order.tolist()) == list(range(n))
+        sizes = balanced_partition(n, 3).h
+        assert np.bincount(_contiguous_labels(order, sizes)).tolist() == list(sizes)
+        fit = mple_search(AdjacencyMatrix(a=a), 3, restarts=2, seed=1)
+        assert fit.restarts_used == 2 and math.isfinite(fit.profile_loglik)
+
+    def test_restarts_count_ascents(self, monkeypatch):
+        a = self.network(100)
+        for restarts in (2, 3, 5):
+            assert mple_search(a, 10, restarts=restarts, seed=3).restarts_used == restarts
+        # one ascent is the degree-sorted start alone
+        monkeypatch.setattr(blockmodel, "_spectral_order", None)
+        assert mple_search(a, 10, restarts=1, seed=3).restarts_used == 1
+
+    def test_kicked_search_frees_its_stacks_without_gc(self, monkeypatch):
+        # a kick's start function holds the search's states until it begins,
+        # so no reference cycle keeps a finished search's arrays alive
+        made, init = [], _Stacks.__init__
+
+        def recorded(stacks, *args):
+            made.append(weakref.ref(stacks))
+            init(stacks, *args)
+
+        monkeypatch.setattr(_Stacks, "__init__", recorded)
+        gc.disable()
+        try:
+            mple_search(self.network(40), 4, restarts=4, seed=1)
+            assert made and all(ref() is None for ref in made)
+        finally:
+            gc.enable()
+
+    def test_kicks_never_lose_the_best(self):
+        # the ascents before a kick, and their draws, do not depend on how
+        # many kicks follow, and a kick replaces the best only by a better one
+        a = self.network(100, seed=4)
+        logliks = [mple_search(a, 10, restarts=r, seed=2).profile_loglik for r in range(2, 7)]
+        assert logliks == sorted(logliks) and logliks[-1] > logliks[0]
+
+
 class TestExhaustive:
     def test_enumeration_counts(self):
         assert count_admissible_assignments(4, 2, 2, 2) == 3

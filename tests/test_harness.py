@@ -26,6 +26,7 @@ from graphonfit import (
     sample_latents,
 )
 from graphonfit.harness import (
+    CSV_COLUMNS,
     ExperimentConfig,
     SweepResult,
     balanced_partition,
@@ -231,6 +232,18 @@ class TestRunSweep:
 
         assert without_runtime(pooled.rows) == without_runtime(serial.rows)
         assert pooled.summary == serial.summary
+
+    def test_pooled_dense_row_is_byte_identical(self):
+        # one n = 400 replicate of the dense benchmark setting, whose fit runs
+        # BLAS products at the sizes where thread counts once moved bits
+        cfg = ExperimentConfig(graphon_name="cosine", n_list=(400,), k_rule="sqrt(n)",
+                               rho_rule="0.3", replicates=1, restarts=3,
+                               h_max_rule="ceil(2*n/k)", grid=64, seed=2)
+        rows = [run_sweep(cfg, jobs=jobs).to_csv().splitlines() for jobs in (1, 2)]
+        runtime = CSV_COLUMNS.index("runtime_ms")
+        serial, pooled = ([line.split(",")[:runtime] + line.split(",")[runtime + 1:]
+                           for line in lines] for lines in rows)
+        assert len(serial) == 2 and serial == pooled
 
     def test_run_replicate_matches_sweep_row(self):
         cfg = small_config(replicates=1)

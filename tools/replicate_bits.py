@@ -51,15 +51,18 @@ def replicate_lines(seeds, workloads=None):
                     yield f"{name} root_seed={seed} rep={rep} {report_fields(report)}"
 
 
-def parse_checkout_args(doc: str, default_seeds: list, argv=None) -> argparse.Namespace:
-    """Parse --root, --seeds and --workloads, pin one BLAS thread, and put
-    the library and the workloads of the checkout at --root first on the
-    path.  An unknown workload name, or a library imported from elsewhere,
-    is a usage error."""
+def parse_checkout_args(doc: str, default_seeds: list, argv=None,
+                        options=None) -> argparse.Namespace:
+    """Parse --root, --seeds, --workloads and the tool's own options (flag:
+    add_argument keywords), pin one BLAS thread, and put the library and the
+    workloads of the checkout at --root first on the path.  An unknown
+    workload name, or a library imported from elsewhere, is a usage error."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--root", type=Path, default=ROOT)
     parser.add_argument("--seeds", type=int, nargs="+", default=default_seeds)
     parser.add_argument("--workloads", nargs="+", default=None)
+    for flag, keywords in (options or {}).items():
+        parser.add_argument(flag, **keywords)
     args = parser.parse_args(argv)
 
     os.environ.update(BLAS_ENV)
